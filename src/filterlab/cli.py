@@ -7,7 +7,8 @@ scripts need not scrape prose.
 
 Exit codes: 0 success (for ``member``, a positive verdict), 1 negative
 verdict or failed checks, 2 bad usage or unparsable input, 3 an internal
-inconsistency surfaced by the rank engine.
+inconsistency surfaced by the rank engine or any other unexpected failure,
+such as an input nested too deeply to evaluate.
 """
 
 from __future__ import annotations
@@ -83,18 +84,22 @@ class _Output:
             print(line)
 
 
+def _trunc_value(text: str, source: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise FilterLabError(f"{source} must be an integer, got {text!r}") from None
+    if value < 10:
+        raise FilterLabError(f"{source} must be at least 10")
+    return value
+
+
 def _trunc_from(args: argparse.Namespace) -> int:
     if args.trunc is not None:
-        return args.trunc
+        return _trunc_value(args.trunc, "--trunc")
     env = os.environ.get("FILTERLAB_TRUNC")
     if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise FilterLabError(f"FILTERLAB_TRUNC must be an integer, got {env!r}")
-        if value < 10:
-            raise FilterLabError("FILTERLAB_TRUNC must be at least 10")
-        return value
+        return _trunc_value(env, "FILTERLAB_TRUNC")
     return DEFAULT_TRUNC
 
 
@@ -109,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--trunc",
-        type=int,
         default=argparse.SUPPRESS,
         help="truncation bound for shadows and grids "
         "(default: FILTERLAB_TRUNC or 10000)",
@@ -120,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="filters on countable sets: membership, rank bounds, games",
     )
     parser.add_argument("--format", choices=("text", "structured"), default="text")
-    parser.add_argument("--trunc", type=int, default=None)
+    parser.add_argument("--trunc", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -350,6 +354,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FilterLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # keep exit 1 meaning "negative verdict" whatever goes wrong
+        detail = " ".join(str(e).split())
+        print(f"error: internal: {type(e).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

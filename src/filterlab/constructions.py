@@ -29,6 +29,7 @@ from .domains import (
     cantor_unpair,
     check_point,
     enum_point,
+    fresh_index,
     index_of_tuple,
     point_from_key,
     point_index,
@@ -225,8 +226,7 @@ def _cofinite_chain(
         return ((), m) if cofinite_excluded(m) is not None else None
     if not isinstance(m, SectionFamily):
         return None
-    span = max((k for k, _ in m.exceptions), default=-1) + 1
-    for j in range(span + 2):
+    for j in range(fresh_index(m.keys) + 2):
         rest = _cofinite_chain(section(m, j), level - 1)
         if rest is not None:
             return ((j,) + rest[0], rest[1])
@@ -364,12 +364,6 @@ class InterleavedPair:
             raise DomainError("stage must be a natural")
         self.ensure(n + 1)
         return self._points[side][n]
-
-    def pi0(self, n: int) -> Point:
-        return self.pi(0, n)
-
-    def pi1(self, n: int) -> Point:
-        return self.pi(1, n)
 
     def index_of(self, side: int, p: Point) -> int:
         """The stage at which p was allocated on the given side.

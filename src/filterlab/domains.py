@@ -3,13 +3,18 @@
 A domain is a finite tower built from the one-point set and the naturals:
 ``Prod(d)`` is ``omega x d`` and ``DSum(excs, tail)`` is the disjoint sum
 ``Sigma_i d_i`` whose first ``len(excs)`` components may differ from the
-uniform tail component.  Points mirror the tower shape.
+uniform tail component.  Points mirror the tower shape.  ExceptionTable and
+its helpers hold the same "finite exceptions plus a uniform tail" shape for
+sets, filter families and sequences.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
+from operator import itemgetter
+from typing import Iterable, Mapping
 
 DEFAULT_MAX_DEPTH = 8
 
@@ -102,6 +107,75 @@ def domain_depth(d: DomainExpr) -> int:
 def domain_is_finite(d: DomainExpr) -> bool:
     # Unit is the only finite shape; Prod/DSum are indexed by all of omega.
     return isinstance(d, Unit)
+
+
+# ---------------------------------------------------------------------------
+# eventually uniform tables: finitely many exceptions over a uniform tail
+
+
+def fresh_index(*key_groups: Iterable[int]) -> int:
+    """One past the largest key in any group: the first index past them all."""
+    return max((i for keys in key_groups for i in keys), default=-1) + 1
+
+
+def exception_table(mapping: Mapping[int, object], tail: object) -> tuple:
+    """Sorted (index, value) pairs of mapping, without values equal to tail."""
+    return tuple((i, mapping[i]) for i in sorted(mapping) if mapping[i] != tail)
+
+
+def keys_ascending(exceptions: tuple) -> bool:
+    """True when the indices of exceptions are strictly increasing naturals."""
+    prev = -1
+    for i, _ in exceptions:
+        if i <= prev:
+            return False
+        prev = i
+    return True
+
+
+_index_of = itemgetter(0)
+
+
+class ExceptionTable:
+    """Mixin for frozen dataclasses with fields ``exceptions`` and ``tail``.
+
+    exceptions holds (index, value) pairs sorted by index; every index not
+    listed carries tail.
+    """
+
+    __slots__ = ()
+
+    @property
+    def keys(self) -> tuple[int, ...]:
+        return tuple(i for i, _ in self.exceptions)
+
+    def at(self, i: int):
+        excs = self.exceptions
+        pos = bisect_left(excs, i, key=_index_of)
+        if pos < len(excs) and excs[pos][0] == i:
+            return excs[pos][1]
+        return self.tail
+
+
+def tail_component(d: DomainExpr) -> DomainExpr:
+    """Inner domain shared by all but finitely many indices."""
+    if isinstance(d, Prod):
+        return d.inner
+    if isinstance(d, DSum):
+        return d.tail
+    raise DomainError(f"domain {d!r} has no components")
+
+
+def sum_domain(components: Mapping[int, DomainExpr], tail: DomainExpr) -> DomainExpr:
+    """Prod(tail) when every listed component is tail, else their DSum.
+
+    Only indices whose component differs from tail widen the sum, so a large
+    key with a tail-shaped component costs nothing.
+    """
+    span = fresh_index(i for i, c in components.items() if c != tail)
+    if not span:
+        return Prod(tail)
+    return DSum(tuple(components.get(i, tail) for i in range(span)), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +272,6 @@ def point_from_key(d: DomainExpr, key: tuple[int, ...]) -> Point:
             raise DomainError(f"bad coordinates {key} for {d!r}")
         i = key[0]
         return make_point(d, i, point_from_key(component(d, i), key[1:]))
-    raise DomainError(f"not a domain: {d!r}")
-
-
-def fresh_point(d: DomainExpr, m: int) -> Point:
-    """A point all of whose coordinates sit at index m (beyond any span)."""
-    if isinstance(d, Unit):
-        return UNIT_PT
-    if isinstance(d, Nat):
-        return NatPt(m)
-    if isinstance(d, Prod):
-        return PairPt(m, fresh_point(d.inner, m))
-    if isinstance(d, DSum):
-        i = max(m, len(d.exceptions))
-        return SumPt(i, fresh_point(d.tail, m))
     raise DomainError(f"not a domain: {d!r}")
 
 

@@ -34,6 +34,8 @@ from .domains import (
     is_indexed,
     is_linear_domain,
     make_point,
+    sum_domain,
+    tail_component,
 )
 from .filters import (
     CanonicalEnum,
@@ -677,12 +679,7 @@ def _infer_set_domain(raw: RawSet) -> DomainExpr:
         return doms.pop()
     tail_d = _infer_set_domain(raw.tail)
     entry_ds = {i: _infer_set_domain(e) for i, e in raw.entries}
-    hetero = [i for i, d in entry_ds.items() if d != tail_d]
-    if not hetero:
-        return Prod(tail_d)
-    span = max(hetero) + 1
-    comps = tuple(entry_ds.get(i, tail_d) for i in range(span))
-    return DSum(comps, tail_d)
+    return sum_domain(entry_ds, tail_d)
 
 
 def resolve_set(raw: RawSet, domain: DomainExpr | None) -> SetExpr:
@@ -703,7 +700,7 @@ def resolve_set(raw: RawSet, domain: DomainExpr | None) -> SetExpr:
             raise ParseError(str(e), raw.line, raw.col) from e
     if not is_indexed(d):
         raise ParseError("sections need an indexed domain", raw.line, raw.col)
-    tail_dom = d.tail if isinstance(d, DSum) else d.inner
+    tail_dom = tail_component(d)
     entries = {i: resolve_set(e, component(d, i)) for i, e in raw.entries}
     tail = resolve_set(raw.tail, tail_dom)
     try:
@@ -730,12 +727,7 @@ def _infer_seq_domain(raw: RawSeq) -> DomainExpr:
         if not isinstance(val, RawSeq):
             raise ParseError("nested sequence entries must be sequences", raw.line, raw.col)
         entry_ds[key] = _infer_seq_domain(val)
-    hetero = [i for i, d in entry_ds.items() if d != tail_d]
-    if not hetero:
-        return Prod(tail_d)
-    span = max(hetero) + 1
-    comps = tuple(entry_ds.get(i, tail_d) for i in range(span))
-    return DSum(comps, tail_d)
+    return sum_domain(entry_ds, tail_d)
 
 
 def resolve_seq(raw: RawSeq, domain: DomainExpr | None) -> SeqExpr:
@@ -756,7 +748,7 @@ def resolve_seq(raw: RawSeq, domain: DomainExpr | None) -> SeqExpr:
             raise ParseError(str(e), raw.line, raw.col) from e
     if not is_indexed(d):
         raise ParseError("nested sequences need an indexed domain", raw.line, raw.col)
-    tail_dom = d.tail if isinstance(d, DSum) else d.inner
+    tail_dom = tail_component(d)
     entries = {}
     for key, val in raw.entries:
         if not isinstance(key, int) or not isinstance(val, RawSeq):
@@ -869,12 +861,7 @@ def _reinferred_domain(a: SetExpr) -> DomainExpr:
         return NAT
     tail_d = _tagged_domain(a.tail)
     entry_ds = {i: _tagged_domain(e) for i, e in a.exceptions}
-    hetero = [i for i, d in entry_ds.items() if d != tail_d]
-    if not hetero:
-        return Prod(tail_d)
-    span = max(hetero) + 1
-    comps = tuple(entry_ds.get(i, tail_d) for i in range(span))
-    return DSum(comps, tail_d)
+    return sum_domain(entry_ds, tail_d)
 
 
 def _tagged_domain(a: SetExpr) -> DomainExpr:
@@ -907,12 +894,7 @@ def _reinferred_seq_domain(s: SeqExpr) -> DomainExpr:
         return s.domain if s.entries else NAT
     tail_d = _tagged_seq_domain(s.tail)
     entry_ds = {i: _tagged_seq_domain(e) for i, e in s.exceptions}
-    hetero = [i for i, d in entry_ds.items() if d != tail_d]
-    if not hetero:
-        return Prod(tail_d)
-    span = max(hetero) + 1
-    comps = tuple(entry_ds.get(i, tail_d) for i in range(span))
-    return DSum(comps, tail_d)
+    return sum_domain(entry_ds, tail_d)
 
 
 def _tagged_seq_domain(s: SeqExpr) -> DomainExpr:

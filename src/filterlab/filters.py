@@ -18,6 +18,7 @@ from .domains import (
     DSum,
     DomainError,
     DomainExpr,
+    ExceptionTable,
     FilterLabError,
     NAT,
     NatPt,
@@ -29,10 +30,15 @@ from .domains import (
     check_point,
     component,
     enum_point,
+    exception_table,
+    fresh_index,
     is_indexed,
+    keys_ascending,
     make_point,
     point_index,
     point_key,
+    sum_domain,
+    tail_component,
 )
 from .sets import (
     CofinSet,
@@ -209,23 +215,6 @@ BijectionSpec = Union[IdentityBij, CanonicalEnum, TableBij]
 
 
 @dataclass(frozen=True)
-class IdentityMap:
-    domain: DomainExpr
-
-    def source_domain(self) -> DomainExpr:
-        return self.domain
-
-    def target_domain(self) -> DomainExpr:
-        return self.domain
-
-    def apply(self, p: Point) -> Point:
-        return p
-
-    def preimage_set(self, a: SetExpr) -> SetExpr:
-        return a
-
-
-@dataclass(frozen=True)
 class IntoSectionMap:
     """The bijection of a component domain onto one section of target."""
 
@@ -245,30 +234,6 @@ class IntoSectionMap:
         return section(a, self.index)
 
 
-@dataclass(frozen=True)
-class ConstantMap:
-    source: DomainExpr
-    point: Point
-    target: DomainExpr
-
-    def source_domain(self) -> DomainExpr:
-        return self.source
-
-    def target_domain(self) -> DomainExpr:
-        return self.target
-
-    def apply(self, p: Point) -> Point:
-        return self.point
-
-    def preimage_set(self, a: SetExpr) -> SetExpr:
-        if set_member(self.point, a):
-            return full_set(self.source)
-        return empty_set(self.source)
-
-
-MapSpec = Union[IdentityMap, IntoSectionMap, ConstantMap]
-
-
 # ---------------------------------------------------------------------------
 # filter expressions
 
@@ -278,26 +243,15 @@ class FilterExpr:
 
 
 @dataclass(frozen=True)
-class FilterFamily:
+class FilterFamily(ExceptionTable):
     """Eventually uniform family of filters: finitely many exceptions + tail."""
 
     exceptions: tuple[tuple[int, "FilterExpr"], ...]
     tail: "FilterExpr"
 
     def __post_init__(self) -> None:
-        keys = [i for i, _ in self.exceptions]
-        if keys != sorted(set(keys)) or any(i < 0 for i in keys):
+        if not keys_ascending(self.exceptions):
             raise FilterError("family exception keys must be sorted distinct naturals")
-
-    @property
-    def keys(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.exceptions)
-
-    def at(self, i: int) -> "FilterExpr":
-        for k, f in self.exceptions:
-            if k == i:
-                return f
-        return self.tail
 
 
 @dataclass(frozen=True)
@@ -459,13 +413,9 @@ def dom_of(f: FilterExpr) -> DomainExpr:
 
 def fubini_domain(family: FilterFamily) -> DomainExpr:
     """Disjoint-sum domain of a Fubini family (tail component repeated)."""
-    tail_dom = dom_of(family.tail)
-    hetero = [i for i, g in family.exceptions if dom_of(g) != tail_dom]
-    if not hetero:
-        return DSum((), tail_dom)
-    span = max(hetero) + 1
-    comps = tuple(dom_of(family.at(i)) for i in range(span))
-    return DSum(comps, tail_dom)
+    tail = dom_of(family.tail)
+    d = sum_domain({i: dom_of(g) for i, g in family.exceptions}, tail)
+    return d if isinstance(d, DSum) else DSum((), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +434,7 @@ def principal(core: SetExpr) -> Principal:
 def filter_family(
     exceptions: Mapping[int, FilterExpr], tail: FilterExpr
 ) -> FilterFamily:
-    kept = tuple((i, exceptions[i]) for i in sorted(exceptions) if exceptions[i] != tail)
-    return FilterFamily(kept, tail)
+    return FilterFamily(exception_table(exceptions, tail), tail)
 
 
 def product(outer: FilterExpr, inner: FilterExpr) -> Product:
@@ -602,16 +551,14 @@ def _member_limit(f: Limit, a: SetExpr) -> bool:
         return _member(f.base, idx)
     if isinstance(fam, SectionwiseFamily):
         keys = sorted(set(fam.inner.keys) | set(exception_keys(a)))
-        fresh = (max(keys) + 1) if keys else 0
-        tail_verdict = member(fam.at(fresh), a)
+        tail_verdict = member(fam.at(fresh_index(keys)), a)
         idx = _verdict_set(keys, lambda i: member(fam.at(i), a), tail_verdict)
         return _member(f.base, idx)
     if isinstance(fam, RepeatedSectionwiseFamily):
         # every cylinder recurs on an infinite index set, so the verdict set
         # is cofinite exactly when every section verdict holds
         keys = sorted(set(fam.inner.keys) | set(exception_keys(a)))
-        fresh = (max(keys) + 1) if keys else 0
-        if not member(SectionFilter(fresh, fam.inner.tail, fam.domain), a):
+        if not member(SectionFilter(fresh_index(keys), fam.inner.tail, fam.domain), a):
             return False
         return all(
             member(SectionFilter(i, fam.inner.at(i), fam.domain), a) for i in keys
@@ -652,8 +599,7 @@ def kernel_set(f: FilterExpr) -> SetExpr:
 def _column_set(domain: DomainExpr, index: int, sec: SetExpr) -> SetExpr:
     excs = {index: sec}
     _fill_dsum_empties(domain, excs)
-    tail_dom = domain.tail if isinstance(domain, DSum) else domain.inner
-    return section_family(excs, empty_set(tail_dom), domain)
+    return section_family(excs, empty_set(tail_component(domain)), domain)
 
 
 def _fill_dsum_empties(domain: DomainExpr, excs: dict) -> None:
@@ -670,14 +616,13 @@ def _sectionwise_kernel(
 ) -> SetExpr:
     # a co-singleton at (i, rest) is in the sum iff rest avoids F_i's kernel
     # or the base accepts the index set short of i
-    tail_dom = domain.tail if isinstance(domain, DSum) else domain.inner
     if isinstance(base_kernel, FinSet):
         live = {point_key(p)[0] for p in base_kernel.elements}
         excs = {i: kernel_set(family.at(i)) for i in live}
         for i in family.keys:
             excs.setdefault(i, empty_set(dom_of(family.at(i))))
         _fill_dsum_empties(domain, excs)
-        return section_family(excs, empty_set(tail_dom), domain)
+        return section_family(excs, empty_set(tail_component(domain)), domain)
     dead = {point_key(p)[0] for p in base_kernel.excluded}
     excs = {}
     for i in sorted(dead | set(family.keys)):
@@ -723,8 +668,7 @@ def _limit_kernel(f: Limit) -> SetExpr:
 
 def _essential_indices(base: FilterExpr, keys: tuple[int, ...]) -> SetExpr:
     """{i : the set missing only i is NOT in base}, as a normal form."""
-    fresh = (max(keys) + 1) if keys else 0
-    tail_essential = not member(base, co_singleton(NatPt(fresh), NAT))
+    tail_essential = not member(base, co_singleton(NatPt(fresh_index(keys)), NAT))
     return _verdict_set(
         keys, lambda i: not member(base, co_singleton(NatPt(i), NAT)), tail_essential
     )
@@ -758,7 +702,7 @@ class LeafSeq:
 
 
 @dataclass(frozen=True)
-class SectionSeq:
+class SectionSeq(ExceptionTable):
     exceptions: tuple[tuple[int, "SeqExpr"], ...]
     tail: "SeqExpr"
     domain: DomainExpr
@@ -791,27 +735,7 @@ def seq_leaf(
 def seq_sections(
     exceptions: Mapping[int, SeqExpr], tail: SeqExpr, domain: DomainExpr
 ) -> SectionSeq:
-    kept = tuple(
-        (i, exceptions[i]) for i in sorted(exceptions) if exceptions[i] != tail
-    )
-    return SectionSeq(kept, tail, domain)
-
-
-def seq_value_at(s: SeqExpr, p: Point) -> Fraction:
-    if isinstance(s, LeafSeq):
-        for q, v in s.entries:
-            if point_key(q) == point_key(p):
-                return v
-        return s.tail
-    if isinstance(s, SectionSeq):
-        from .domains import split_point
-
-        i, rest = split_point(p)
-        for k, sub in s.exceptions:
-            if k == i:
-                return seq_value_at(sub, rest)
-        return seq_value_at(s.tail, rest)
-    raise DomainError(f"not a SeqExpr: {s!r}")
+    return SectionSeq(exception_table(exceptions, tail), tail, domain)
 
 
 def seq_values(s: SeqExpr) -> tuple[Fraction, ...]:
@@ -887,7 +811,7 @@ def verify_embedding(
 
 
 def verify_quasi_homomorphism(
-    pi: MapSpec,
+    pi: IntoSectionMap,
     f_src: FilterExpr,
     f_dst: FilterExpr,
     samples: Iterable[SetExpr],
@@ -1013,7 +937,7 @@ def _diag_sum(base: FilterExpr, fam: FilterFamily, domain: DomainExpr) -> DiagRe
 
 def _first_tail_index(core: SetExpr, keys: tuple[int, ...]) -> int | None:
     i = 0
-    while i <= (max(keys) + 1 if keys else 0) + len(keys) + 1:
+    while i <= fresh_index(keys) + len(keys) + 1:
         if i not in keys and set_member(NatPt(i), core):
             return i
         i += 1
@@ -1090,7 +1014,6 @@ def _gen_filter(d: DomainExpr, budget: int, rng: Random) -> FilterExpr:
         idx = rng.randrange(4)
         return SectionFilter(idx, _gen_filter(component(d, idx), budget - 1, rng), d)
     # sectionwise: a product or Fubini-style sum over this indexed domain
-    inner_d = component(d, 10**6)  # tail component
     excs = {}
     if not isinstance(d, DSum) or not d.exceptions:
         excs = {
@@ -1102,7 +1025,7 @@ def _gen_filter(d: DomainExpr, budget: int, rng: Random) -> FilterExpr:
             i: _gen_filter(component(d, i), budget - 1, rng)
             for i in range(len(d.exceptions))
         }
-    tail = _gen_filter(inner_d, budget - 1, rng)
+    tail = _gen_filter(tail_component(d), budget - 1, rng)
     if isinstance(d, Prod) and not excs and rng.random() < 0.5:
         return Product(_gen_base(rng), tail)
     if isinstance(d, Prod):

@@ -13,7 +13,6 @@ from random import Random
 from typing import Callable, Sequence
 
 from .domains import (
-    DSum,
     DomainError,
     DomainExpr,
     FilterLabError,
@@ -21,9 +20,11 @@ from .domains import (
     Point,
     component,
     enum_point,
+    fresh_index,
     is_linear_domain,
     make_point,
     point_key,
+    tail_component,
 )
 from .filters import (
     FilterExpr,
@@ -176,8 +177,7 @@ def tail_columns(domain: DomainExpr, n: int) -> SetExpr:
     from .sets import section_family
 
     excs = {i: empty_set(component(domain, i)) for i in range(n)}
-    tail_dom = domain.tail if isinstance(domain, DSum) else domain.inner
-    return section_family(excs, full_set(tail_dom), domain)
+    return section_family(excs, full_set(tail_component(domain)), domain)
 
 
 # ---------------------------------------------------------------------------
@@ -519,44 +519,13 @@ def _diag_threshold(u: UniversalFamily, m: SetExpr, n_bound: int) -> tuple[int, 
 # separator verdicts
 
 
-@dataclass(frozen=True)
-class SeparatorFamily:
-    """Eventually uniform separators S_i for the members of a limit family.
+def section_separators(fam: FilterFamily) -> FilterFamily:
+    """Separators S_i for the members of a sectionwise limit.
 
-    In section mode S_i judges the i-th section of a set; in whole mode S_i
-    judges the whole set.  Each S_i separates the i-th family member from its
-    dual, the filter itself being the canonical such separator.
+    S_i judges the i-th section of a set; the family's own i-th filter
+    separates the i-th member from its dual.
     """
-
-    exceptions: tuple[tuple[int, FilterExpr], ...]
-    tail: FilterExpr
-    mode: str = "section"
-
-    def spec_at(self, i: int) -> FilterExpr:
-        for k, g in self.exceptions:
-            if k == i:
-                return g
-        return self.tail
-
-    def holds(self, i: int, a: SetExpr) -> bool:
-        g = self.spec_at(i)
-        if self.mode == "section":
-            return member(g, section(a, i))
-        return member(g, a)
-
-    def stability(self, a: SetExpr) -> int:
-        keys = [i for i, _ in self.exceptions]
-        if self.mode == "section":
-            keys = keys + list(exception_keys(a))
-        return max(keys, default=-1) + 1
-
-
-def section_separators(fam: FilterFamily) -> SeparatorFamily:
-    return SeparatorFamily(fam.exceptions, fam.tail, "section")
-
-
-def whole_separators(fam: FilterFamily) -> SeparatorFamily:
-    return SeparatorFamily(fam.exceptions, fam.tail, "whole")
+    return fam
 
 
 @dataclass(frozen=True)
@@ -581,7 +550,7 @@ SepVerdict = SepIn | SepOut | SepUnknown
 def separator_verdict(
     lim: FilterExpr,
     u: UniversalFamily,
-    sep: SeparatorFamily,
+    sep: FilterFamily,
     a: SetExpr,
     n_bound: int = 8,
 ) -> SepVerdict:
@@ -593,14 +562,17 @@ def separator_verdict(
     exact in both directions.
     """
 
+    def holds(i: int) -> bool:
+        return member(sep.at(i), section(a, i))
+
     def clause(n: int, k: int) -> bool:
-        return any(sep.holds(point_key(p)[0], a) for p in u.generator(n, k))
+        return any(holds(point_key(p)[0]) for p in u.generator(n, k))
 
     if u.stability_bound is None:
         return SepUnknown(0)
     ns = [0] if u.n_independent else list(range(n_bound))
     for n in ns:
-        k0 = max(u.stability_bound(a, n), sep.stability(a), 0)
+        k0 = max(u.stability_bound(a, n), fresh_index(sep.keys, exception_keys(a)), 0)
         if clause(n, k0):
             last_false = -1
             for k in range(k0):

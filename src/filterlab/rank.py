@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .domains import DomainExpr, FilterLabError, NAT, NatPt
+from .domains import DomainExpr, FilterLabError, NAT, NatPt, fresh_index
 from .filters import (
     BijectionSpec,
     FilterExpr,
@@ -21,8 +21,8 @@ from .filters import (
     Frechet,
     FubiniSum,
     Intersection,
+    IntoSectionMap,
     Limit,
-    MapSpec,
     Principal,
     Product,
     Pushforward,
@@ -315,7 +315,7 @@ class QHWitness:
     """Preimages under pi send members of the target back into source."""
 
     source: FilterExpr
-    pi: MapSpec
+    pi: IntoSectionMap
     samples: tuple[SetExpr, ...]
 
 
@@ -501,13 +501,11 @@ def _limit_member_nodes(
     if isinstance(fam, SectionwiseFamily):
         keys = fam.inner.keys
         exc = [_with_role(_derive(fam.at(i)), f"member {i}") for i in keys]
-        fresh = (max(keys) + 1) if keys else 0
-        tail = _with_role(_derive(fam.at(fresh)), "member tail")
+        tail = _with_role(_derive(fam.at(fresh_index(keys))), "member tail")
         return exc, tail, _co_admissible(f.base, keys), False
     keys = fam.inner.keys
     exc = [_with_role(_derive(fam.at(i)), f"member row {i}") for i in keys]
-    fresh = (max(keys) + 1) if keys else 0
-    tail = _with_role(_derive(fam.at(fresh)), "member tail")
+    tail = _with_role(_derive(fam.at(fresh_index(keys))), "member tail")
     # every row recurs on an infinite index set, so no cofinite J avoids the
     # exceptional rows
     return exc, tail, False, False
@@ -782,59 +780,6 @@ def _ct_over_base(base: FilterExpr, members: list[FilterExpr]) -> int | None:
         return None
     j = _ct_join([_ct(g) for g in members])
     return None if j is None else j + 1
-
-
-# ---------------------------------------------------------------------------
-# Borel class tags
-
-
-@dataclass(frozen=True)
-class ClassTag:
-    side: str
-    index: Ordinal
-
-    @property
-    def text(self) -> str:
-        return f"{self.side}^0_{ord_str(self.index)}"
-
-
-def class_annotation(f: FilterExpr) -> tuple[str, Ordinal] | None:
-    """(side, alpha) such that f carries the syntactic tag side^0_(1+alpha)."""
-    if isinstance(f, Frechet):
-        return ("Pi", ONE)
-    if isinstance(f, Principal):
-        return ("Pi", ZERO)
-    if isinstance(f, Intersection):
-        left = class_annotation(f.left)
-        right = class_annotation(f.right)
-        if left and right and left[0] == "Pi" and right[0] == "Pi":
-            return ("Pi", ord_max(left[1], right[1]))
-        return None
-    if isinstance(f, Pushforward):
-        return class_annotation(f.inner)
-    return None
-
-
-def borel_class_bound(f: FilterExpr, beta: Ordinal | None = None) -> ClassTag | None:
-    """Additive/multiplicative class tag 1 + beta + alpha for a limit."""
-    if not isinstance(f, Limit):
-        return None
-    base_ann = class_annotation(f.base)
-    if base_ann is None:
-        return None
-    side, alpha = base_ann
-    if beta is None:
-        if isinstance(f.family, FilterFamily):
-            members = [g for _, g in f.family.exceptions] + [f.family.tail]
-        else:
-            members = [g for _, g in f.family.inner.exceptions] + [f.family.inner.tail]
-        betas = [class_annotation(g) for g in members]
-        if any(b is None for b in betas):
-            return None
-        beta = ZERO
-        for b in betas:
-            beta = ord_max(beta, b[1])
-    return ClassTag(side, ord_add(ord_add(ONE, beta), alpha))
 
 
 # ---------------------------------------------------------------------------

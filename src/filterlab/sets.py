@@ -8,8 +8,7 @@ boolean operations and keeps every query in this module exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Mapping
 
@@ -17,6 +16,7 @@ from .domains import (
     DSum,
     DomainError,
     DomainExpr,
+    ExceptionTable,
     FilterLabError,
     Nat,
     NatPt,
@@ -28,11 +28,15 @@ from .domains import (
     check_point,
     component,
     domain_depth,
+    exception_table,
+    fresh_index,
     is_indexed,
+    keys_ascending,
     make_point,
     point_key,
     points_within,
     split_point,
+    tail_component,
 )
 
 
@@ -61,7 +65,7 @@ class CofinSet(SetExpr):
 
 
 @dataclass(frozen=True)
-class SectionFamily(SetExpr):
+class SectionFamily(SetExpr, ExceptionTable):
     """Sectionwise set over an indexed domain.
 
     exceptions maps finitely many indices to their sections; every other
@@ -122,15 +126,10 @@ def section_family(
 ) -> SetExpr:
     if not is_indexed(domain):
         raise NotNormalForm(f"SectionFamily needs an indexed domain, got {domain!r}")
-    kept: list[tuple[int, SetExpr]] = []
-    for i in sorted(exceptions):
-        if i < 0:
-            raise NotNormalForm("exception keys must be naturals")
-        sec = exceptions[i]
-        if sec == tail:
-            continue  # equal SetExprs share a domain, so pruning is safe
-        kept.append((i, sec))
-    fam = SectionFamily(tuple(kept), tail, domain)
+    if min(exceptions, default=0) < 0:
+        raise NotNormalForm("exception keys must be naturals")
+    # equal SetExprs share a domain, so pruning tail-equal sections is safe
+    fam = SectionFamily(exception_table(exceptions, tail), tail, domain)
     validate_set(fam, domain)
     return fam
 
@@ -141,7 +140,7 @@ def empty_set(domain: DomainExpr) -> SetExpr:
     excs = {}
     if isinstance(domain, DSum):
         excs = {i: empty_set(e) for i, e in enumerate(domain.exceptions)}
-    tail = empty_set(component(domain, _tail_index(domain)))
+    tail = empty_set(tail_component(domain))
     return section_family(excs, tail, domain)
 
 
@@ -153,12 +152,8 @@ def full_set(domain: DomainExpr) -> SetExpr:
     excs = {}
     if isinstance(domain, DSum):
         excs = {i: full_set(e) for i, e in enumerate(domain.exceptions)}
-    tail = full_set(component(domain, _tail_index(domain)))
+    tail = full_set(tail_component(domain))
     return section_family(excs, tail, domain)
-
-
-def _tail_index(domain: DomainExpr) -> int:
-    return len(domain.exceptions) if isinstance(domain, DSum) else 0
 
 
 def finite_set_expr(points: Iterable[Point], domain: DomainExpr) -> SetExpr:
@@ -174,7 +169,7 @@ def finite_set_expr(points: Iterable[Point], domain: DomainExpr) -> SetExpr:
     if isinstance(domain, DSum):
         for i in range(len(domain.exceptions)):
             excs.setdefault(i, empty_set(component(domain, i)))
-    tail = empty_set(component(domain, _tail_index(domain)))
+    tail = empty_set(tail_component(domain))
     return section_family(excs, tail, domain)
 
 
@@ -209,18 +204,17 @@ def validate_set(a: SetExpr, domain: DomainExpr | None = None) -> None:
     if isinstance(a, SectionFamily):
         if not is_indexed(domain):
             raise NotNormalForm("SectionFamily over a leaf domain")
-        keys = [i for i, _ in a.exceptions]
-        if keys != sorted(set(keys)) or any(i < 0 for i in keys):
+        if not keys_ascending(a.exceptions):
             raise NotNormalForm("exception keys must be sorted distinct naturals")
         for i, sec in a.exceptions:
             validate_set(sec, component(domain, i))
             if sec == a.tail:
                 raise NotNormalForm(f"exception {i} duplicates the tail")
-        validate_set(a.tail, component(domain, _tail_index(domain)))
+        validate_set(a.tail, tail_component(domain))
         if isinstance(domain, DSum):
             covered = dict(a.exceptions)
             for i, e in enumerate(domain.exceptions):
-                if i not in covered and e != component(domain, _tail_index(domain)):
+                if i not in covered and e != tail_component(domain):
                     raise NotNormalForm(
                         f"index {i} has component {e!r} but would fall to the tail"
                     )
@@ -244,17 +238,11 @@ def section(a: SetExpr, i: int) -> SetExpr:
     """The i-th section of a sectionwise set."""
     if not isinstance(a, SectionFamily):
         raise DomainError(f"section() needs a SectionFamily, got {type(a).__name__}")
-    keys = [k for k, _ in a.exceptions]
-    pos = bisect_left(keys, i)
-    if pos < len(keys) and keys[pos] == i:
-        return a.exceptions[pos][1]
-    return a.tail
+    return a.at(i)
 
 
 def exception_keys(a: SetExpr) -> tuple[int, ...]:
-    if isinstance(a, SectionFamily):
-        return tuple(i for i, _ in a.exceptions)
-    return ()
+    return a.keys if isinstance(a, SectionFamily) else ()
 
 
 def set_member(p: Point, a: SetExpr) -> bool:
@@ -401,8 +389,7 @@ def first_point(a: SetExpr) -> Point | None:
             n += 1
         return NatPt(n)
     if isinstance(a, SectionFamily):
-        span = max((i for i, _ in a.exceptions), default=-1) + 1
-        for i in range(span + 1):
+        for i in range(fresh_index(a.keys) + 1):
             p = first_point(section(a, i))
             if p is not None:
                 return make_point(a.domain, i, p)
@@ -438,7 +425,7 @@ def set_span(a: SetExpr) -> int:
     if isinstance(a, CofinSet):
         return max((point_key(p)[0] + 1 for p in a.excluded), default=0)
     if isinstance(a, SectionFamily):
-        return max((i + 1 for i, _ in a.exceptions), default=0)
+        return fresh_index(a.keys)
     raise DomainError(f"not a SetExpr: {a!r}")
 
 
@@ -468,5 +455,5 @@ def _gen(domain: DomainExpr, rng: Random) -> SetExpr:
     if isinstance(domain, DSum):
         for i in range(len(domain.exceptions)):
             excs.setdefault(i, _gen(component(domain, i), rng))
-    tail = _gen(component(domain, _tail_index(domain)), rng)
+    tail = _gen(tail_component(domain), rng)
     return section_family(excs, tail, domain)

@@ -182,3 +182,19 @@ def test_parse_error_exit_code_and_position(capsys):
 def test_rank_of_malformed_filter(capsys):
     code, _, err = run(capsys, "rank", "meet(frechet)")
     assert code == 2
+
+
+def test_deep_input_is_an_internal_error_not_a_verdict(capsys):
+    deep = "meet(frechet," * 2000 + "frechet" + ")" * 2000
+    code, _, err = run(capsys, "member", deep, "cofin{}")
+    assert code == 3
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "9", "ten"])
+def test_trunc_flag_is_validated_like_the_env_variable(capsys, value):
+    code, out, err = run(capsys, "--trunc", value, "construct", "zfamily")
+    assert code == 2
+    assert out == ""
+    assert "--trunc" in err
