@@ -78,10 +78,17 @@ class _Output:
             self._lines.append(f"{key}={value}")
 
     def flush(self) -> None:
-        if self.structured:
-            print("format=1")
-        for line in self._lines:
-            print(line)
+        lines = ["format=1", *self._lines] if self.structured else self._lines
+        try:
+            for line in lines:
+                print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: keep the exit code, and point stdout at
+            # devnull so the interpreter's flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _trunc_value(text: str, source: str) -> int:

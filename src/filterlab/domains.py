@@ -17,6 +17,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 DEFAULT_MAX_DEPTH = 8
+MAX_SUM_SPAN = 1 << 16  # components a sum domain may list before its tail
 
 
 class FilterLabError(Exception):
@@ -173,6 +174,8 @@ def sum_domain(components: Mapping[int, DomainExpr], tail: DomainExpr) -> Domain
     key with a tail-shaped component costs nothing.
     """
     span = fresh_index(i for i, c in components.items() if c != tail)
+    if span > MAX_SUM_SPAN:
+        raise DomainError(f"sum component {span - 1} lies past index {MAX_SUM_SPAN - 1}")
     if not span:
         return Prod(tail)
     return DSum(tuple(components.get(i, tail) for i in range(span)), tail)

@@ -52,7 +52,6 @@ from .filters import (
     Pushforward,
     RepeatedSectionwiseFamily,
     SectionFilter,
-    SectionSeq,
     SectionwiseFamily,
     SeqExpr,
     TableBij,

@@ -45,7 +45,6 @@ from .sets import (
     FinSet,
     SectionFamily,
     SetExpr,
-    co_singleton,
     cofin_set,
     cofinite_excluded,
     empty_set,
@@ -102,8 +101,38 @@ class IdentityBij:
         return a
 
 
+class _LeafEnumeration:
+    """Leaf-set images and preimages for bijections from the naturals.
+
+    A finite or cofinite set maps point by point through the subclass's own
+    apply and unapply; target is the subclass's target domain.
+    """
+
+    __slots__ = ()
+
+    def image_set(self, a: SetExpr) -> SetExpr:
+        if isinstance(a, FinSet):
+            return finite_set_expr([self.apply(p) for p in a.elements], self.target)
+        if isinstance(a, CofinSet):
+            images = [self.apply(p) for p in a.excluded]
+            return set_complement(finite_set_expr(images, self.target))
+        raise UnsupportedPreimage("image of a non-leaf set under an enumeration")
+
+    def preimage_set(self, a: SetExpr) -> SetExpr:
+        pts = finite_points(a)
+        if pts is not None:
+            return fin_set([self.unapply(q) for q in pts], NAT)
+        gaps = cofinite_excluded(a)
+        if gaps is not None:
+            return cofin_set([self.unapply(q) for q in gaps], NAT)
+        raise UnsupportedPreimage(
+            "preimage under an enumeration is only a normal form for finite or "
+            f"cofinite sets, got {type(a).__name__}"
+        )
+
+
 @dataclass(frozen=True)
-class CanonicalEnum:
+class CanonicalEnum(_LeafEnumeration):
     """The fixed pairing-function bijection from the naturals onto target."""
 
     target: DomainExpr
@@ -122,33 +151,9 @@ class CanonicalEnum:
     def unapply(self, q: Point) -> Point:
         return NatPt(point_index(self.target, q))
 
-    def image_set(self, a: SetExpr) -> SetExpr:
-        if isinstance(a, FinSet):
-            return finite_set_expr([self.apply(p) for p in a.elements], self.target)
-        if isinstance(a, CofinSet):
-            images = [self.apply(p) for p in a.excluded]
-            return set_complement(finite_set_expr(images, self.target))
-        raise UnsupportedPreimage("image of a non-leaf set under an enumeration")
-
-    def preimage_set(self, a: SetExpr) -> SetExpr:
-        pts = finite_points(a)
-        if pts is not None:
-            return fin_set([self.unapply(q) for q in pts], NAT)
-        gaps = cofinite_excluded(a)
-        if gaps is not None:
-            return cofin_set([self.unapply(q) for q in gaps], NAT)
-        return _raise_preimage(a)
-
-
-def _raise_preimage(a: SetExpr) -> SetExpr:
-    raise UnsupportedPreimage(
-        "preimage under an enumeration is only a normal form for finite or "
-        f"cofinite sets, got {type(a).__name__}"
-    )
-
 
 @dataclass(frozen=True)
-class TableBij:
+class TableBij(_LeafEnumeration):
     """CanonicalEnum pre-composed with a finite permutation of the naturals.
 
     table lists the moved values as (n, perm(n)) pairs.
@@ -188,23 +193,6 @@ class TableBij:
 
     def unapply(self, q: Point) -> Point:
         return NatPt(self._perm_inv(point_index(self.target, q)))
-
-    def image_set(self, a: SetExpr) -> SetExpr:
-        if isinstance(a, FinSet):
-            return finite_set_expr([self.apply(p) for p in a.elements], self.target)
-        if isinstance(a, CofinSet):
-            images = [self.apply(p) for p in a.excluded]
-            return set_complement(finite_set_expr(images, self.target))
-        raise UnsupportedPreimage("image of a non-leaf set under a table bijection")
-
-    def preimage_set(self, a: SetExpr) -> SetExpr:
-        pts = finite_points(a)
-        if pts is not None:
-            return fin_set([self.unapply(q) for q in pts], NAT)
-        gaps = cofinite_excluded(a)
-        if gaps is not None:
-            return cofin_set([self.unapply(q) for q in gaps], NAT)
-        return _raise_preimage(a)
 
 
 BijectionSpec = Union[IdentityBij, CanonicalEnum, TableBij]
@@ -527,11 +515,10 @@ def _member(f: FilterExpr, a: SetExpr) -> bool:
         return subset_check(f.core, a)
     if isinstance(f, Frechet):
         return cofinite_excluded(a) is not None
-    if isinstance(f, Product):
-        fam = FilterFamily((), f.inner)
-        return _member(f.outer, _section_verdicts(fam, a))
-    if isinstance(f, FubiniSum):
-        return _member(f.base, _section_verdicts(f.family, a))
+    parts = sum_parts(f)
+    if parts is not None:
+        base, fam, _ = parts
+        return _member(base, _section_verdicts(fam, a))
     if isinstance(f, Limit):
         return _member_limit(f, a)
     if isinstance(f, Intersection):
@@ -545,25 +532,9 @@ def _member(f: FilterExpr, a: SetExpr) -> bool:
 
 def _member_limit(f: Limit, a: SetExpr) -> bool:
     fam = f.family
-    if isinstance(fam, FilterFamily):
-        tail_verdict = member(fam.tail, a)
-        idx = _verdict_set(fam.keys, lambda i: member(fam.at(i), a), tail_verdict)
-        return _member(f.base, idx)
-    if isinstance(fam, SectionwiseFamily):
-        keys = sorted(set(fam.inner.keys) | set(exception_keys(a)))
-        tail_verdict = member(fam.at(fresh_index(keys)), a)
-        idx = _verdict_set(keys, lambda i: member(fam.at(i), a), tail_verdict)
-        return _member(f.base, idx)
-    if isinstance(fam, RepeatedSectionwiseFamily):
-        # every cylinder recurs on an infinite index set, so the verdict set
-        # is cofinite exactly when every section verdict holds
-        keys = sorted(set(fam.inner.keys) | set(exception_keys(a)))
-        if not member(SectionFilter(fresh_index(keys), fam.inner.tail, fam.domain), a):
-            return False
-        return all(
-            member(SectionFilter(i, fam.inner.at(i), fam.domain), a) for i in keys
-        )
-    raise FilterError(f"not a filter family: {fam!r}")
+    tail_verdict = member(fam.tail, a)
+    idx = _verdict_set(fam.keys, lambda i: member(fam.at(i), a), tail_verdict)
+    return _member(f.base, idx)
 
 
 def dual_member(f: FilterExpr, a: SetExpr) -> bool:
@@ -581,10 +552,10 @@ def kernel_set(f: FilterExpr) -> SetExpr:
         return f.core
     if isinstance(f, Frechet):
         return empty_set(f.domain)
-    if isinstance(f, Product):
-        return _sectionwise_kernel(kernel_set(f.outer), FilterFamily((), f.inner), dom_of(f))
-    if isinstance(f, FubiniSum):
-        return _sectionwise_kernel(kernel_set(f.base), f.family, dom_of(f))
+    parts = sum_parts(f)
+    if parts is not None:
+        base, fam, domain = parts
+        return _sectionwise_kernel(kernel_set(base), fam, domain)
     if isinstance(f, Limit):
         return _limit_kernel(f)
     if isinstance(f, Intersection):
@@ -636,12 +607,6 @@ def _sectionwise_kernel(
 
 def _limit_kernel(f: Limit) -> SetExpr:
     fam = f.family
-    if isinstance(fam, SectionwiseFamily):
-        essential = _essential_indices(f.base, fam.inner.keys)
-        return _sectionwise_kernel(essential, fam.inner, fam.domain)
-    if isinstance(fam, RepeatedSectionwiseFamily):
-        # base is cofinite; a co-singleton fails iff its section verdict fails
-        return _sectionwise_kernel(full_set(NAT), fam.inner, fam.domain)
     target = dom_of(fam.tail)
     keys = fam.keys
     kernels = [kernel_set(fam.at(i)) for i in keys]
@@ -666,14 +631,6 @@ def _limit_kernel(f: Limit) -> SetExpr:
     return out
 
 
-def _essential_indices(base: FilterExpr, keys: tuple[int, ...]) -> SetExpr:
-    """{i : the set missing only i is NOT in base}, as a normal form."""
-    tail_essential = not member(base, co_singleton(NatPt(fresh_index(keys)), NAT))
-    return _verdict_set(
-        keys, lambda i: not member(base, co_singleton(NatPt(i), NAT)), tail_essential
-    )
-
-
 def is_free(f: FilterExpr) -> bool:
     """True iff the filter has empty intersection."""
     return is_empty_set(kernel_set(f))
@@ -686,6 +643,30 @@ def is_free(f: FilterExpr) -> bool:
 def fubini_as_limit(f: FubiniSum) -> Limit:
     """The limit of cylinder filters that is membership-equivalent to f."""
     return Limit(f.base, SectionwiseFamily(f.family, fubini_domain(f.family)))
+
+
+# A repeated sectionwise limit demands every section verdict at once: it is
+# the sum along the principal filter of all indices.
+ALL_INDICES = Principal(full_set(NAT))
+
+
+def sum_parts(f: FilterExpr) -> tuple[FilterExpr, FilterFamily, DomainExpr] | None:
+    """(base, family, domain) of f read as a Fubini sum, or None.
+
+    A product is the sum of a constant family, and a limit of cylinder
+    filters is the sum of their components (fubini_as_limit read backwards).
+    """
+    if isinstance(f, Product):
+        return f.outer, FilterFamily((), f.inner), Prod(dom_of(f.inner))
+    if isinstance(f, FubiniSum):
+        return f.base, f.family, fubini_domain(f.family)
+    if isinstance(f, Limit):
+        fam = f.family
+        if isinstance(fam, SectionwiseFamily):
+            return f.base, fam.inner, fam.domain
+        if isinstance(fam, RepeatedSectionwiseFamily):
+            return ALL_INDICES, fam.inner, fam.domain
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -880,19 +861,11 @@ def is_diagonalizable(f: FilterExpr) -> DiagResult:
             except UnsupportedPreimage:
                 return DiagUnknown()
         return r
-    if isinstance(f, (Product, FubiniSum)):
-        base = f.outer if isinstance(f, Product) else f.base
-        fam = FilterFamily((), f.inner) if isinstance(f, Product) else f.family
-        return _diag_sum(base, fam, dom_of(f))
-    if isinstance(f, Limit):
-        fam = f.family
-        if isinstance(fam, FilterFamily) and not fam.exceptions:
-            return is_diagonalizable(fam.tail)
-        if isinstance(fam, SectionwiseFamily):
-            return _diag_sum(f.base, fam.inner, fam.domain)
-        if isinstance(fam, RepeatedSectionwiseFamily):
-            return _diag_sum(Principal(full_set(NAT)), fam.inner, fam.domain)
-        return DiagUnknown()
+    parts = sum_parts(f)
+    if parts is not None:
+        return _diag_sum(*parts)
+    if isinstance(f, Limit) and not f.family.exceptions:
+        return is_diagonalizable(f.family.tail)
     return DiagUnknown()
 
 

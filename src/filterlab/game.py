@@ -47,7 +47,6 @@ from .sets import (
     set_complement,
     set_member,
     set_span,
-    truncate,
 )
 from .dsl import point_to_source, set_to_source
 

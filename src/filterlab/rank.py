@@ -26,17 +26,14 @@ from .filters import (
     Principal,
     Product,
     Pushforward,
-    RepeatedSectionwiseFamily,
     SectionFilter,
     SectionwiseFamily,
     UnsupportedPreimage,
-    dom_of,
     is_borel_rank_one,
     is_free,
     katetov_depth,
     member,
-    verify_embedding,
-    verify_quasi_homomorphism,
+    sum_parts,
 )
 from .ordinals import (
     ONE,
@@ -420,14 +417,6 @@ def _pick_hi(cands: list[tuple[str, RankBounds]]) -> tuple[str, RankBounds] | No
     return best
 
 
-def _sum_parts(
-    f: Union[Product, FubiniSum]
-) -> tuple[FilterExpr, FilterFamily]:
-    if isinstance(f, Product):
-        return f.outer, FilterFamily((), f.inner)
-    return f.base, f.family
-
-
 def _co_admissible(base: FilterExpr, keys: Sequence[int]) -> bool:
     if not keys:
         return False
@@ -437,7 +426,7 @@ def _co_admissible(base: FilterExpr, keys: Sequence[int]) -> bool:
 def _derive_sum(
     f: Union[Product, FubiniSum], apps: list[RuleApp], children: list[CertNode]
 ) -> None:
-    base, fam = _sum_parts(f)
+    base, fam, _ = sum_parts(f)
     base_node = _derive(base)
     exc_nodes = [_with_role(_derive(g), f"summand {i}") for i, g in fam.exceptions]
     tail_node = _with_role(_derive(fam.tail), "summand tail")
@@ -749,17 +738,15 @@ def _ct(f: FilterExpr) -> int | None:
     if isinstance(f, Intersection):
         j = _ct_join([_ct(f.left), _ct(f.right)])
         return None if j is None else j + 1
-    if isinstance(f, (Product, FubiniSum)):
-        base, fam = _sum_parts(f)
+    parts = sum_parts(f)
+    if parts is not None:
+        base, fam, _ = parts
         return _ct_over_base(base, [g for _, g in fam.exceptions] + [fam.tail])
     if isinstance(f, Limit):
         fam = f.family
-        if isinstance(fam, FilterFamily):
-            if not fam.exceptions:
-                return _ct_of_constant(f.base, fam.tail)
-            return _ct_over_base(f.base, [g for _, g in fam.exceptions] + [fam.tail])
-        members = [g for _, g in fam.inner.exceptions] + [fam.inner.tail]
-        return _ct_over_base(f.base, members)
+        if not fam.exceptions:
+            return _ct_of_constant(f.base, fam.tail)
+        return _ct_over_base(f.base, [g for _, g in fam.exceptions] + [fam.tail])
     return None
 
 

@@ -21,10 +21,8 @@ from .domains import (
     Nat,
     NatPt,
     Point,
-    Prod,
     UNIT_PT,
     Unit,
-    UnitPt,
     check_point,
     component,
     domain_depth,
