@@ -517,7 +517,7 @@ def _member(f: FilterExpr, a: SetExpr) -> bool:
         return cofinite_excluded(a) is not None
     parts = sum_parts(f)
     if parts is not None:
-        base, fam, _ = parts
+        base, fam = parts
         return _member(base, _section_verdicts(fam, a))
     if isinstance(f, Limit):
         return _member_limit(f, a)
@@ -548,23 +548,47 @@ def dual_member(f: FilterExpr, a: SetExpr) -> bool:
 
 def kernel_set(f: FilterExpr) -> SetExpr:
     """The intersection of all members of f, as a normal form."""
-    if isinstance(f, Principal):
-        return f.core
-    if isinstance(f, Frechet):
-        return empty_set(f.domain)
+    return kernel_of(f, {})
+
+
+def kernel_of(f: FilterExpr, memo: dict) -> SetExpr:
+    """kernel_set(f), computing each node's kernel at most once per memo.
+
+    memo maps id(node) to (node, its kernel or the UnsupportedPreimage it
+    raised).  Holding the node keeps temporaries such as fam.at(i) alive, so
+    no other node can take over their id while the memo is in use.  The
+    lookup and the computation share one frame, so the recursion is no
+    deeper than the expression.
+    """
+    hit = memo.get(id(f))
+    if hit is not None:
+        if isinstance(hit[1], UnsupportedPreimage):
+            raise hit[1]
+        return hit[1]
     parts = sum_parts(f)
-    if parts is not None:
-        base, fam, domain = parts
-        return _sectionwise_kernel(kernel_set(base), fam, domain)
-    if isinstance(f, Limit):
-        return _limit_kernel(f)
-    if isinstance(f, Intersection):
-        return set_union(kernel_set(f.left), kernel_set(f.right))
-    if isinstance(f, Pushforward):
-        return f.sigma.image_set(kernel_set(f.inner))
-    if isinstance(f, SectionFilter):
-        return _column_set(f.domain, f.index, kernel_set(f.comp))
-    raise FilterError(f"not a FilterExpr: {f!r}")
+    try:
+        if isinstance(f, Principal):
+            ker = f.core
+        elif isinstance(f, Frechet):
+            ker = empty_set(f.domain)
+        elif parts is not None:
+            base, fam = parts
+            ker = _sectionwise_kernel(kernel_of(base, memo), fam, dom_of(f), memo)
+        elif isinstance(f, Limit):
+            ker = _limit_kernel(f, memo)
+        elif isinstance(f, Intersection):
+            ker = set_union(kernel_of(f.left, memo), kernel_of(f.right, memo))
+        elif isinstance(f, Pushforward):
+            ker = f.sigma.image_set(kernel_of(f.inner, memo))
+        elif isinstance(f, SectionFilter):
+            ker = _column_set(f.domain, f.index, kernel_of(f.comp, memo))
+        else:
+            raise FilterError(f"not a FilterExpr: {f!r}")
+    except UnsupportedPreimage as e:
+        memo[id(f)] = (f, e)
+        raise
+    memo[id(f)] = (f, ker)
+    return ker
 
 
 def _column_set(domain: DomainExpr, index: int, sec: SetExpr) -> SetExpr:
@@ -583,13 +607,13 @@ def _fill_dsum_empties(domain: DomainExpr, excs: dict) -> None:
 
 
 def _sectionwise_kernel(
-    base_kernel: SetExpr, family: FilterFamily, domain: DomainExpr
+    base_kernel: SetExpr, family: FilterFamily, domain: DomainExpr, memo: dict
 ) -> SetExpr:
     # a co-singleton at (i, rest) is in the sum iff rest avoids F_i's kernel
     # or the base accepts the index set short of i
     if isinstance(base_kernel, FinSet):
         live = {point_key(p)[0] for p in base_kernel.elements}
-        excs = {i: kernel_set(family.at(i)) for i in live}
+        excs = {i: kernel_of(family.at(i), memo) for i in live}
         for i in family.keys:
             excs.setdefault(i, empty_set(dom_of(family.at(i))))
         _fill_dsum_empties(domain, excs)
@@ -600,32 +624,47 @@ def _sectionwise_kernel(
         if i in dead:
             excs[i] = empty_set(dom_of(family.at(i)))
         else:
-            excs[i] = kernel_set(family.at(i))
+            excs[i] = kernel_of(family.at(i), memo)
     _fill_dsum_empties(domain, excs)
-    return section_family(excs, kernel_set(family.tail), domain)
+    return section_family(excs, kernel_of(family.tail, memo), domain)
 
 
-def _limit_kernel(f: Limit) -> SetExpr:
+def _limit_kernel(f: Limit, memo: dict) -> SetExpr:
+    """Kernel of a limit of a plain family, by partition refinement.
+
+    A point p is in the kernel iff the base rejects {i : p not in ker F_i},
+    which depends only on which member kernels hold p.  Refinement (Paige &
+    Tarjan, "Three partition refinement algorithms", SIAM J. Comput. 1987)
+    splits the target set by each exception's kernel and then by the tail's
+    kernel, keeping only non-empty parts; each region left is one pattern
+    that some point realises, and the base judges it once.  The points that
+    no kernel lists, in sections that no kernel keys, share one pattern, so
+    every other region meets the kernels' exception data (keys and listed
+    points), and the number of regions is bounded by the size of that data
+    instead of by 2^(k+1).
+    """
     fam = f.family
-    target = dom_of(fam.tail)
     keys = fam.keys
-    kernels = [kernel_set(fam.at(i)) for i in keys]
-    k_tail = kernel_set(fam.tail)
+    kernels = [kernel_of(fam.at(i), memo) for i in keys]
+    kernels.append(kernel_of(fam.tail, memo))
+    target = dom_of(fam.tail)
+    # (region, for each kernel so far whether it contains the region)
+    regions: list[tuple[SetExpr, tuple[bool, ...]]] = [(full_set(target), ())]
+    for ker in kernels:
+        outside = set_complement(ker)
+        split = []
+        for region, held in regions:
+            for side, bit in ((ker, True), (outside, False)):
+                part = set_intersect(region, side)
+                if not is_empty_set(part):
+                    split.append((part, held + (bit,)))
+        regions = split
     out = empty_set(target)
-    for mask in range(1 << (len(keys) + 1)):
-        bits = [(mask >> b) & 1 == 1 for b in range(len(keys))]
-        tail_bit = (mask >> len(keys)) & 1 == 1
-        # region of points p with p in ker_i exactly per bits
-        region = full_set(target)
-        for ker, bit in zip(kernels, bits):
-            region = set_intersect(region, ker if bit else set_complement(ker))
-        region = set_intersect(region, k_tail if tail_bit else set_complement(k_tail))
-        if is_empty_set(region):
-            continue
-        if tail_bit:
-            good = fin_set([NatPt(i) for i, b in zip(keys, bits) if not b], NAT)
+    for region, held in regions:
+        if held[-1]:
+            good = fin_set([NatPt(i) for i, b in zip(keys, held) if not b], NAT)
         else:
-            good = cofin_set([NatPt(i) for i, b in zip(keys, bits) if b], NAT)
+            good = cofin_set([NatPt(i) for i, b in zip(keys, held) if b], NAT)
         if not member(f.base, good):
             out = set_union(out, region)
     return out
@@ -650,22 +689,22 @@ def fubini_as_limit(f: FubiniSum) -> Limit:
 ALL_INDICES = Principal(full_set(NAT))
 
 
-def sum_parts(f: FilterExpr) -> tuple[FilterExpr, FilterFamily, DomainExpr] | None:
-    """(base, family, domain) of f read as a Fubini sum, or None.
+def sum_parts(f: FilterExpr) -> tuple[FilterExpr, FilterFamily] | None:
+    """(base, family) of f read as a Fubini sum over dom_of(f), or None.
 
     A product is the sum of a constant family, and a limit of cylinder
     filters is the sum of their components (fubini_as_limit read backwards).
     """
     if isinstance(f, Product):
-        return f.outer, FilterFamily((), f.inner), Prod(dom_of(f.inner))
+        return f.outer, FilterFamily((), f.inner)
     if isinstance(f, FubiniSum):
-        return f.base, f.family, fubini_domain(f.family)
+        return f.base, f.family
     if isinstance(f, Limit):
         fam = f.family
         if isinstance(fam, SectionwiseFamily):
-            return f.base, fam.inner, fam.domain
+            return f.base, fam.inner
         if isinstance(fam, RepeatedSectionwiseFamily):
-            return ALL_INDICES, fam.inner, fam.domain
+            return ALL_INDICES, fam.inner
     return None
 
 
@@ -863,7 +902,7 @@ def is_diagonalizable(f: FilterExpr) -> DiagResult:
         return r
     parts = sum_parts(f)
     if parts is not None:
-        return _diag_sum(*parts)
+        return _diag_sum(*parts, dom_of(f))
     if isinstance(f, Limit) and not f.family.exceptions:
         return is_diagonalizable(f.family.tail)
     return DiagUnknown()

@@ -30,8 +30,8 @@ from .filters import (
     SectionwiseFamily,
     UnsupportedPreimage,
     is_borel_rank_one,
-    is_free,
     katetov_depth,
+    kernel_of,
     member,
     sum_parts,
 )
@@ -49,7 +49,7 @@ from .ordinals import (
     ord_succ,
     parse_ordinal,
 )
-from .sets import SetExpr, cofin_set, finite_points
+from .sets import SetExpr, cofin_set, finite_points, is_empty_set
 
 
 class InconsistentBounds(FilterLabError):
@@ -326,9 +326,10 @@ RankWitness = Union[CopyWitness, QHWitness]
 def rank_bounds(
     f: RankSubject, witnesses: Sequence[RankWitness] = ()
 ) -> tuple[RankBounds, "RankCertificate"]:
-    node = _derive(f)
+    kernels: dict = {}  # one kernel per node for this derivation; see kernel_of
+    node = _derive(f, kernels)
     for w in witnesses:
-        node = _attach_witness(node, f, w)
+        node = _attach_witness(node, f, w, kernels)
     return node.final, RankCertificate(node)
 
 
@@ -343,7 +344,7 @@ def _with_role(node: CertNode, role: str) -> CertNode:
     return replace(node, label=f"{role}: {node.label}")
 
 
-def _derive(f: RankSubject) -> CertNode:
+def _derive(f: RankSubject, kernels: dict) -> CertNode:
     if isinstance(f, CertifiedFilter):
         app = _app("RCert", {"bounds": bounds_text(f.bounds)})
         return _finalize(f"certified {f.name} ({f.provenance})", [app], [])
@@ -351,27 +352,28 @@ def _derive(f: RankSubject) -> CertNode:
     apps: list[RuleApp] = []
     children: list[CertNode] = []
     try:
-        apps.append(_app("R0", {"free": "yes" if is_free(f) else "no"}))
+        free = is_empty_set(kernel_of(f, kernels))
+        apps.append(_app("R0", {"free": "yes" if free else "no"}))
     except UnsupportedPreimage:
         pass
     depth = katetov_depth(f)
     if depth is not None:
         apps.append(_app("RKat", {"depth": str(depth)}))
     if isinstance(f, (Product, FubiniSum)):
-        _derive_sum(f, apps, children)
+        _derive_sum(f, apps, children, kernels)
     elif isinstance(f, Limit):
-        _derive_limit(f, apps, children)
+        _derive_limit(f, apps, children, kernels)
     elif isinstance(f, Intersection):
-        left = _derive(f.left)
-        right = _derive(f.right)
+        left = _derive(f.left, kernels)
+        right = _derive(f.right, kernels)
         children += [_with_role(left, "left"), _with_role(right, "right")]
         apps.append(_app("RMono", (), [left.final, right.final]))
     elif isinstance(f, Pushforward):
-        inner = _derive(f.inner)
+        inner = _derive(f.inner, kernels)
         children.append(_with_role(inner, "inner"))
         apps.append(_app("RIso", (), [inner.final]))
     elif isinstance(f, SectionFilter):
-        comp = _derive(f.comp)
+        comp = _derive(f.comp, kernels)
         children.append(_with_role(comp, f"section {f.index}"))
         apps.append(_app("RSection", {"index": str(f.index)}, [comp.final]))
     return _finalize(label, apps, children)
@@ -424,12 +426,17 @@ def _co_admissible(base: FilterExpr, keys: Sequence[int]) -> bool:
 
 
 def _derive_sum(
-    f: Union[Product, FubiniSum], apps: list[RuleApp], children: list[CertNode]
+    f: Union[Product, FubiniSum],
+    apps: list[RuleApp],
+    children: list[CertNode],
+    kernels: dict,
 ) -> None:
-    base, fam, _ = sum_parts(f)
-    base_node = _derive(base)
-    exc_nodes = [_with_role(_derive(g), f"summand {i}") for i, g in fam.exceptions]
-    tail_node = _with_role(_derive(fam.tail), "summand tail")
+    base, fam = sum_parts(f)
+    base_node = _derive(base, kernels)
+    exc_nodes = [
+        _with_role(_derive(g, kernels), f"summand {i}") for i, g in fam.exceptions
+    ]
+    tail_node = _with_role(_derive(fam.tail, kernels), "summand tail")
     children.append(_with_role(base_node, "base"))
     children.extend(exc_nodes)
     children.append(tail_node)
@@ -479,30 +486,32 @@ def _derive_sum(
 
 
 def _limit_member_nodes(
-    f: Limit,
+    f: Limit, kernels: dict
 ) -> tuple[list[CertNode], CertNode, bool, bool]:
     """Member certificate nodes, tail node, co-J admissibility, const flag."""
     fam = f.family
     if isinstance(fam, FilterFamily):
-        exc = [_with_role(_derive(g), f"member {i}") for i, g in fam.exceptions]
-        tail = _with_role(_derive(fam.tail), "member tail")
+        exc = [_with_role(_derive(g, kernels), f"member {i}") for i, g in fam.exceptions]
+        tail = _with_role(_derive(fam.tail, kernels), "member tail")
         return exc, tail, _co_admissible(f.base, fam.keys), not fam.exceptions
     if isinstance(fam, SectionwiseFamily):
         keys = fam.inner.keys
-        exc = [_with_role(_derive(fam.at(i)), f"member {i}") for i in keys]
-        tail = _with_role(_derive(fam.at(fresh_index(keys))), "member tail")
+        exc = [_with_role(_derive(fam.at(i), kernels), f"member {i}") for i in keys]
+        tail = _with_role(_derive(fam.at(fresh_index(keys)), kernels), "member tail")
         return exc, tail, _co_admissible(f.base, keys), False
     keys = fam.inner.keys
-    exc = [_with_role(_derive(fam.at(i)), f"member row {i}") for i in keys]
-    tail = _with_role(_derive(fam.at(fresh_index(keys))), "member tail")
+    exc = [_with_role(_derive(fam.at(i), kernels), f"member row {i}") for i in keys]
+    tail = _with_role(_derive(fam.at(fresh_index(keys)), kernels), "member tail")
     # every row recurs on an infinite index set, so no cofinite J avoids the
     # exceptional rows
     return exc, tail, False, False
 
 
-def _derive_limit(f: Limit, apps: list[RuleApp], children: list[CertNode]) -> None:
-    base_node = _derive(f.base)
-    exc_nodes, tail_node, co_adm, is_const = _limit_member_nodes(f)
+def _derive_limit(
+    f: Limit, apps: list[RuleApp], children: list[CertNode], kernels: dict
+) -> None:
+    base_node = _derive(f.base, kernels)
+    exc_nodes, tail_node, co_adm, is_const = _limit_member_nodes(f, kernels)
     children.append(_with_role(base_node, "base"))
     children.extend(exc_nodes)
     children.append(tail_node)
@@ -538,8 +547,10 @@ def _derive_limit(f: Limit, apps: list[RuleApp], children: list[CertNode]) -> No
             break
 
 
-def _attach_witness(node: CertNode, f: RankSubject, w: RankWitness) -> CertNode:
-    src_node = _derive(w.source)
+def _attach_witness(
+    node: CertNode, f: RankSubject, w: RankWitness, kernels: dict
+) -> CertNode:
+    src_node = _derive(w.source, kernels)
     if isinstance(w, CopyWitness):
         _check_copy(w, f)
         app = _app("RCopy", {"via": type(w.sigma).__name__}, [src_node.final])
@@ -740,7 +751,7 @@ def _ct(f: FilterExpr) -> int | None:
         return None if j is None else j + 1
     parts = sum_parts(f)
     if parts is not None:
-        base, fam, _ = parts
+        base, fam = parts
         return _ct_over_base(base, [g for _, g in fam.exceptions] + [fam.tail])
     if isinstance(f, Limit):
         fam = f.family
