@@ -84,7 +84,6 @@ from .game import (
     RandomFiniteII,
     SepIn,
     SepOut,
-    Transcript,
     UniversalII,
     copy_column_bound,
     play,
@@ -92,6 +91,7 @@ from .game import (
     section_separators,
     separator_verdict,
     singleton_family,
+    union_size,
     validate_transcript,
 )
 from .ordinals import (
@@ -380,10 +380,6 @@ def check_fubini_limit(trunc: int = 10_000, seed: int = 0, count: int = 200) -> 
 # games: growth, copy-strategy column budget, replay determinism
 
 
-def _transcript_union(t: Transcript) -> int:
-    return len({point_key(p) for r in t.rounds for p in r.f})
-
-
 def check_games(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
 
@@ -391,8 +387,8 @@ def check_games(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     out.append(
         _res(
             "10 rounds on the cofinite filter, universal player II: union has 10 points",
-            _transcript_union(grow) == 10 and replay_transcript(grow) == grow,
-            f"|U|={_transcript_union(grow)}",
+            union_size(grow) == 10 and replay_transcript(grow) == grow,
+            f"|U|={union_size(grow)}",
         )
     )
 
@@ -400,8 +396,8 @@ def check_games(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     out.append(
         _res(
             "10 rounds against the full-set player, fresh player II: union has 10 points",
-            _transcript_union(fresh) == 10,
-            f"|U|={_transcript_union(fresh)}",
+            union_size(fresh) == 10,
+            f"|U|={union_size(fresh)}",
         )
     )
 
@@ -412,8 +408,8 @@ def check_games(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     out.append(
         _res(
             "30 rounds on the depth-1 tower: union grows one point per round",
-            _transcript_union(grow30) == 30,
-            f"|U|={_transcript_union(grow30)}",
+            union_size(grow30) == 30,
+            f"|U|={union_size(grow30)}",
         )
     )
 

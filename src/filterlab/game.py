@@ -8,9 +8,9 @@ transcripts and checks per-round invariants; no winner is ever declared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .domains import (
     DomainError,
@@ -23,6 +23,7 @@ from .domains import (
     fresh_index,
     is_linear_domain,
     make_point,
+    point_in_domain,
     point_key,
     tail_component,
 )
@@ -44,6 +45,7 @@ from .sets import (
     finite_set_expr,
     is_empty_set,
     section,
+    section_family,
     set_complement,
     set_member,
     set_span,
@@ -79,15 +81,30 @@ class Round:
 
 @dataclass(frozen=True)
 class GameState:
+    """The rounds played so far, with the union of player II's claims.
+
+    `claimed` maps the key of every point claimed so far to the point, in
+    ascending key order; it is the running union.  `after` copies it before
+    adding a round's claims, so a state a strategy holds never sees later
+    claims.
+    """
+
     filt: FilterExpr
-    rounds: tuple[Round, ...]
+    rounds: tuple[Round, ...] = ()
+    claimed: Mapping[tuple[int, ...], Point] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def round_number(self) -> int:
         return len(self.rounds)
 
     def union_points(self) -> tuple[Point, ...]:
-        return _union(self.rounds)
+        return tuple(self.claimed.values())
+
+    def after(self, r: Round) -> GameState:
+        claimed = dict(self.claimed)
+        if _claim(claimed, r.f):
+            claimed = dict(sorted(claimed.items()))
+        return GameState(self.filt, self.rounds + (r,), claimed)
 
 
 @dataclass(frozen=True)
@@ -99,16 +116,31 @@ class Transcript:
     player_ii: str
 
 
-def _union(rounds: Sequence[Round]) -> tuple[Point, ...]:
-    seen: dict[tuple, Point] = {}
-    for r in rounds:
-        for p in r.f:
-            seen.setdefault(point_key(p), p)
-    return tuple(seen[k] for k in sorted(seen))
+def _claim(union: dict[tuple[int, ...], Point], pts: Iterable[Point]) -> list[tuple[int, ...]]:
+    """Add the points of pts missing from union, by key; return their keys."""
+    new = []
+    for p in pts:
+        k = point_key(p)
+        if k not in union:
+            union[k] = p
+            new.append(k)
+    return new
+
+
+def union_size(t: Transcript) -> int:
+    """Number of distinct points claimed over the whole transcript."""
+    return len(_claim({}, (p for r in t.rounds for p in r.f)))
 
 
 # ---------------------------------------------------------------------------
 # player I strategies
+
+
+@dataclass(frozen=True)
+class _Mover:
+    """A strategy bound to one game; move(state) for player I, move(state, c) for II."""
+
+    move: Callable
 
 
 class FullSetI:
@@ -116,16 +148,9 @@ class FullSetI:
 
     name = "full"
 
-    def start(self, f: FilterExpr, seed: int) -> "_FullMover":
-        return _FullMover(dom_of(f))
-
-
-class _FullMover:
-    def __init__(self, domain: DomainExpr) -> None:
-        self.domain = domain
-
-    def move(self, state: GameState) -> SetExpr:
-        return full_set(self.domain)
+    def start(self, f: FilterExpr, seed: int) -> _Mover:
+        full = full_set(dom_of(f))
+        return _Mover(lambda state: full)
 
 
 class ExcludeUnionI:
@@ -133,16 +158,9 @@ class ExcludeUnionI:
 
     name = "exclude-union"
 
-    def start(self, f: FilterExpr, seed: int) -> "_ExcludeMover":
-        return _ExcludeMover(dom_of(f))
-
-
-class _ExcludeMover:
-    def __init__(self, domain: DomainExpr) -> None:
-        self.domain = domain
-
-    def move(self, state: GameState) -> SetExpr:
-        return set_complement(finite_set_expr(state.union_points(), self.domain))
+    def start(self, f: FilterExpr, seed: int) -> _Mover:
+        domain = dom_of(f)
+        return _Mover(lambda state: set_complement(finite_set_expr(state.union_points(), domain)))
 
 
 class CopyStrategyI:
@@ -158,23 +176,14 @@ class CopyStrategyI:
     def __init__(self, sigma=None) -> None:
         self.sigma = sigma
 
-    def start(self, f: FilterExpr, seed: int) -> "_CopyMover":
+    def start(self, f: FilterExpr, seed: int) -> _Mover:
         sigma = self.sigma if self.sigma is not None else IdentityBij(dom_of(f))
-        return _CopyMover(sigma)
-
-
-class _CopyMover:
-    def __init__(self, sigma) -> None:
-        self.sigma = sigma
-
-    def move(self, state: GameState) -> SetExpr:
-        return self.sigma.image_set(tail_columns(self.sigma.source_domain(), state.round_number))
+        source = sigma.source_domain()
+        return _Mover(lambda state: sigma.image_set(tail_columns(source, state.round_number)))
 
 
 def tail_columns(domain: DomainExpr, n: int) -> SetExpr:
     """All points in sections n and beyond of an indexed domain."""
-    from .sets import section_family
-
     excs = {i: empty_set(component(domain, i)) for i in range(n)}
     return section_family(excs, full_set(tail_component(domain)), domain)
 
@@ -233,25 +242,20 @@ class UniversalII:
         self.family = family
         self.bound = bound
 
-    def start(self, f: FilterExpr, seed: int) -> "_UniversalMover":
+    def start(self, f: FilterExpr, seed: int) -> _Mover:
         fam = self.family if self.family is not None else singleton_family(dom_of(f))
-        return _UniversalMover(fam, self.bound)
+        bound = self.bound
 
+        def move(state: GameState, c: SetExpr) -> tuple[Point, ...]:
+            n = state.round_number
+            k = _least_fit(fam, c, n, bound)
+            if k is None:
+                raise NoUniversalWitness(
+                    f"no generated set fit inside the round-{n} move within k <= {bound}"
+                )
+            return fam.generator(n, k)
 
-class _UniversalMover:
-    def __init__(self, family: UniversalFamily, bound: int) -> None:
-        self.family = family
-        self.bound = bound
-
-    def move(self, state: GameState, c: SetExpr) -> tuple[Point, ...]:
-        n = state.round_number
-        for k in range(self.bound + 1):
-            z = self.family.generator(n, k)
-            if all(set_member(p, c) for p in z):
-                return z
-        raise NoUniversalWitness(
-            f"no generated set fit inside the round-{n} move within k <= {self.bound}"
-        )
+        return _Mover(move)
 
 
 class FreshElementII:
@@ -262,22 +266,17 @@ class FreshElementII:
     def __init__(self, bound: int = 10**5) -> None:
         self.bound = bound
 
-    def start(self, f: FilterExpr, seed: int) -> "_FreshMover":
-        return _FreshMover(dom_of(f), self.bound)
+    def start(self, f: FilterExpr, seed: int) -> _Mover:
+        domain, bound = dom_of(f), self.bound
 
+        def move(state: GameState, c: SetExpr) -> tuple[Point, ...]:
+            for m in range(bound):
+                p = enum_point(domain, m)
+                if point_key(p) not in state.claimed and set_member(p, c):
+                    return (p,)
+            raise SearchExhausted(f"no fresh point of the move found below {bound}")
 
-class _FreshMover:
-    def __init__(self, domain: DomainExpr, bound: int) -> None:
-        self.domain = domain
-        self.bound = bound
-
-    def move(self, state: GameState, c: SetExpr) -> tuple[Point, ...]:
-        taken = {point_key(p) for p in state.union_points()}
-        for m in range(self.bound):
-            p = enum_point(self.domain, m)
-            if point_key(p) not in taken and set_member(p, c):
-                return (p,)
-        raise SearchExhausted(f"no fresh point of the move found below {self.bound}")
+        return _Mover(move)
 
 
 class RandomFiniteII:
@@ -293,19 +292,13 @@ class RandomFiniteII:
     def __init__(self, window: int = 25) -> None:
         self.window = window
 
-    def start(self, f: FilterExpr, seed: int) -> "_RandomMover":
-        return _RandomMover(Random(2 * seed + 1), self.window)
+    def start(self, f: FilterExpr, seed: int) -> _Mover:
+        rng, window = Random(2 * seed + 1), self.window
 
+        def move(state: GameState, c: SetExpr) -> tuple[Point, ...]:
+            return tuple(_random_member(c, rng, window) for _ in range(1 + rng.randrange(3)))
 
-class _RandomMover:
-    def __init__(self, rng: Random, window: int) -> None:
-        self.rng = rng
-        self.window = window
-
-    def move(self, state: GameState, c: SetExpr) -> tuple[Point, ...]:
-        picked = [_random_member(c, self.rng, self.window) for _ in range(1 + self.rng.randrange(3))]
-        uniq = {point_key(p): p for p in picked}
-        return tuple(uniq[k] for k in sorted(uniq))
+        return _Mover(move)
 
 
 def _random_member(a: SetExpr, rng: Random, window: int) -> Point:
@@ -366,10 +359,11 @@ def play(f: FilterExpr, s_i, s_ii, rounds: int, seed: int) -> Transcript:
         raise DomainError("a game needs at least one round")
     mover_i = s_i.start(f, seed)
     mover_ii = s_ii.start(f, seed)
-    state = GameState(f, ())
+    dom = dom_of(f)
+    state = GameState(f)
     for n in range(rounds):
         c = mover_i.move(state)
-        if c.domain != dom_of(f):
+        if c.domain != dom:
             raise IllegalMove(f"player I, round {n}: move over the wrong domain")
         if not member(f, c):
             raise IllegalMove(f"player I, round {n}: move is not a member of the filter")
@@ -377,11 +371,12 @@ def play(f: FilterExpr, s_i, s_ii, rounds: int, seed: int) -> Transcript:
         uniq = {point_key(p): p for p in pts}
         pts = tuple(uniq[k] for k in sorted(uniq))
         for p in pts:
-            if not set_member(p, c):
+            if not point_in_domain(p, dom) or not set_member(p, c):
+                where = "the move" if point_in_domain(p, dom) else "the domain"
                 raise IllegalMove(
-                    f"player II, round {n}: point {point_to_source(p)} outside the move"
+                    f"player II, round {n}: point {point_to_source(p)} outside {where}"
                 )
-        state = GameState(f, state.rounds + (Round(c, pts),))
+        state = state.after(Round(c, pts))
     return Transcript(f, state.rounds, seed, s_i.name, s_ii.name)
 
 
@@ -395,11 +390,16 @@ def replay_transcript(t: Transcript, s_i=None, s_ii=None) -> Transcript:
 def validate_transcript(t: Transcript) -> list[str]:
     """Re-check every legality invariant; empty list means a legal transcript."""
     problems = []
+    dom = dom_of(t.filt)
     for n, r in enumerate(t.rounds):
-        if not member(t.filt, r.c):
+        if r.c.domain != dom:
+            problems.append(f"round {n}: player I move over the wrong domain")
+        elif not member(t.filt, r.c):
             problems.append(f"round {n}: player I move not in the filter")
         for p in r.f:
-            if not set_member(p, r.c):
+            if not point_in_domain(p, dom):
+                problems.append(f"round {n}: claimed point {point_to_source(p)} outside the domain")
+            elif r.c.domain == dom and not set_member(p, r.c):
                 problems.append(f"round {n}: claimed point {point_to_source(p)} outside the move")
         keys = [point_key(p) for p in r.f]
         if keys != sorted(set(keys)):
@@ -409,11 +409,11 @@ def validate_transcript(t: Transcript) -> list[str]:
 
 def transcript_lines(t: Transcript) -> list[str]:
     lines = []
-    for n in range(len(t.rounds)):
-        r = t.rounds[n]
-        u = _union(t.rounds[: n + 1])
+    union: dict[tuple[int, ...], Point] = {}
+    for n, r in enumerate(t.rounds):
+        _claim(union, r.f)
         pts = ",".join(point_to_source(p) for p in r.f)
-        lines.append(f"n={n} C={set_to_source(r.c)} F={{{pts}}} |U|={len(u)}")
+        lines.append(f"n={n} C={set_to_source(r.c)} F={{{pts}}} |U|={len(union)}")
     return lines
 
 
@@ -426,21 +426,24 @@ def copy_column_bound(t: Transcript, sigma=None) -> tuple[bool, list[str]]:
     """
     sigma = sigma if sigma is not None else IdentityBij(dom_of(t.filt))
     problems = []
-    ok = True
-    for r in range(len(t.rounds)):
-        u = _union(t.rounds[: r + 1])
-        counts: dict[int, int] = {}
-        for p in u:
-            col = point_key(sigma.unapply(p))[0]
+    union: dict[tuple[int, ...], Point] = {}
+    counts: dict[int, int] = {}
+    least: dict[int, tuple[int, ...]] = {}  # least union key in each column
+    spent = [0]  # spent[m] is the sum of |F_j| for j < m
+    for r, rnd in enumerate(t.rounds):
+        spent.append(spent[-1] + len(rnd.f))
+        for k in _claim(union, rnd.f):
+            col = point_key(sigma.unapply(union[k]))[0]
             counts[col] = counts.get(col, 0) + 1
-        for col, cnt in counts.items():
-            budget = sum(len(t.rounds[m].f) for m in range(min(col, r) + 1))
-            if cnt > budget:
-                ok = False
+            least[col] = min(least.get(col, k), k)
+        # columns in the order the sorted union first meets them
+        for col in sorted(counts, key=least.__getitem__):
+            budget = spent[max(min(col, r) + 1, 0)]
+            if counts[col] > budget:
                 problems.append(
-                    f"round {r}: column {col} holds {cnt} points, budget {budget}"
+                    f"round {r}: column {col} holds {counts[col]} points, budget {budget}"
                 )
-    return ok, problems
+    return not problems, problems
 
 
 # ---------------------------------------------------------------------------
@@ -473,21 +476,19 @@ def verify_universal_family(
     for idx, m in enumerate(samples):
         if not member(f, m):
             raise BadSample(f"sample {idx} is not a member of the filter")
-        wits = []
-        for n in range(n_check):
-            least = None
-            for k in range(k_bound + 1):
-                if all(set_member(p, m) for p in u.generator(n, k)):
-                    least = k
-                    break
-            wits.append((n, least))
-            if least is None:
-                passed = False
+        wits = [(n, _least_fit(u, m, n, k_bound)) for n in range(n_check)]
+        passed = passed and all(least is not None for _, least in wits)
         diag = _diag_threshold(u, m, diag_n_bound)
         if diag is None:
             passed = False
         entries.append(SampleUniversality(idx, tuple(wits), diag))
     return UniversalityReport(tuple(entries), passed)
+
+
+def _least_fit(u: UniversalFamily, m: SetExpr, n: int, bound: int) -> int | None:
+    """The least k <= bound with Z_n^k inside m, or None."""
+    fits = (k for k in range(bound + 1) if all(set_member(p, m) for p in u.generator(n, k)))
+    return next(fits, None)
 
 
 def _meets(u: UniversalFamily, m: SetExpr, n: int, k: int) -> bool:

@@ -8,6 +8,7 @@ boolean operations and keeps every query in this module exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Mapping
@@ -244,10 +245,11 @@ def exception_keys(a: SetExpr) -> tuple[int, ...]:
 
 
 def set_member(p: Point, a: SetExpr) -> bool:
-    if isinstance(a, FinSet):
-        return point_key(p) in {point_key(q) for q in a.elements}
-    if isinstance(a, CofinSet):
-        return point_key(p) not in {point_key(q) for q in a.excluded}
+    if isinstance(a, (FinSet, CofinSet)):
+        pts = a.elements if isinstance(a, FinSet) else a.excluded  # sorted, distinct keys
+        k = point_key(p)
+        i = bisect_left(pts, k, key=point_key)
+        return (i < len(pts) and point_key(pts[i]) == k) == isinstance(a, FinSet)
     if isinstance(a, SectionFamily):
         i, rest = split_point(p)
         return set_member(rest, section(a, i))

@@ -1,13 +1,25 @@
-"""Operation-count gates for the kernel paths.
+"""Operation-count gates for the kernel and game paths.
 
 These count calls, never wall time, so they are deterministic.
 """
 
 import filterlab.filters as filters
+import filterlab.game as game
 import filterlab.rank as rank
+import filterlab.sets as sets_module
 from filterlab.constructions import random_tower_member
+from filterlab.domains import NAT
 from filterlab.dsl import parse_filter
-from filterlab.filters import katetov, kernel_set, member
+from filterlab.filters import frechet, katetov, kernel_set, member, product
+from filterlab.game import (
+    CopyStrategyI,
+    ExcludeUnionI,
+    RandomFiniteII,
+    UniversalII,
+    copy_column_bound,
+    play,
+    transcript_lines,
+)
 from filterlab.rank import rank_bounds
 
 
@@ -81,3 +93,44 @@ def test_kernel_recursion_is_no_deeper_than_the_expression():
         src = f"meet(frechet, {src})"
     bounds, _ = rank_bounds(parse_filter(src))
     assert bounds == rank_bounds(parse_filter("meet(frechet, frechet)"))[0]
+
+
+def counting_point_key(monkeypatch) -> list:
+    """Count point_key calls made through the sets and game modules."""
+    calls = []
+    for mod in (sets_module, game):
+        inner = mod.point_key
+
+        def wrapper(p, inner=inner):
+            calls.append(p)
+            return inner(p)
+
+        monkeypatch.setattr(mod, "point_key", wrapper)
+    return calls
+
+
+def claims(t) -> int:
+    return sum(len(r.f) for r in t.rounds)
+
+
+def test_game_rounds_are_quadratic_in_point_keys(monkeypatch):
+    # 222,048 calls with bisected leaves and a running union; rescanning the
+    # history every round made 2,766,700
+    rounds = 200
+    calls = counting_point_key(monkeypatch)
+    play(frechet(NAT), ExcludeUnionI(), UniversalII(), rounds, seed=0)
+    assert len(calls) <= 8 * rounds * rounds
+
+
+def test_transcript_lines_keys_each_claim_at_most_twice(monkeypatch):
+    t = play(product(frechet(NAT), frechet(NAT)), CopyStrategyI(), RandomFiniteII(), 40, seed=0)
+    calls = counting_point_key(monkeypatch)
+    transcript_lines(t)
+    assert len(calls) <= 2 * claims(t)
+
+
+def test_copy_column_bound_keys_each_claim_at_most_four_times(monkeypatch):
+    t = play(product(frechet(NAT), frechet(NAT)), CopyStrategyI(), RandomFiniteII(), 40, seed=0)
+    calls = counting_point_key(monkeypatch)
+    copy_column_bound(t)
+    assert len(calls) <= 4 * claims(t)

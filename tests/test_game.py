@@ -282,3 +282,53 @@ def test_separator_splits_members_from_duals():
     dual_set = section_family({}, fin_set([NatPt(0)], NAT), d)
     assert isinstance(separator_verdict(lim, u, sep, member_set), SepIn)
     assert isinstance(separator_verdict(lim, u, sep, dual_set), SepOut)
+
+
+# ---------------------------------------------------------------------------
+# moves and claims over the wrong domain
+
+
+def test_validate_transcript_reports_a_move_over_the_wrong_domain():
+    from filterlab.game import Round
+
+    t = play(frechet(NAT), FullSetI(), FreshElementII(), 3, seed=0)
+    last = Round(full_set(Prod(NAT)), t.rounds[-1].f)
+    bad = Transcript(t.filt, t.rounds[:-1] + (last,), t.seed, t.player_i, t.player_ii)
+    assert validate_transcript(bad) == ["round 2: player I move over the wrong domain"]
+
+
+def test_validate_transcript_reports_a_claim_outside_the_domain():
+    from filterlab.game import Round
+
+    t = play(frechet(NAT), FullSetI(), FreshElementII(), 2, seed=0)
+    stray = Round(full_set(NAT), (PairPt(0, NatPt(0)),))
+    bad = Transcript(t.filt, t.rounds + (stray,), t.seed, t.player_i, t.player_ii)
+    assert validate_transcript(bad) == ["round 2: claimed point (0,0) outside the domain"]
+
+
+def test_play_rejects_a_claim_outside_the_domain():
+    stray_ii = _StubII([(NatPt(0),), (PairPt(0, NatPt(0)),)])
+    with pytest.raises(IllegalMove, match=r"player II, round 1: point \(0,0\) outside the domain"):
+        play(frechet(NAT), FullSetI(), stray_ii, 2, seed=0)
+
+
+def test_earlier_states_never_see_later_claims():
+    seen = []
+
+    class Keeping:
+        name = "keeping"
+
+        def start(self, f, seed):
+            inner = FullSetI().start(f, seed)
+
+            class Mover:
+                def move(self, state):
+                    seen.append(state)
+                    return inner.move(state)
+
+            return Mover()
+
+    t = play(frechet(NAT), Keeping(), RandomFiniteII(), 12, seed=5)
+    for n, state in enumerate(seen):
+        claimed = {point_key(p): p for r in t.rounds[:n] for p in r.f}
+        assert state.union_points() == tuple(claimed[k] for k in sorted(claimed))
