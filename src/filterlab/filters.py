@@ -9,7 +9,7 @@ the base filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping, Union
@@ -51,7 +51,6 @@ from .sets import (
     exception_keys,
     fin_set,
     finite_points,
-    finite_set_expr,
     full_set,
     gen_random_setexpr,
     is_empty_set,
@@ -112,10 +111,10 @@ class _LeafEnumeration:
 
     def image_set(self, a: SetExpr) -> SetExpr:
         if isinstance(a, FinSet):
-            return finite_set_expr([self.apply(p) for p in a.elements], self.target)
+            return fin_set([self.apply(p) for p in a.elements], self.target)
         if isinstance(a, CofinSet):
             images = [self.apply(p) for p in a.excluded]
-            return set_complement(finite_set_expr(images, self.target))
+            return set_complement(fin_set(images, self.target))
         raise UnsupportedPreimage("image of a non-leaf set under an enumeration")
 
     def preimage_set(self, a: SetExpr) -> SetExpr:
@@ -226,8 +225,18 @@ class IntoSectionMap:
 # filter expressions
 
 
+@dataclass(frozen=True)
 class FilterExpr:
     __slots__ = ()
+
+    # the domain is set when the node is built and the kernel on first use;
+    # neither takes part in eq, hash or repr
+    _dom: DomainExpr = field(default=None, init=False, compare=False, repr=False)
+    # the kernel, or the UnsupportedPreimage that computing it raised
+    _kernel: object = field(default=None, init=False, compare=False, repr=False)
+
+    def _set_dom(self, d: DomainExpr) -> None:
+        object.__setattr__(self, "_dom", d)
 
 
 @dataclass(frozen=True)
@@ -285,6 +294,9 @@ class Principal(FilterExpr):
 
     core: SetExpr
 
+    def __post_init__(self) -> None:
+        self._set_dom(self.core.domain)
+
 
 @dataclass(frozen=True)
 class Frechet(FilterExpr):
@@ -295,6 +307,7 @@ class Frechet(FilterExpr):
     def __post_init__(self) -> None:
         if isinstance(self.domain, Unit):
             raise FilterError("the cofinite filter over a one-point domain is improper")
+        self._set_dom(self.domain)
 
 
 @dataclass(frozen=True)
@@ -307,6 +320,7 @@ class Product(FilterExpr):
     def __post_init__(self) -> None:
         if dom_of(self.outer) != NAT:
             raise FilterError("product outer factor must live on the naturals")
+        self._set_dom(Prod(dom_of(self.inner)))
 
 
 @dataclass(frozen=True)
@@ -319,6 +333,7 @@ class FubiniSum(FilterExpr):
     def __post_init__(self) -> None:
         if dom_of(self.base) != NAT:
             raise FilterError("Fubini base must live on the naturals")
+        self._set_dom(fubini_domain(self.family))
 
 
 @dataclass(frozen=True)
@@ -336,10 +351,12 @@ class Limit(FilterExpr):
         ):
             raise FilterError("repeated sectionwise limits require a cofinite base")
         if isinstance(self.family, FilterFamily):
-            doms = {dom_of(f) for _, f in self.family.exceptions}
-            doms.add(dom_of(self.family.tail))
-            if len(doms) != 1:
+            d = dom_of(self.family.tail)
+            if any(dom_of(g) != d for _, g in self.family.exceptions):
                 raise FilterError("limit family members must share one domain")
+        else:
+            d = self.family.domain
+        self._set_dom(d)
 
 
 @dataclass(frozen=True)
@@ -350,6 +367,7 @@ class Intersection(FilterExpr):
     def __post_init__(self) -> None:
         if dom_of(self.left) != dom_of(self.right):
             raise FilterError("intersection operands must share a domain")
+        self._set_dom(dom_of(self.left))
 
 
 @dataclass(frozen=True)
@@ -362,6 +380,7 @@ class Pushforward(FilterExpr):
     def __post_init__(self) -> None:
         if self.sigma.source_domain() != dom_of(self.inner):
             raise FilterError("pushforward bijection source must match the filter domain")
+        self._set_dom(self.sigma.target_domain())
 
 
 @dataclass(frozen=True)
@@ -375,28 +394,14 @@ class SectionFilter(FilterExpr):
     def __post_init__(self) -> None:
         if component(self.domain, self.index) != dom_of(self.comp):
             raise FilterError("section filter component domain mismatch")
+        self._set_dom(self.domain)
 
 
 def dom_of(f: FilterExpr) -> DomainExpr:
-    if isinstance(f, Principal):
-        return f.core.domain
-    if isinstance(f, Frechet):
-        return f.domain
-    if isinstance(f, Product):
-        return Prod(dom_of(f.inner))
-    if isinstance(f, FubiniSum):
-        return fubini_domain(f.family)
-    if isinstance(f, Limit):
-        if isinstance(f.family, FilterFamily):
-            return dom_of(f.family.tail)
-        return f.family.domain
-    if isinstance(f, Intersection):
-        return dom_of(f.left)
-    if isinstance(f, Pushforward):
-        return f.sigma.target_domain()
-    if isinstance(f, SectionFilter):
-        return f.domain
-    raise FilterError(f"not a FilterExpr: {f!r}")
+    """The domain of f, as computed when the node was built."""
+    if not isinstance(f, FilterExpr):
+        raise FilterError(f"not a FilterExpr: {f!r}")
+    return f._dom
 
 
 def fubini_domain(family: FilterFamily) -> DomainExpr:
@@ -547,47 +552,38 @@ def dual_member(f: FilterExpr, a: SetExpr) -> bool:
 
 
 def kernel_set(f: FilterExpr) -> SetExpr:
-    """The intersection of all members of f, as a normal form."""
-    return kernel_of(f, {})
+    """The intersection of all members of f, as a normal form.
 
-
-def kernel_of(f: FilterExpr, memo: dict) -> SetExpr:
-    """kernel_set(f), computing each node's kernel at most once per memo.
-
-    memo maps id(node) to (node, its kernel or the UnsupportedPreimage it
-    raised).  Holding the node keeps temporaries such as fam.at(i) alive, so
-    no other node can take over their id while the memo is in use.  The
-    lookup and the computation share one frame, so the recursion is no
-    deeper than the expression.
+    Each node's kernel, or the UnsupportedPreimage that computing it raised,
+    is computed once and kept on the node.  The lookup and the computation
+    share one frame, so the recursion is no deeper than the expression.
     """
-    hit = memo.get(id(f))
-    if hit is not None:
-        if isinstance(hit[1], UnsupportedPreimage):
-            raise hit[1]
-        return hit[1]
-    parts = sum_parts(f)
-    try:
-        if isinstance(f, Principal):
-            ker = f.core
-        elif isinstance(f, Frechet):
-            ker = empty_set(f.domain)
-        elif parts is not None:
-            base, fam = parts
-            ker = _sectionwise_kernel(kernel_of(base, memo), fam, dom_of(f), memo)
-        elif isinstance(f, Limit):
-            ker = _limit_kernel(f, memo)
-        elif isinstance(f, Intersection):
-            ker = set_union(kernel_of(f.left, memo), kernel_of(f.right, memo))
-        elif isinstance(f, Pushforward):
-            ker = f.sigma.image_set(kernel_of(f.inner, memo))
-        elif isinstance(f, SectionFilter):
-            ker = _column_set(f.domain, f.index, kernel_of(f.comp, memo))
-        else:
-            raise FilterError(f"not a FilterExpr: {f!r}")
-    except UnsupportedPreimage as e:
-        memo[id(f)] = (f, e)
-        raise
-    memo[id(f)] = (f, ker)
+    ker = f._kernel if isinstance(f, FilterExpr) else None
+    if ker is None:
+        parts = sum_parts(f)
+        try:
+            if isinstance(f, Principal):
+                ker = f.core
+            elif isinstance(f, Frechet):
+                ker = empty_set(f.domain)
+            elif parts is not None:
+                base, fam = parts
+                ker = _sectionwise_kernel(kernel_set(base), fam, dom_of(f))
+            elif isinstance(f, Limit):
+                ker = _limit_kernel(f)
+            elif isinstance(f, Intersection):
+                ker = set_union(kernel_set(f.left), kernel_set(f.right))
+            elif isinstance(f, Pushforward):
+                ker = f.sigma.image_set(kernel_set(f.inner))
+            elif isinstance(f, SectionFilter):
+                ker = _column_set(f.domain, f.index, kernel_set(f.comp))
+            else:
+                raise FilterError(f"not a FilterExpr: {f!r}")
+        except UnsupportedPreimage as e:
+            ker = e
+        object.__setattr__(f, "_kernel", ker)
+    if isinstance(ker, UnsupportedPreimage):
+        raise ker.with_traceback(None)
     return ker
 
 
@@ -607,13 +603,13 @@ def _fill_dsum_empties(domain: DomainExpr, excs: dict) -> None:
 
 
 def _sectionwise_kernel(
-    base_kernel: SetExpr, family: FilterFamily, domain: DomainExpr, memo: dict
+    base_kernel: SetExpr, family: FilterFamily, domain: DomainExpr
 ) -> SetExpr:
     # a co-singleton at (i, rest) is in the sum iff rest avoids F_i's kernel
     # or the base accepts the index set short of i
     if isinstance(base_kernel, FinSet):
         live = {point_key(p)[0] for p in base_kernel.elements}
-        excs = {i: kernel_of(family.at(i), memo) for i in live}
+        excs = {i: kernel_set(family.at(i)) for i in live}
         for i in family.keys:
             excs.setdefault(i, empty_set(dom_of(family.at(i))))
         _fill_dsum_empties(domain, excs)
@@ -624,12 +620,12 @@ def _sectionwise_kernel(
         if i in dead:
             excs[i] = empty_set(dom_of(family.at(i)))
         else:
-            excs[i] = kernel_of(family.at(i), memo)
+            excs[i] = kernel_set(family.at(i))
     _fill_dsum_empties(domain, excs)
-    return section_family(excs, kernel_of(family.tail, memo), domain)
+    return section_family(excs, kernel_set(family.tail), domain)
 
 
-def _limit_kernel(f: Limit, memo: dict) -> SetExpr:
+def _limit_kernel(f: Limit) -> SetExpr:
     """Kernel of a limit of a plain family, by partition refinement.
 
     A point p is in the kernel iff the base rejects {i : p not in ker F_i},
@@ -645,8 +641,8 @@ def _limit_kernel(f: Limit, memo: dict) -> SetExpr:
     """
     fam = f.family
     keys = fam.keys
-    kernels = [kernel_of(fam.at(i), memo) for i in keys]
-    kernels.append(kernel_of(fam.tail, memo))
+    kernels = [kernel_set(fam.at(i)) for i in keys]
+    kernels.append(kernel_set(fam.tail))
     target = dom_of(fam.tail)
     # (region, for each kernel so far whether it contains the region)
     regions: list[tuple[SetExpr, tuple[bool, ...]]] = [(full_set(target), ())]
@@ -681,7 +677,7 @@ def is_free(f: FilterExpr) -> bool:
 
 def fubini_as_limit(f: FubiniSum) -> Limit:
     """The limit of cylinder filters that is membership-equivalent to f."""
-    return Limit(f.base, SectionwiseFamily(f.family, fubini_domain(f.family)))
+    return Limit(f.base, SectionwiseFamily(f.family, dom_of(f)))
 
 
 # A repeated sectionwise limit demands every section verdict at once: it is

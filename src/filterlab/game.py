@@ -40,9 +40,9 @@ from .sets import (
     SetExpr,
     empty_set,
     exception_keys,
+    fin_set,
     first_point,
     full_set,
-    finite_set_expr,
     is_empty_set,
     section,
     section_family,
@@ -160,7 +160,7 @@ class ExcludeUnionI:
 
     def start(self, f: FilterExpr, seed: int) -> _Mover:
         domain = dom_of(f)
-        return _Mover(lambda state: set_complement(finite_set_expr(state.union_points(), domain)))
+        return _Mover(lambda state: set_complement(fin_set(state.union_points(), domain)))
 
 
 class CopyStrategyI:

@@ -31,7 +31,7 @@ from .filters import (
     UnsupportedPreimage,
     is_borel_rank_one,
     katetov_depth,
-    kernel_of,
+    kernel_set,
     member,
     sum_parts,
 )
@@ -326,10 +326,9 @@ RankWitness = Union[CopyWitness, QHWitness]
 def rank_bounds(
     f: RankSubject, witnesses: Sequence[RankWitness] = ()
 ) -> tuple[RankBounds, "RankCertificate"]:
-    kernels: dict = {}  # one kernel per node for this derivation; see kernel_of
-    node = _derive(f, kernels)
+    node = _derive(f)
     for w in witnesses:
-        node = _attach_witness(node, f, w, kernels)
+        node = _attach_witness(node, f, w)
     return node.final, RankCertificate(node)
 
 
@@ -344,7 +343,7 @@ def _with_role(node: CertNode, role: str) -> CertNode:
     return replace(node, label=f"{role}: {node.label}")
 
 
-def _derive(f: RankSubject, kernels: dict) -> CertNode:
+def _derive(f: RankSubject) -> CertNode:
     if isinstance(f, CertifiedFilter):
         app = _app("RCert", {"bounds": bounds_text(f.bounds)})
         return _finalize(f"certified {f.name} ({f.provenance})", [app], [])
@@ -352,7 +351,7 @@ def _derive(f: RankSubject, kernels: dict) -> CertNode:
     apps: list[RuleApp] = []
     children: list[CertNode] = []
     try:
-        free = is_empty_set(kernel_of(f, kernels))
+        free = is_empty_set(kernel_set(f))
         apps.append(_app("R0", {"free": "yes" if free else "no"}))
     except UnsupportedPreimage:
         pass
@@ -360,20 +359,20 @@ def _derive(f: RankSubject, kernels: dict) -> CertNode:
     if depth is not None:
         apps.append(_app("RKat", {"depth": str(depth)}))
     if isinstance(f, (Product, FubiniSum)):
-        _derive_sum(f, apps, children, kernels)
+        _derive_sum(f, apps, children)
     elif isinstance(f, Limit):
-        _derive_limit(f, apps, children, kernels)
+        _derive_limit(f, apps, children)
     elif isinstance(f, Intersection):
-        left = _derive(f.left, kernels)
-        right = _derive(f.right, kernels)
+        left = _derive(f.left)
+        right = _derive(f.right)
         children += [_with_role(left, "left"), _with_role(right, "right")]
         apps.append(_app("RMono", (), [left.final, right.final]))
     elif isinstance(f, Pushforward):
-        inner = _derive(f.inner, kernels)
+        inner = _derive(f.inner)
         children.append(_with_role(inner, "inner"))
         apps.append(_app("RIso", (), [inner.final]))
     elif isinstance(f, SectionFilter):
-        comp = _derive(f.comp, kernels)
+        comp = _derive(f.comp)
         children.append(_with_role(comp, f"section {f.index}"))
         apps.append(_app("RSection", {"index": str(f.index)}, [comp.final]))
     return _finalize(label, apps, children)
@@ -426,17 +425,14 @@ def _co_admissible(base: FilterExpr, keys: Sequence[int]) -> bool:
 
 
 def _derive_sum(
-    f: Union[Product, FubiniSum],
-    apps: list[RuleApp],
-    children: list[CertNode],
-    kernels: dict,
+    f: Union[Product, FubiniSum], apps: list[RuleApp], children: list[CertNode]
 ) -> None:
     base, fam = sum_parts(f)
-    base_node = _derive(base, kernels)
+    base_node = _derive(base)
     exc_nodes = [
-        _with_role(_derive(g, kernels), f"summand {i}") for i, g in fam.exceptions
+        _with_role(_derive(g), f"summand {i}") for i, g in fam.exceptions
     ]
-    tail_node = _with_role(_derive(fam.tail, kernels), "summand tail")
+    tail_node = _with_role(_derive(fam.tail), "summand tail")
     children.append(_with_role(base_node, "base"))
     children.extend(exc_nodes)
     children.append(tail_node)
@@ -485,33 +481,29 @@ def _derive_sum(
                 break
 
 
-def _limit_member_nodes(
-    f: Limit, kernels: dict
-) -> tuple[list[CertNode], CertNode, bool, bool]:
+def _limit_member_nodes(f: Limit) -> tuple[list[CertNode], CertNode, bool, bool]:
     """Member certificate nodes, tail node, co-J admissibility, const flag."""
     fam = f.family
     if isinstance(fam, FilterFamily):
-        exc = [_with_role(_derive(g, kernels), f"member {i}") for i, g in fam.exceptions]
-        tail = _with_role(_derive(fam.tail, kernels), "member tail")
+        exc = [_with_role(_derive(g), f"member {i}") for i, g in fam.exceptions]
+        tail = _with_role(_derive(fam.tail), "member tail")
         return exc, tail, _co_admissible(f.base, fam.keys), not fam.exceptions
     if isinstance(fam, SectionwiseFamily):
         keys = fam.inner.keys
-        exc = [_with_role(_derive(fam.at(i), kernels), f"member {i}") for i in keys]
-        tail = _with_role(_derive(fam.at(fresh_index(keys)), kernels), "member tail")
+        exc = [_with_role(_derive(fam.at(i)), f"member {i}") for i in keys]
+        tail = _with_role(_derive(fam.at(fresh_index(keys))), "member tail")
         return exc, tail, _co_admissible(f.base, keys), False
     keys = fam.inner.keys
-    exc = [_with_role(_derive(fam.at(i), kernels), f"member row {i}") for i in keys]
-    tail = _with_role(_derive(fam.at(fresh_index(keys)), kernels), "member tail")
+    exc = [_with_role(_derive(fam.at(i)), f"member row {i}") for i in keys]
+    tail = _with_role(_derive(fam.at(fresh_index(keys))), "member tail")
     # every row recurs on an infinite index set, so no cofinite J avoids the
     # exceptional rows
     return exc, tail, False, False
 
 
-def _derive_limit(
-    f: Limit, apps: list[RuleApp], children: list[CertNode], kernels: dict
-) -> None:
-    base_node = _derive(f.base, kernels)
-    exc_nodes, tail_node, co_adm, is_const = _limit_member_nodes(f, kernels)
+def _derive_limit(f: Limit, apps: list[RuleApp], children: list[CertNode]) -> None:
+    base_node = _derive(f.base)
+    exc_nodes, tail_node, co_adm, is_const = _limit_member_nodes(f)
     children.append(_with_role(base_node, "base"))
     children.extend(exc_nodes)
     children.append(tail_node)
@@ -547,10 +539,8 @@ def _derive_limit(
             break
 
 
-def _attach_witness(
-    node: CertNode, f: RankSubject, w: RankWitness, kernels: dict
-) -> CertNode:
-    src_node = _derive(w.source, kernels)
+def _attach_witness(node: CertNode, f: RankSubject, w: RankWitness) -> CertNode:
+    src_node = _derive(w.source)
     if isinstance(w, CopyWitness):
         _check_copy(w, f)
         app = _app("RCopy", {"via": type(w.sigma).__name__}, [src_node.final])

@@ -9,7 +9,7 @@ boolean operations and keeps every query in this module exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterable, Mapping
 
@@ -43,8 +43,18 @@ class NotNormalForm(FilterLabError):
     """A SetExpr violates the eventually-uniform normal form."""
 
 
+@dataclass(frozen=True)
 class SetExpr:
     __slots__ = ()
+
+    # set once the node passes validate_set or comes from a constructor of
+    # this module; never part of eq, hash or repr
+    _valid: bool = field(default=False, init=False, compare=False, repr=False)
+
+
+def _marked(a: SetExpr) -> SetExpr:
+    object.__setattr__(a, "_valid", True)
+    return a
 
 
 @dataclass(frozen=True)
@@ -104,19 +114,13 @@ def _sorted_points(points: Iterable[Point], domain: DomainExpr) -> tuple[Point, 
     return tuple(seen[k] for k in sorted(seen))
 
 
-def fin_set(points: Iterable[Point], domain: DomainExpr) -> SetExpr:
-    if is_indexed(domain):
-        return finite_set_expr(points, domain)
-    return FinSet(_sorted_points(points, domain), domain)
-
-
 def cofin_set(excluded: Iterable[Point], domain: DomainExpr) -> SetExpr:
     if isinstance(domain, Unit):
         # over the one-point domain everything canonicalizes to FinSet
         pts = _sorted_points(excluded, domain)
-        return FinSet(() if pts else (UNIT_PT,), domain)
+        return _marked(FinSet(() if pts else (UNIT_PT,), domain))
     if isinstance(domain, Nat):
-        return CofinSet(_sorted_points(excluded, domain), domain)
+        return _marked(CofinSet(_sorted_points(excluded, domain), domain))
     return cofinite_set_expr(excluded, domain)
 
 
@@ -155,16 +159,16 @@ def full_set(domain: DomainExpr) -> SetExpr:
     return section_family(excs, tail, domain)
 
 
-def finite_set_expr(points: Iterable[Point], domain: DomainExpr) -> SetExpr:
+def fin_set(points: Iterable[Point], domain: DomainExpr) -> SetExpr:
     """Normal form of an explicit finite point set over any domain."""
     if not is_indexed(domain):
-        return FinSet(_sorted_points(points, domain), domain)
+        return _marked(FinSet(_sorted_points(points, domain), domain))
     groups: dict[int, list[Point]] = {}
     for p in points:
         check_point(p, domain)
         i, rest = split_point(p)
         groups.setdefault(i, []).append(rest)
-    excs = {i: finite_set_expr(rests, component(domain, i)) for i, rests in groups.items()}
+    excs = {i: fin_set(rests, component(domain, i)) for i, rests in groups.items()}
     if isinstance(domain, DSum):
         for i in range(len(domain.exceptions)):
             excs.setdefault(i, empty_set(component(domain, i)))
@@ -173,7 +177,7 @@ def finite_set_expr(points: Iterable[Point], domain: DomainExpr) -> SetExpr:
 
 
 def cofinite_set_expr(excluded: Iterable[Point], domain: DomainExpr) -> SetExpr:
-    return set_complement(finite_set_expr(excluded, domain))
+    return set_complement(fin_set(excluded, domain))
 
 
 def co_singleton(p: Point, domain: DomainExpr) -> SetExpr:
@@ -185,31 +189,39 @@ def co_singleton(p: Point, domain: DomainExpr) -> SetExpr:
 
 
 def validate_set(a: SetExpr, domain: DomainExpr | None = None) -> None:
-    """Raise NotNormalForm unless a is a well-formed normal form."""
+    """Raise NotNormalForm unless a is a well-formed normal form.
+
+    A node is marked only once it passes, and a marked node is not checked
+    again.  The constructors of this module mark what they build, so the
+    check only descends into nodes built raw.
+    """
     if domain is None:
         domain = a.domain
     if a.domain != domain:
         raise NotNormalForm(f"domain mismatch: {a.domain!r} vs {domain!r}")
+    if isinstance(a, SetExpr) and a._valid:
+        return
     if isinstance(a, FinSet):
         if is_indexed(domain):
             raise NotNormalForm("FinSet over an indexed domain")
         _check_sorted(a.elements, domain)
-        return
-    if isinstance(a, CofinSet):
+    elif isinstance(a, CofinSet):
         if not isinstance(domain, Nat):
             raise NotNormalForm("CofinSet is only normal over Nat")
         _check_sorted(a.excluded, domain)
-        return
-    if isinstance(a, SectionFamily):
+    elif isinstance(a, SectionFamily):
         if not is_indexed(domain):
             raise NotNormalForm("SectionFamily over a leaf domain")
         if not keys_ascending(a.exceptions):
             raise NotNormalForm("exception keys must be sorted distinct naturals")
         for i, sec in a.exceptions:
-            validate_set(sec, component(domain, i))
             if sec == a.tail:
                 raise NotNormalForm(f"exception {i} duplicates the tail")
-        validate_set(a.tail, tail_component(domain))
+        parts = [(sec, component(domain, i)) for i, sec in a.exceptions]
+        for sec, d in parts + [(a.tail, tail_component(domain))]:
+            # a marked part over the right domain needs no call
+            if not (isinstance(sec, SetExpr) and sec._valid and sec.domain == d):
+                validate_set(sec, d)
         if isinstance(domain, DSum):
             covered = dict(a.exceptions)
             for i, e in enumerate(domain.exceptions):
@@ -217,8 +229,9 @@ def validate_set(a: SetExpr, domain: DomainExpr | None = None) -> None:
                     raise NotNormalForm(
                         f"index {i} has component {e!r} but would fall to the tail"
                     )
-        return
-    raise NotNormalForm(f"not a SetExpr: {a!r}")
+    else:
+        raise NotNormalForm(f"not a SetExpr: {a!r}")
+    _marked(a)
 
 
 def _check_sorted(points: tuple[Point, ...], domain: DomainExpr) -> None:

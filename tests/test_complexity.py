@@ -8,7 +8,7 @@ import filterlab.game as game
 import filterlab.rank as rank
 import filterlab.sets as sets_module
 from filterlab.constructions import random_tower_member
-from filterlab.domains import NAT
+from filterlab.domains import NAT, Prod
 from filterlab.dsl import parse_filter
 from filterlab.filters import frechet, katetov, kernel_set, member, product
 from filterlab.game import (
@@ -21,6 +21,7 @@ from filterlab.game import (
     transcript_lines,
 )
 from filterlab.rank import rank_bounds
+from filterlab.sets import gen_random_setexpr, set_complement, set_intersect, set_union
 
 
 def meet_chain(length: int):
@@ -37,33 +38,48 @@ def cofinite_chain(k: int):
     return parse_filter(f"limit(frechet, family({{{excs}}}, frechet))")
 
 
-def counting(monkeypatch, name: str) -> list:
+def counting(monkeypatch, name: str, module=filters) -> list:
     calls = []
-    inner = getattr(filters, name)
+    inner = getattr(module, name)
 
     def wrapper(*args):
         calls.append(args[0])
         return inner(*args)
 
-    monkeypatch.setattr(filters, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def counting_kernels(monkeypatch) -> list:
+    """Record each node whose kernel is computed rather than read back."""
+    computed = []
+    inner = filters.kernel_set
+
+    def kernel_set(g):
+        if g._kernel is None:
+            computed.append(g)
+        return inner(g)
+
+    monkeypatch.setattr(filters, "kernel_set", kernel_set)
+    monkeypatch.setattr(rank, "kernel_set", kernel_set)
+    return computed
 
 
 def test_rank_bounds_computes_each_node_kernel_once(monkeypatch):
     f = meet_chain(128)
-    computed = []
-    inner = filters.kernel_of
-
-    def kernel_of(g, memo):
-        if id(g) not in memo:
-            computed.append(g)
-        return inner(g, memo)
-
-    monkeypatch.setattr(filters, "kernel_of", kernel_of)
-    monkeypatch.setattr(rank, "kernel_of", kernel_of)
+    computed = counting_kernels(monkeypatch)
     rank_bounds(f)
     nodes = 2 * 128 - 1
     assert len(computed) <= 2 * nodes
+
+
+def test_kernel_set_after_rank_bounds_reads_the_kept_kernels(monkeypatch):
+    # a kernel memo that lived for one rank_bounds call computed 510 here
+    f = meet_chain(128)
+    computed = counting_kernels(monkeypatch)
+    rank_bounds(f)
+    filters.kernel_set(f)
+    assert len(computed) <= 2 * 128 - 1
 
 
 def test_limit_kernel_intersections_are_polynomial(monkeypatch):
@@ -83,6 +99,29 @@ def test_tower_membership_builds_no_unused_sum_domains(monkeypatch):
     for a in sets:
         member(f, a)
     assert len(calls) <= 7357
+
+
+def test_tower_membership_reads_one_domain_per_query(monkeypatch):
+    # 7,357 dom_of calls for 2,475 member calls when dom_of walked the subtree
+    f = katetov(8)
+    sets = [random_tower_member(8, s) for s in range(20)]
+    queries = counting(monkeypatch, "member")
+    calls = counting(monkeypatch, "dom_of")
+    for a in sets:
+        filters.member(f, a)
+    assert len(calls) <= len(queries)
+
+
+def test_set_algebra_validates_each_new_family_once(monkeypatch):
+    # 3,083 validate_set calls for 492 section_family calls when each new
+    # family re-validated its whole subtree
+    sets = [gen_random_setexpr(Prod(Prod(NAT)), 8, s) for s in range(40)]
+    families = counting(monkeypatch, "section_family", sets_module)
+    checks = counting(monkeypatch, "validate_set", sets_module)
+    for a, b in zip(sets, sets[1:]):
+        set_union(a, set_complement(b))
+        set_intersect(a, b)
+    assert len(checks) <= len(families)
 
 
 def test_kernel_recursion_is_no_deeper_than_the_expression():
