@@ -56,7 +56,7 @@ from .filters import (
     member,
     principal,
 )
-from .ordinals import ONE, ZERO, ord_le, ord_min
+from .ordinals import ONE, ZERO, ord_le
 from .rank import (
     CertifiedFilter,
     QHWitness,
@@ -65,6 +65,7 @@ from .rank import (
     bounds_of,
     ct_bound,
     CtBound,
+    min_hi,
     rank_bounds,
 )
 from .sets import (
@@ -498,6 +499,20 @@ class CollapsePair:
     push1: FilterExpr
 
 
+def _meet_oracle(g0: CertifiedFilter, g1: CertifiedFilter) -> Callable[[object], bool | None]:
+    """Three-valued AND of two certified oracles: the meet of two filters."""
+
+    def decide(a: object) -> bool | None:
+        u, v = g0.decide(a), g1.decide(a)
+        if u is False or v is False:
+            return False
+        if u is True and v is True:
+            return True
+        return None
+
+    return decide
+
+
 def collapse_pair(alpha: int) -> CollapsePair:
     """Two certified relabelled copies of the depth-alpha tower whose meet
     carries certified bounds [1,1].
@@ -535,21 +550,13 @@ def collapse_pair(alpha: int) -> CollapsePair:
     g0 = CertifiedFilter("G0", NAT, b0, copy_note, oracle(0))
     g1 = CertifiedFilter("G1", NAT, b1, copy_note, oracle(1))
 
-    def meet_decide(a: object) -> bool | None:
-        u, v = g0.decide(a), g1.decide(a)
-        if u is False or v is False:
-            return False
-        if u is True and v is True:
-            return True
-        return None
-
     meet = CertifiedFilter(
         "G0&G1",
         NAT,
         bounds_of(1, 1),
         "meet of the interleaved pair: free because both sides are free, and "
         "the finite-selector argument caps its rank at one",
-        meet_decide,
+        _meet_oracle(g0, g1),
     )
     return CollapsePair(alpha, pair, g0, g1, meet, push0, push1)
 
@@ -699,33 +706,17 @@ def two_valued_limit(
             "the complement of the splitting set belongs to the base filter", True
         )
 
-    def decide(a: object) -> bool | None:
-        u, v = g0.decide(a), g1.decide(a)
-        if u is False or v is False:
-            return False
-        if u is True and v is True:
-            return True
-        return None
-
     if bounds is None:
         both_free = ord_le(ONE, g0.bounds.lo) and ord_le(ONE, g1.bounds.lo)
-        bounds = RankBounds(ONE if both_free else ZERO, _min_hi(g0.bounds, g1.bounds))
+        bounds = RankBounds(ONE if both_free else ZERO, min_hi(g0.bounds, g1.bounds))
     return CertifiedFilter(
         f"limit({g0.name},{g1.name})",
         g0.domain,
         bounds,
         "two-valued limit: equals the meet of its two values because the "
         "base filter decides neither block",
-        decide,
+        _meet_oracle(g0, g1),
     )
-
-
-def _min_hi(a: RankBounds, b: RankBounds):
-    if a.hi is None:
-        return b.hi
-    if b.hi is None:
-        return a.hi
-    return ord_min(a.hi, b.hi)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ domain instead.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple, TypeVar
 
 from .domains import (
     DSum,
@@ -52,6 +53,7 @@ from .filters import (
     Pushforward,
     RepeatedSectionwiseFamily,
     SectionFilter,
+    SectionSeq,
     SectionwiseFamily,
     SeqExpr,
     TableBij,
@@ -84,61 +86,45 @@ class ParseError(Exception):
 # tokens
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name" | "nat" | "punct" | "newline" | "eof"
     text: str
     line: int
     col: int
 
 
-_PUNCT = set("(){}[],:;=@/-")
+# \d is exactly the decimal digits int() reads.  A name goes on with what
+# str.isalnum() accepts (that is \w), but starts with a letter or "_", which
+# [^\W\d] admits together with the non-decimal digits and numerals that
+# tokenize then rejects.  Anything else is an unexpected character.
+_TOKEN = re.compile(
+    r"(?P<nat>\d+)|(?P<name>[^\W\d]\w*)|(?P<punct>[(){}\[\],:;=@/-])|(?P<newline>\n)"
+    r"|(?P<skip>[ \t\r]+|#[^\n]*)|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def tokenize(src: str) -> list[Token]:
+    """The tokens of src, ending with an "eof" token; a run of newlines,
+    with any blanks and comments between them, gives one "newline" token."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        text = m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
             if not toks or toks[-1].kind != "newline":
                 toks.append(Token("newline", "\n", line, col))
-            i += 1
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(src) and src[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            toks.append(Token("nat", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(Token("name", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            line_start = m.end()
+        elif kind == "bad" or (kind == "name" and not (text[0].isalpha() or text[0] == "_")):
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        else:
+            toks.append(Token(kind, text, line, col))
+    toks.append(Token("eof", "", line, len(src) - line_start + 1))
     return toks
 
 
@@ -147,31 +133,28 @@ def tokenize(src: str) -> list[Token]:
 
 
 @dataclass(frozen=True)
-class RawLeafSet:
-    kind: str  # "fin" | "cofin"
-    points: tuple[object, ...]
+class RawLiteral:
+    """A set or sequence literal whose domain is not fixed yet.
+
+    head is "fin", "cofin", "sections" or "seq".  entries holds raw points
+    for fin and cofin, and (key, value) pairs otherwise.  tail is None for
+    fin and cofin, a Fraction for a leaf sequence, and the tail's literal
+    for sections and nested sequences.
+    """
+
+    head: str
+    entries: tuple
+    tail: object
     tag: DomainExpr | None
     line: int
     col: int
 
 
 @dataclass(frozen=True)
-class RawSections:
-    entries: tuple[tuple[int, "RawSet"], ...]
-    tail: "RawSet"
-    tag: DomainExpr | None
-    line: int
-    col: int
+class _ResolvedRaw:
+    """A set binding spliced into a raw tree (already a normal form)."""
 
-
-RawSet = RawLeafSet | RawSections
-
-
-@dataclass(frozen=True)
-class RawSeq:
-    entries: tuple[tuple[object, object], ...]  # point/index -> Fraction | RawSeq
-    tail: object  # Fraction | RawSeq
-    tag: DomainExpr | None
+    value: SetExpr
     line: int
     col: int
 
@@ -189,20 +172,44 @@ FILTER_HEADS = {
 }
 SET_HEADS = {"fin", "cofin", "sections"}
 FAMILY_HEADS = {"family", "secfamily", "repfamily"}
-DOMAIN_HEADS = {"unit", "nat", "prod", "dsum"}
-BIJ_HEADS = {"id", "enum", "table"}
+_KEYWORDS = FILTER_HEADS | SET_HEADS | {"seq"}
+# the node class of each two-operand filter head
+_BINARY = {
+    "prod": Product,
+    "meet": Intersection,
+    "fubini": FubiniSum,
+    "limit": Limit,
+    "push": Pushforward,
+}
+
+
+_T = TypeVar("_T")
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], env: dict[str, tuple[str, object]]) -> None:
-        self.toks = toks
+    """Reads one source text.
+
+    The constructor tokenizes it and reads the leading bindings (the domain
+    language has none), a reader method reads the expression, and end()
+    checks that nothing but separators follows.  parse_filter calls itself
+    for nested operands, so each nesting level of a filter costs one frame.
+    """
+
+    def __init__(
+        self, src: str, env: Mapping[str, tuple[str, object]] | None = None, bindings: bool = True
+    ) -> None:
+        self.toks = tokenize(src)
         self.pos = 0
-        self.env = env
+        self.env = dict(env or {})
+        if bindings:
+            self.parse_bindings()
+        else:
+            self.skip_newlines()
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def take(self) -> Token:
         t = self.toks[self.pos]
@@ -211,10 +218,11 @@ class _Parser:
         return t
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.text != text:
             raise ParseError(f"expected {text!r}, got {t.text or 'end of input'!r}", t.line, t.col)
-        return self.take()
+        self.pos += 1
+        return t
 
     def fail(self, message: str) -> ParseError:
         t = self.peek()
@@ -227,29 +235,54 @@ class _Parser:
     def at_separator(self) -> bool:
         return self.peek().kind in ("newline", "eof") or self.peek().text == ";"
 
+    def items(self, open_: str, close: str, item, key=None) -> list:
+        """Read `open_ item, ..., item close`, possibly empty.  With key,
+        each item is written `key: item` and read as a (key, item) pair."""
+        self.expect(open_)
+        out = []
+        if self.peek().text != close:
+            while True:
+                if key is None:
+                    out.append(item())
+                else:
+                    k = key()
+                    self.expect(":")
+                    out.append((k, item()))
+                if self.peek().text != ",":
+                    break
+                self.take()
+        self.expect(close)
+        return out
+
+    def table(self, key, value, what: str, at: Token) -> list:
+        """Read a `{key: value, ...}` table; a repeated key is an error at `at`."""
+        entries = self.items("{", "}", value, key)
+        if len({k for k, _ in entries}) != len(entries):
+            raise ParseError(f"repeated key in a {what} table", at.line, at.col)
+        return entries
+
     # -- program
 
     def parse_bindings(self) -> None:
         self.skip_newlines()
         while (
             self.peek().kind == "name"
-            and self.peek(1).text == "="
-            and self.peek().text not in FILTER_HEADS | SET_HEADS | {"seq"}
+            and self.toks[self.pos + 1].text == "="
+            and self.peek().text not in _KEYWORDS
         ):
             tok = self.take()
             name = tok.text
             if name in self.env:
                 raise ParseError(f"{name!r} is already bound", tok.line, tok.col)
             self.expect("=")
-            kind, value = self.parse_any()
-            self.env[name] = (kind, value)
+            self.env[name] = self.parse_any()
             if not self.at_separator():
                 raise self.fail("expected end of statement after binding")
             if self.peek().text == ";":
                 self.take()
             self.skip_newlines()
 
-    def finish(self) -> None:
+    def end(self, value: _T) -> _T:
         self.skip_newlines()
         if self.peek().text == ";":
             self.take()
@@ -257,6 +290,7 @@ class _Parser:
         t = self.peek()
         if t.kind != "eof":
             raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+        return value
 
     def parse_any(self) -> tuple[str, object]:
         t = self.peek()
@@ -265,9 +299,9 @@ class _Parser:
         if t.text in FILTER_HEADS:
             return ("filter", self.parse_filter())
         if t.text in SET_HEADS:
-            return ("set", resolve_set(self.parse_raw_set(), None))
+            return ("set", resolve_literal(self.parse_raw_set(), None))
         if t.text == "seq":
-            return ("seq", resolve_seq(self.parse_raw_seq(), None))
+            return ("seq", resolve_literal(self.parse_raw_seq(), None))
         if t.text in self.env:
             return self.env[self.take().text]
         raise self.fail(f"unknown name {t.text!r}")
@@ -299,15 +333,7 @@ class _Parser:
         if t.kind == "nat":
             return self.parse_nat()
         if t.text == "(":
-            self.take()
-            if self.peek().text == ")":
-                self.take()
-                return ()
-            coords = [self.parse_raw_point()]
-            while self.peek().text == ",":
-                self.take()
-                coords.append(self.parse_raw_point())
-            self.expect(")")
+            coords = self.items("(", ")", self.parse_raw_point)
             if len(coords) == 1:
                 raise ParseError(
                     "a point tuple needs at least two coordinates or ()", t.line, t.col
@@ -334,14 +360,7 @@ class _Parser:
         if t.text == "dsum":
             self.take()
             self.expect("(")
-            self.expect("[")
-            comps = []
-            if self.peek().text != "]":
-                comps.append(self.parse_domain())
-                while self.peek().text == ",":
-                    self.take()
-                    comps.append(self.parse_domain())
-            self.expect("]")
+            comps = self.items("[", "]", self.parse_domain)
             self.expect(",")
             tail = self.parse_domain()
             self.expect(")")
@@ -354,180 +373,90 @@ class _Parser:
             return self.parse_domain()
         return None
 
-    # -- sets
+    # -- sets and sequences
 
-    def parse_raw_set(self) -> RawSet:
+    def parse_raw_set(self) -> RawLiteral | _ResolvedRaw:
         t = self.peek()
         if t.text in ("fin", "cofin"):
-            kind = self.take().text
-            self.expect("{")
-            points = []
-            if self.peek().text != "}":
-                points.append(self.parse_raw_point())
-                while self.peek().text == ",":
-                    self.take()
-                    points.append(self.parse_raw_point())
-            self.expect("}")
-            return RawLeafSet(kind, tuple(points), self.parse_opt_tag(), t.line, t.col)
+            self.take()
+            points = self.items("{", "}", self.parse_raw_point)
+            return RawLiteral(t.text, tuple(points), None, self.parse_opt_tag(), t.line, t.col)
         if t.text == "sections":
             self.take()
             self.expect("(")
-            self.expect("{")
-            entries = []
-            if self.peek().text != "}":
-                entries.append(self._parse_section_entry())
-                while self.peek().text == ",":
-                    self.take()
-                    entries.append(self._parse_section_entry())
-            self.expect("}")
-            keys = [i for i, _ in entries]
-            if len(set(keys)) != len(keys):
-                raise ParseError("repeated key in a section table", t.line, t.col)
+            entries = self.table(self.parse_nat, self.parse_raw_set, "section", t)
             self.expect(",")
             tail = self.parse_raw_set()
             self.expect(")")
-            return RawSections(tuple(entries), tail, self.parse_opt_tag(), t.line, t.col)
+            tag = self.parse_opt_tag()
+            return RawLiteral("sections", tuple(entries), tail, tag, t.line, t.col)
         if t.kind == "name" and t.text in self.env:
             kind, value = self.env[t.text]
             if kind != "set":
                 raise self.fail(f"{t.text!r} is bound to a {kind}, not a set")
             self.take()
             # a resolved binding re-enters as an opaque leaf
-            return _ResolvedRaw(value, t.line, t.col)  # type: ignore[return-value]
+            return _ResolvedRaw(value, t.line, t.col)  # type: ignore[arg-type]
         raise self.fail("expected a set")
 
-    def _parse_section_entry(self) -> tuple[int, RawSet]:
-        i = self.parse_nat()
-        self.expect(":")
-        return (i, self.parse_raw_set())
-
-    # -- sequences
-
-    def parse_raw_seq(self) -> RawSeq:
+    def parse_raw_seq(self) -> RawLiteral:
         t = self.expect("seq")
         self.expect("(")
-        self.expect("{")
-        entries = []
-        if self.peek().text != "}":
-            entries.append(self._parse_seq_entry())
-            while self.peek().text == ",":
-                self.take()
-                entries.append(self._parse_seq_entry())
-        self.expect("}")
-        keys = [k for k, _ in entries]
-        if len(set(map(repr, keys))) != len(keys):
-            raise ParseError("repeated key in a sequence table", t.line, t.col)
+        entries = self.table(self.parse_raw_point, self.parse_seq_value, "sequence", t)
         self.expect(",")
-        if self.peek().text == "seq":
-            tail: object = self.parse_raw_seq()
-        else:
-            tail = self.parse_rational()
+        tail = self.parse_seq_value()
         self.expect(")")
-        return RawSeq(tuple(entries), tail, self.parse_opt_tag(), t.line, t.col)
+        return RawLiteral("seq", tuple(entries), tail, self.parse_opt_tag(), t.line, t.col)
 
-    def _parse_seq_entry(self) -> tuple[object, object]:
-        key = self.parse_raw_point()
-        self.expect(":")
+    def parse_seq_value(self) -> RawLiteral | Fraction:
         if self.peek().text == "seq":
-            return (key, self.parse_raw_seq())
-        return (key, self.parse_rational())
+            return self.parse_raw_seq()
+        return self.parse_rational()
 
     # -- families
 
     def parse_family(self):
         t = self.peek()
-        if t.text == "family":
-            self.take()
-            self.expect("(")
-            entries = self._parse_filter_table()
+        if t.text not in FAMILY_HEADS:
+            raise self.fail("expected a filter family")
+        self.take()
+        self.expect("(")
+        entries = []
+        # only repfamily may leave its table out
+        if t.text != "repfamily" or self.peek().text == "{":
+            open_tok = self.peek()
+            entries = self.table(self.parse_nat, self.parse_filter, "filter", open_tok)
             self.expect(",")
-            tail = self.parse_filter()
+        tail = self.parse_filter()
+        if t.text == "family":
             self.expect(")")
             return FilterFamily(tuple(sorted(entries)), tail)
+        inner = FilterFamily(tuple(sorted(entries)), tail)
+        domain = fubini_domain(inner)
+        if self.peek().text == ",":
+            self.take()
+            domain = self.parse_domain()
+        self.expect(")")
         if t.text == "secfamily":
-            self.take()
-            self.expect("(")
-            entries = self._parse_filter_table()
-            self.expect(",")
-            tail = self.parse_filter()
-            inner = FilterFamily(tuple(sorted(entries)), tail)
-            domain = fubini_domain(inner)
-            if self.peek().text == ",":
-                self.take()
-                domain = self.parse_domain()
-            self.expect(")")
             return SectionwiseFamily(inner, domain)
-        if t.text == "repfamily":
-            self.take()
-            self.expect("(")
-            entries = []
-            if self.peek().text == "{":
-                entries = self._parse_filter_table()
-                self.expect(",")
-            tail = self.parse_filter()
-            inner = FilterFamily(tuple(sorted(entries)), tail)
-            domain = fubini_domain(inner)
-            if self.peek().text == ",":
-                self.take()
-                domain = self.parse_domain()
-            self.expect(")")
-            return RepeatedSectionwiseFamily(inner, domain)
-        raise self.fail("expected a filter family")
-
-    def _parse_filter_table(self) -> list[tuple[int, FilterExpr]]:
-        open_tok = self.expect("{")
-        entries: list[tuple[int, FilterExpr]] = []
-        if self.peek().text != "}":
-            i = self.parse_nat()
-            self.expect(":")
-            entries.append((i, self.parse_filter()))
-            while self.peek().text == ",":
-                self.take()
-                i = self.parse_nat()
-                self.expect(":")
-                entries.append((i, self.parse_filter()))
-        self.expect("}")
-        keys = [i for i, _ in entries]
-        if len(set(keys)) != len(keys):
-            raise ParseError("repeated key in a filter table", open_tok.line, open_tok.col)
-        return entries
+        return RepeatedSectionwiseFamily(inner, domain)
 
     # -- bijections
 
     def parse_bij(self):
         t = self.peek()
-        if t.text == "id":
-            self.take()
-            self.expect("(")
-            d = self.parse_domain()
-            self.expect(")")
-            return IdentityBij(d)
-        if t.text == "enum":
-            self.take()
-            self.expect("(")
-            d = self.parse_domain()
-            self.expect(")")
-            return CanonicalEnum(d)
+        if t.text not in ("id", "enum", "table"):
+            raise self.fail("expected a bijection")
+        self.take()
+        self.expect("(")
+        d = self.parse_domain()
         if t.text == "table":
-            self.take()
-            self.expect("(")
-            d = self.parse_domain()
             self.expect(",")
-            self.expect("{")
-            pairs = []
-            if self.peek().text != "}":
-                a = self.parse_nat()
-                self.expect(":")
-                pairs.append((a, self.parse_nat()))
-                while self.peek().text == ",":
-                    self.take()
-                    a = self.parse_nat()
-                    self.expect(":")
-                    pairs.append((a, self.parse_nat()))
-            self.expect("}")
+            pairs = self.items("{", "}", self.parse_nat, self.parse_nat)
             self.expect(")")
             return TableBij(d, tuple(pairs))
-        raise self.fail("expected a bijection")
+        self.expect(")")
+        return IdentityBij(d) if t.text == "id" else CanonicalEnum(d)
 
     # -- filters
 
@@ -536,112 +465,61 @@ class _Parser:
         if t.kind != "name":
             raise self.fail("expected a filter")
         head = t.text
-        if head == "frechet":
-            self.take()
-            if self.peek().text == "(":
+        if head not in FILTER_HEADS:
+            if head in self.env:
+                kind, value = self.env[head]
+                if kind != "filter":
+                    raise self.fail(f"{head!r} is bound to a {kind}, not a filter")
                 self.take()
-                d = self.parse_domain()
-                self.expect(")")
-                return Frechet(d)
+                return value  # type: ignore[return-value]
+            raise self.fail(f"unknown filter head {head!r}")
+        self.take()
+        if head == "frechet" and self.peek().text != "(":
             return Frechet(NAT)
+        self.expect("(")
+        if head in _BINARY:
+            left = self.parse_bij() if head == "push" else self.parse_filter()
+            self.expect(",")
+            right = self.parse_family() if head in ("fubini", "limit") else self.parse_filter()
+            self.expect(")")
+            if head == "fubini" and not isinstance(right, FilterFamily):
+                raise ParseError("fubini takes a plain family", t.line, t.col)
+            return _BINARY[head](left, right)
+        if head == "frechet":
+            d = self.parse_domain()
+            self.expect(")")
+            return Frechet(d)
         if head == "principal":
-            self.take()
-            self.expect("(")
-            core = resolve_set(self.parse_raw_set(), None)
+            core = resolve_literal(self.parse_raw_set(), None)
             self.expect(")")
             return Principal(core)
-        if head == "prod":
-            self.take()
-            self.expect("(")
-            outer = self.parse_filter()
-            self.expect(",")
-            inner = self.parse_filter()
-            self.expect(")")
-            return Product(outer, inner)
-        if head == "fubini":
-            self.take()
-            self.expect("(")
-            base = self.parse_filter()
-            self.expect(",")
-            fam = self.parse_family()
-            self.expect(")")
-            if not isinstance(fam, FilterFamily):
-                raise ParseError("fubini takes a plain family", t.line, t.col)
-            return FubiniSum(base, fam)
-        if head == "limit":
-            self.take()
-            self.expect("(")
-            base = self.parse_filter()
-            self.expect(",")
-            fam = self.parse_family()
-            self.expect(")")
-            return Limit(base, fam)
-        if head == "meet":
-            self.take()
-            self.expect("(")
-            left = self.parse_filter()
-            self.expect(",")
-            right = self.parse_filter()
-            self.expect(")")
-            return Intersection(left, right)
         if head == "katetov":
-            self.take()
-            self.expect("(")
             n = self.parse_nat()
             self.expect(")")
             return katetov(n)
-        if head == "cylinder":
+        # cylinder(index, component filter[, domain])
+        i = self.parse_nat()
+        self.expect(",")
+        comp = self.parse_filter()
+        if self.peek().text == ",":
             self.take()
-            self.expect("(")
-            i = self.parse_nat()
-            self.expect(",")
-            comp = self.parse_filter()
-            if self.peek().text == ",":
-                self.take()
-                d = self.parse_domain()
-            else:
-                d = Prod(dom_of(comp))
-            self.expect(")")
-            return SectionFilter(i, comp, d)
-        if head == "push":
-            self.take()
-            self.expect("(")
-            sigma = self.parse_bij()
-            self.expect(",")
-            inner = self.parse_filter()
-            self.expect(")")
-            return Pushforward(sigma, inner)
-        if head in self.env:
-            kind, value = self.env[head]
-            if kind != "filter":
-                raise self.fail(f"{head!r} is bound to a {kind}, not a filter")
-            self.take()
-            return value  # type: ignore[return-value]
-        raise self.fail(f"unknown filter head {head!r}")
-
-
-@dataclass(frozen=True)
-class _ResolvedRaw:
-    """A set binding spliced into a raw tree (already a normal form)."""
-
-    value: SetExpr
-    line: int
-    col: int
+            d = self.parse_domain()
+        else:
+            d = Prod(dom_of(comp))
+        self.expect(")")
+        return SectionFilter(i, comp, d)
 
 
 # ---------------------------------------------------------------------------
 # raw resolution
 
 
-def _infer_point_domain(raw: object, line: int, col: int) -> DomainExpr:
+def _infer_point_domain(raw: object) -> DomainExpr:
     if isinstance(raw, int):
         return NAT
     if raw == ():
         return UNIT
-    if isinstance(raw, tuple):
-        rest = raw[1] if len(raw) == 2 else tuple(raw[1:])
-        return Prod(_infer_point_domain(rest, line, col))
-    raise ParseError("malformed point", line, col)
+    return Prod(_infer_point_domain(raw[1] if len(raw) == 2 else raw[1:]))  # type: ignore[index]
 
 
 def _resolve_point(raw: object, d: DomainExpr, line: int, col: int) -> Point:
@@ -664,140 +542,111 @@ def _resolve_point(raw: object, d: DomainExpr, line: int, col: int) -> Point:
     raise ParseError("point shape does not fit the domain", line, col)
 
 
-def _infer_set_domain(raw: RawSet) -> DomainExpr:
+def _is_leaf(raw: RawLiteral) -> bool:
+    return raw.tail is None or isinstance(raw.tail, Fraction)
+
+
+def _infer_domain(raw: RawLiteral | _ResolvedRaw) -> DomainExpr:
+    """The domain a literal names without context: its tag, else its shape."""
     if isinstance(raw, _ResolvedRaw):
         return raw.value.domain
     if raw.tag is not None:
         return raw.tag
-    if isinstance(raw, RawLeafSet):
-        if not raw.points:
+    is_seq = raw.head == "seq"
+    if _is_leaf(raw):
+        points = [p for p, _ in raw.entries] if is_seq else raw.entries
+        if not points:
             return NAT
-        doms = {_infer_point_domain(p, raw.line, raw.col) for p in raw.points}
+        doms = {_infer_point_domain(p) for p in points}
         if len(doms) != 1:
-            raise ParseError("points of one set must share a shape", raw.line, raw.col)
+            what = "sequence points" if is_seq else "points of one set"
+            raise ParseError(f"{what} must share a shape", raw.line, raw.col)
         return doms.pop()
-    tail_d = _infer_set_domain(raw.tail)
-    entry_ds = {i: _infer_set_domain(e) for i, e in raw.entries}
+    tail_d = _infer_domain(raw.tail)  # type: ignore[arg-type]
+    entry_ds = {}
+    for key, val in raw.entries:
+        if is_seq and not isinstance(key, int):
+            raise ParseError("nested sequence keys must be naturals", raw.line, raw.col)
+        if is_seq and not isinstance(val, RawLiteral):
+            raise ParseError("nested sequence entries must be sequences", raw.line, raw.col)
+        entry_ds[key] = _infer_domain(val)
     return sum_domain(entry_ds, tail_d)
 
 
-def resolve_set(raw: RawSet, domain: DomainExpr | None) -> SetExpr:
+def resolve_literal(
+    raw: RawLiteral | _ResolvedRaw, domain: DomainExpr | None
+) -> SetExpr | SeqExpr:
+    """The set or sequence a literal names over domain (inferred if None)."""
     if isinstance(raw, _ResolvedRaw):
         if domain is not None and raw.value.domain != domain:
             raise ParseError(
                 "bound set's domain does not match this context", raw.line, raw.col
             )
         return raw.value
-    d = domain if domain is not None else _infer_set_domain(raw)
+    d = domain if domain is not None else _infer_domain(raw)
     if raw.tag is not None and domain is not None and raw.tag != domain:
         raise ParseError("domain tag does not match this context", raw.line, raw.col)
-    if isinstance(raw, RawLeafSet):
-        pts = [_resolve_point(p, d, raw.line, raw.col) for p in raw.points]
-        try:
-            return fin_set(pts, d) if raw.kind == "fin" else cofin_set(pts, d)
-        except DomainError as e:
-            raise ParseError(str(e), raw.line, raw.col) from e
-    if not is_indexed(d):
-        raise ParseError("sections need an indexed domain", raw.line, raw.col)
-    tail_dom = tail_component(d)
-    entries = {i: resolve_set(e, component(d, i)) for i, e in raw.entries}
-    tail = resolve_set(raw.tail, tail_dom)
-    try:
-        return section_family(entries, tail, d)
-    except DomainError as e:
-        raise ParseError(str(e), raw.line, raw.col) from e
-
-
-def _infer_seq_domain(raw: RawSeq) -> DomainExpr:
-    if raw.tag is not None:
-        return raw.tag
-    if isinstance(raw.tail, Fraction):
-        if not raw.entries:
-            return NAT
-        doms = {_infer_point_domain(p, raw.line, raw.col) for p, _ in raw.entries}
-        if len(doms) != 1:
-            raise ParseError("sequence points must share a shape", raw.line, raw.col)
-        return doms.pop()
-    tail_d = _infer_seq_domain(raw.tail)
-    entry_ds = {}
-    for key, val in raw.entries:
-        if not isinstance(key, int):
-            raise ParseError("nested sequence keys must be naturals", raw.line, raw.col)
-        if not isinstance(val, RawSeq):
-            raise ParseError("nested sequence entries must be sequences", raw.line, raw.col)
-        entry_ds[key] = _infer_seq_domain(val)
-    return sum_domain(entry_ds, tail_d)
-
-
-def resolve_seq(raw: RawSeq, domain: DomainExpr | None) -> SeqExpr:
-    d = domain if domain is not None else _infer_seq_domain(raw)
-    if raw.tag is not None and domain is not None and raw.tag != domain:
-        raise ParseError("domain tag does not match this context", raw.line, raw.col)
-    if isinstance(raw.tail, Fraction):
+    is_seq = raw.head == "seq"
+    if _is_leaf(raw):
+        if not is_seq:
+            pts = [_resolve_point(p, d, raw.line, raw.col) for p in raw.entries]
+            make = fin_set if raw.head == "fin" else cofin_set
+            args = (pts, d)
+        else:
+            values = {}
+            for key, val in raw.entries:
+                if isinstance(val, RawLiteral):
+                    raise ParseError("leaf sequences need rational values", raw.line, raw.col)
+                values[_resolve_point(key, d, raw.line, raw.col)] = val
+            make = seq_leaf
+            args = (values, raw.tail, d)
+    else:
+        if not is_indexed(d):
+            what = "nested sequences" if is_seq else "sections"
+            raise ParseError(f"{what} need an indexed domain", raw.line, raw.col)
         entries = {}
         for key, val in raw.entries:
-            if isinstance(val, RawSeq):
-                raise ParseError(
-                    "leaf sequences need rational values", raw.line, raw.col
-                )
-            entries[_resolve_point(key, d, raw.line, raw.col)] = val
-        try:
-            return seq_leaf(entries, raw.tail, d)
-        except DomainError as e:
-            raise ParseError(str(e), raw.line, raw.col) from e
-    if not is_indexed(d):
-        raise ParseError("nested sequences need an indexed domain", raw.line, raw.col)
-    tail_dom = tail_component(d)
-    entries = {}
-    for key, val in raw.entries:
-        if not isinstance(key, int) or not isinstance(val, RawSeq):
-            raise ParseError("nested sequence entries must be `nat: seq`", raw.line, raw.col)
-        entries[key] = resolve_seq(val, component(d, key))
-    return seq_sections(entries, resolve_seq(raw.tail, tail_dom), d)
+            if is_seq and not (isinstance(key, int) and isinstance(val, RawLiteral)):
+                raise ParseError("nested sequence entries must be `nat: seq`", raw.line, raw.col)
+            entries[key] = resolve_literal(val, component(d, key))
+        tail = resolve_literal(raw.tail, tail_component(d))  # type: ignore[arg-type]
+        make = seq_sections if is_seq else section_family
+        args = (entries, tail, d)
+    try:
+        return make(*args)
+    except DomainError as e:
+        raise ParseError(str(e), raw.line, raw.col) from e
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
 
-def parse_program(src: str, env: Mapping[str, tuple[str, object]] | None = None) -> tuple[str, object]:
-    p = _Parser(tokenize(src), dict(env or {}))
-    p.parse_bindings()
-    kind, value = p.parse_any()
-    p.finish()
-    return kind, value
+def parse_program(
+    src: str, env: Mapping[str, tuple[str, object]] | None = None
+) -> tuple[str, object]:
+    p = _Parser(src, env)
+    return p.end(p.parse_any())
 
 
 def parse_filter(src: str) -> FilterExpr:
-    p = _Parser(tokenize(src), {})
-    p.parse_bindings()
-    f = p.parse_filter()
-    p.finish()
-    return f
+    p = _Parser(src)
+    return p.end(p.parse_filter())
 
 
 def parse_set(src: str, domain: DomainExpr | None = None) -> SetExpr:
-    p = _Parser(tokenize(src), {})
-    p.parse_bindings()
-    raw = p.parse_raw_set()
-    p.finish()
-    return resolve_set(raw, domain)
+    p = _Parser(src)
+    return resolve_literal(p.end(p.parse_raw_set()), domain)  # type: ignore[return-value]
 
 
 def parse_seq(src: str, domain: DomainExpr | None = None) -> SeqExpr:
-    p = _Parser(tokenize(src), {})
-    p.parse_bindings()
-    raw = p.parse_raw_seq()
-    p.finish()
-    return resolve_seq(raw, domain)
+    p = _Parser(src)
+    return resolve_literal(p.end(p.parse_raw_seq()), domain)  # type: ignore[return-value]
 
 
 def parse_domain(src: str) -> DomainExpr:
-    p = _Parser(tokenize(src), {})
-    p.skip_newlines()
-    d = p.parse_domain()
-    p.finish()
-    return d
+    p = _Parser(src, bindings=False)
+    return p.end(p.parse_domain())
 
 
 # ---------------------------------------------------------------------------
@@ -830,75 +679,43 @@ def point_to_source(p: Point) -> str:
     return "(" + ",".join(coords) + ")"
 
 
-def frac_to_source(q: Fraction) -> str:
-    return str(q)
+def _table(pairs, key=str, value=str) -> str:
+    return "{" + ",".join(f"{key(k)}: {value(v)}" for k, v in pairs) + "}"
 
 
-def set_to_source(a: SetExpr) -> str:
-    body = _set_body(a)
-    inferred = _reinferred_domain(a)
-    if inferred != a.domain:
+def set_to_source(a: SetExpr | SeqExpr) -> str:
+    """Source of a set or a sequence, tagged with its domain where the
+    parser would not infer that domain from the printed shape."""
+    if isinstance(a, FinSet):
+        body = "fin{" + ",".join(point_to_source(p) for p in a.elements) + "}"
+    elif isinstance(a, CofinSet):
+        body = "cofin{" + ",".join(point_to_source(p) for p in a.excluded) + "}"
+    elif isinstance(a, LeafSeq):
+        body = f"seq({_table(a.entries, point_to_source)},{a.tail})"
+    elif isinstance(a, (SectionFamily, SectionSeq)):
+        head = "sections" if isinstance(a, SectionFamily) else "seq"
+        body = f"{head}({_table(a.exceptions, value=set_to_source)},{set_to_source(a.tail)})"
+    else:
+        raise DomainError(f"not a printable set: {a!r}")
+    if _shape_domain(a) != a.domain:
         return f"{body}@{domain_to_source(a.domain)}"
     return body
 
 
-def _set_body(a: SetExpr) -> str:
-    if isinstance(a, FinSet):
-        return "fin{" + ",".join(point_to_source(p) for p in a.elements) + "}"
-    if isinstance(a, CofinSet):
-        return "cofin{" + ",".join(point_to_source(p) for p in a.excluded) + "}"
-    if isinstance(a, SectionFamily):
-        entries = ",".join(f"{i}: {set_to_source(e)}" for i, e in a.exceptions)
-        return f"sections({{{entries}}},{set_to_source(a.tail)})"
-    raise DomainError(f"not a printable set: {a!r}")
+seq_to_source = set_to_source
 
 
-def _reinferred_domain(a: SetExpr) -> DomainExpr:
+def _shape_domain(a: SetExpr | SeqExpr) -> DomainExpr:
+    """The domain the printer leaves to the parser's inference: a leaf's
+    points show it, except a cofinite set's; an empty leaf names nat; a
+    table sums the domains of its entries, which their own tags fix."""
     if isinstance(a, FinSet):
         return a.domain if a.elements else NAT
+    if isinstance(a, LeafSeq):
+        return a.domain if a.entries else NAT
     if isinstance(a, CofinSet):
         return NAT
-    tail_d = _tagged_domain(a.tail)
-    entry_ds = {i: _tagged_domain(e) for i, e in a.exceptions}
-    return sum_domain(entry_ds, tail_d)
-
-
-def _tagged_domain(a: SetExpr) -> DomainExpr:
-    # what the parser will see for this sub-term: its printed tag if any,
-    # else its re-inferred shape
-    inferred = _reinferred_domain(a)
-    return a.domain if inferred != a.domain else inferred
-
-
-def seq_to_source(s: SeqExpr) -> str:
-    body = _seq_body(s)
-    inferred = _reinferred_seq_domain(s)
-    if inferred != s.domain:
-        return f"{body}@{domain_to_source(s.domain)}"
-    return body
-
-
-def _seq_body(s: SeqExpr) -> str:
-    if isinstance(s, LeafSeq):
-        entries = ",".join(
-            f"{point_to_source(p)}: {frac_to_source(v)}" for p, v in s.entries
-        )
-        return f"seq({{{entries}}},{frac_to_source(s.tail)})"
-    entries = ",".join(f"{i}: {seq_to_source(e)}" for i, e in s.exceptions)
-    return f"seq({{{entries}}},{seq_to_source(s.tail)})"
-
-
-def _reinferred_seq_domain(s: SeqExpr) -> DomainExpr:
-    if isinstance(s, LeafSeq):
-        return s.domain if s.entries else NAT
-    tail_d = _tagged_seq_domain(s.tail)
-    entry_ds = {i: _tagged_seq_domain(e) for i, e in s.exceptions}
-    return sum_domain(entry_ds, tail_d)
-
-
-def _tagged_seq_domain(s: SeqExpr) -> DomainExpr:
-    inferred = _reinferred_seq_domain(s)
-    return s.domain if inferred != s.domain else inferred
+    return sum_domain({i: e.domain for i, e in a.exceptions}, a.tail.domain)
 
 
 def bij_to_source(b) -> str:
@@ -907,34 +724,23 @@ def bij_to_source(b) -> str:
     if isinstance(b, CanonicalEnum):
         return f"enum({domain_to_source(b.target)})"
     if isinstance(b, TableBij):
-        entries = ",".join(f"{a}: {c}" for a, c in b.table)
-        return f"table({domain_to_source(b.target)},{{{entries}}})"
+        return f"table({domain_to_source(b.target)},{_table(b.table)})"
     raise DomainError(f"not a printable bijection: {b!r}")
 
 
 def family_to_source(fam) -> str:
     if isinstance(fam, FilterFamily):
-        entries = ",".join(f"{i}: {filter_to_source(g)}" for i, g in fam.exceptions)
-        return f"family({{{entries}}},{filter_to_source(fam.tail)})"
-    if isinstance(fam, SectionwiseFamily):
-        entries = ",".join(
-            f"{i}: {filter_to_source(g)}" for i, g in fam.inner.exceptions
-        )
-        tail = filter_to_source(fam.inner.tail)
-        if fam.domain == fubini_domain(fam.inner):
-            return f"secfamily({{{entries}}},{tail})"
-        return f"secfamily({{{entries}}},{tail},{domain_to_source(fam.domain)})"
-    if isinstance(fam, RepeatedSectionwiseFamily):
-        tail = filter_to_source(fam.inner.tail)
-        prefix = ""
-        if fam.inner.exceptions:
-            entries = ",".join(
-                f"{i}: {filter_to_source(g)}" for i, g in fam.inner.exceptions
-            )
-            prefix = f"{{{entries}}},"
-        if fam.domain == fubini_domain(fam.inner):
-            return f"repfamily({prefix}{tail})"
-        return f"repfamily({prefix}{tail},{domain_to_source(fam.domain)})"
+        entries = _table(fam.exceptions, value=filter_to_source)
+        return f"family({entries},{filter_to_source(fam.tail)})"
+    if isinstance(fam, (SectionwiseFamily, RepeatedSectionwiseFamily)):
+        head = "secfamily" if isinstance(fam, SectionwiseFamily) else "repfamily"
+        args = [filter_to_source(fam.inner.tail)]
+        # only repfamily may leave an empty table out
+        if head == "secfamily" or fam.inner.exceptions:
+            args.insert(0, _table(fam.inner.exceptions, value=filter_to_source))
+        if fam.domain != fubini_domain(fam.inner):
+            args.append(domain_to_source(fam.domain))
+        return f"{head}({','.join(args)})"
     raise DomainError(f"not a printable family: {fam!r}")
 
 

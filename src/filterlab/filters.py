@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .domains import (
     DSum,
@@ -812,18 +812,7 @@ def verify_embedding(
     samples: Iterable[SetExpr],
 ) -> WitnessReport:
     """Check that sigma sends each sampled member of f_src into f_dst."""
-    entries = []
-    ok = True
-    for n, a in enumerate(samples):
-        if not member(f_src, a):
-            entries.append(SampleVerdict(n, "bad-sample"))
-            continue
-        if member(f_dst, sigma.image_set(a)):
-            entries.append(SampleVerdict(n, "pass"))
-        else:
-            entries.append(SampleVerdict(n, "fail"))
-            ok = False
-    return WitnessReport("embedding", tuple(entries), ok)
+    return _verify_samples("embedding", f_src, f_dst, sigma.image_set, samples)
 
 
 def verify_quasi_homomorphism(
@@ -833,18 +822,30 @@ def verify_quasi_homomorphism(
     samples: Iterable[SetExpr],
 ) -> WitnessReport:
     """Check that preimages under pi of sampled f_dst members lie in f_src."""
+    return _verify_samples("quasi-homomorphism", f_dst, f_src, pi.preimage_set, samples)
+
+
+def _verify_samples(
+    kind: str,
+    given: FilterExpr,
+    wanted: FilterExpr,
+    move: Callable[[SetExpr], SetExpr],
+    samples: Iterable[SetExpr],
+) -> WitnessReport:
+    """Check that move sends each sampled member of given into wanted; a
+    sample outside given is a bad sample."""
     entries = []
     ok = True
     for n, a in enumerate(samples):
-        if not member(f_dst, a):
+        if not member(given, a):
             entries.append(SampleVerdict(n, "bad-sample"))
             continue
-        if member(f_src, pi.preimage_set(a)):
+        if member(wanted, move(a)):
             entries.append(SampleVerdict(n, "pass"))
         else:
             entries.append(SampleVerdict(n, "fail"))
             ok = False
-    return WitnessReport("quasi-homomorphism", tuple(entries), ok)
+    return WitnessReport(kind, tuple(entries), ok)
 
 
 # ---------------------------------------------------------------------------

@@ -107,14 +107,18 @@ def parse_bounds(text: str) -> RankBounds:
     return RankBounds(lo, hi)
 
 
+def min_hi(a: RankBounds, b: RankBounds) -> Ordinal | None:
+    """The lesser of two upper bounds, where None is no bound."""
+    if a.hi is None:
+        return b.hi
+    if b.hi is None:
+        return a.hi
+    return ord_min(a.hi, b.hi)
+
+
 def intersect_bounds(a: RankBounds, b: RankBounds, where: str = "") -> RankBounds:
     lo = ord_max(a.lo, b.lo)
-    if a.hi is None:
-        hi = b.hi
-    elif b.hi is None:
-        hi = a.hi
-    else:
-        hi = ord_min(a.hi, b.hi)
+    hi = min_hi(a, b)
     if hi is not None and ord_lt(hi, lo):
         ctx = f" at {where}" if where else ""
         raise InconsistentBounds(

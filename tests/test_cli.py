@@ -179,6 +179,14 @@ def test_parse_error_exit_code_and_position(capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("src, col", [("fin{²}", 5), ("fin{1²}", 6)])
+def test_digit_that_is_not_decimal_is_a_parse_error(capsys, src, col):
+    code, out, err = run(capsys, "member", "frechet", src)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 1, column {col}: unexpected character '²'\n"
+
+
 def test_rank_of_malformed_filter(capsys):
     code, _, err = run(capsys, "rank", "meet(frechet)")
     assert code == 2

@@ -1,8 +1,23 @@
 """The expression language: parsing, printing, positions, bindings."""
 
+import hashlib
+from fractions import Fraction
+from random import Random
+
 import pytest
 
-from filterlab.domains import DSum, NAT, NatPt, Prod, UNIT
+from filterlab.domains import (
+    DSum,
+    FilterLabError,
+    NAT,
+    NatPt,
+    Prod,
+    UNIT,
+    component,
+    is_indexed,
+    points_within,
+    tail_component,
+)
 from filterlab.dsl import (
     ParseError,
     domain_to_source,
@@ -23,6 +38,7 @@ from filterlab.filters import (
     meet,
     principal,
     seq_leaf,
+    seq_sections,
 )
 from filterlab.sets import cofin_set, fin_set, gen_random_setexpr, section_family
 
@@ -131,3 +147,196 @@ def test_program_rejects_unbound_names():
 def test_program_rebinding_is_an_error():
     with pytest.raises(ParseError):
         parse_program("t = frechet\nt = katetov(1)\nt")
+
+
+# ---------------------------------------------------------------------------
+# exact errors: message, line and column for malformed inputs
+
+
+def _parse_as(entry, src):
+    if entry == "program":
+        return parse_program(src)
+    if entry == "filter":
+        return parse_filter(src)
+    if entry == "nat-set":
+        return parse_set(src, NAT)
+    if entry == "prod-set":
+        return parse_set(src, Prod(NAT))
+    return parse_seq(src, NAT)
+
+
+@pytest.mark.parametrize(
+    "entry, src, expected",
+    [
+        ("program", "fin{1,2,}", ("expected a point", 1, 9)),
+        ("program", "cofin{", ("expected a point", 1, 7)),
+        ("program", "sections({0: fin{1}}, )", ("expected a set", 1, 23)),
+        ("program", "nosuch", ("unknown name 'nosuch'", 1, 1)),
+        ("program", "meet(frechet)", ("expected ',', got ')'", 1, 13)),
+        (
+            "program",
+            "sections({0: fin{1}, 0: fin{2}}, cofin{})",
+            ("repeated key in a section table", 1, 1),
+        ),
+        ("program", "meet(frechet, $)", ("unexpected character '$'", 1, 15)),
+        ("program", "seq({0: 1/0}, 0)", ("zero denominator", 1, 12)),
+        (
+            "program",
+            "fin{(1)}",
+            ("a point tuple needs at least two coordinates or ()", 1, 5),
+        ),
+        ("program", "seq({0: 1, 1: 2, 0: 3}, 0)", ("repeated key in a sequence table", 1, 1)),
+        (
+            "program",
+            "limit(frechet, family({1: frechet, 1: katetov(1)}, frechet))",
+            ("repeated key in a filter table", 1, 23),
+        ),
+        ("program", "t = frechet\nt = katetov(1)\nt", ("'t' is already bound", 2, 1)),
+        ("program", "a = fin{1}\nmeet(a, frechet)", ("'a' is bound to a set, not a filter", 2, 6)),
+        ("filter", "meet(frechet, nosuch)", ("unknown filter head 'nosuch'", 1, 15)),
+        ("program", "frechet frechet", ("unexpected trailing input 'frechet'", 1, 9)),
+        ("nat-set", "fin{1}@prod(nat)", ("domain tag does not match this context", 1, 1)),
+        ("seq", "seq({}, 0)@prod(nat)", ("domain tag does not match this context", 1, 1)),
+        (
+            "program",
+            "a = fin{1}\nsections({0: a}, cofin{})@prod(prod(nat))",
+            ("bound set's domain does not match this context", 2, 14),
+        ),
+        (
+            "program",
+            "fubini(frechet, secfamily({}, frechet))",
+            ("fubini takes a plain family", 1, 1),
+        ),
+        (
+            "program",
+            "sections({0: fin{1}}, cofin{})@nat",
+            ("sections need an indexed domain", 1, 1),
+        ),
+        ("program", "seq({0: seq({}, 0)}, 1)", ("leaf sequences need rational values", 1, 1)),
+        ("program", "fin{1, (2,3)}", ("points of one set must share a shape", 1, 1)),
+        ("program", "seq({(0,1): 1, 2: 1}, 0)", ("sequence points must share a shape", 1, 1)),
+        (
+            "program",
+            "seq({(0,1): seq({}, 0)}, seq({}, 0))",
+            ("nested sequence keys must be naturals", 1, 1),
+        ),
+        ("program", "t = frechet meet(t, t)", ("expected end of statement after binding", 1, 13)),
+        ("program", "prod(frechet, frechet", ("expected ')', got 'end of input'", 1, 22)),
+        ("program", "\n\nmeet(frechet,\n  frechet)", ("expected a filter", 3, 14)),
+        ("program", "fin{¼}", ("unexpected character '¼'", 1, 5)),
+        ("program", "fin{1};;", ("unexpected trailing input ';'", 1, 8)),
+        ("prod-set", "fin{1}", ("a bare natural cannot name a point of this domain", 1, 1)),
+        # the newline or end of input after a comment is reported at its own column
+        ("program", "meet(frechet # note\n, frechet)", ("expected ',', got '\\n'", 1, 20)),
+        ("program", "meet(frechet, # note", ("expected a filter", 1, 21)),
+        # a digit that int() cannot read is not part of a natural
+        ("program", "fin{²}", ("unexpected character '²'", 1, 5)),
+        ("program", "fin{1²}", ("unexpected character '²'", 1, 6)),
+    ],
+)
+def test_parse_errors_are_exact(entry, src, expected):
+    with pytest.raises(ParseError) as ei:
+        _parse_as(entry, src)
+    assert (ei.value.message, ei.value.line, ei.value.col) == expected
+
+
+def test_names_keep_their_characters():
+    assert parse_program("a² = frechet\né = a²\né") == ("filter", frechet(NAT))
+    assert parse_set("fin{٣}", NAT) == fin_set([NatPt(3)], NAT)
+
+
+# ---------------------------------------------------------------------------
+# the language itself: what parses, how it prints, how it fails
+
+LANGUAGE_EXAMPLES = [
+    "frechet",
+    "fin{1,2,3}",
+    "cofin{0}",
+    "sections({0: fin{1}}, cofin{2})",
+    "sections({}, cofin{})",
+    "seq({0: 1/2, 2: 1/2}, 1/3)",
+    "seq({0: -1/2, 3: 4}, -2)",
+    "fubini(frechet, family({}, katetov(2)))",
+    "meet(frechet, principal(cofin{1}))",
+    "prod(frechet, katetov(1))",
+    "cylinder(1, frechet)",
+    "cylinder(2, frechet, dsum([nat], prod(nat)))",
+    "frechet(prod(nat))",
+    "limit(frechet, family({0: principal(fin{1})}, frechet))",
+    "limit(frechet, secfamily({1: frechet}, katetov(1)))",
+    "limit(frechet, secfamily({}, frechet, prod(nat)))",
+    "limit(frechet, repfamily(frechet))",
+    "limit(frechet, repfamily({0: katetov(1)}, frechet, prod(nat)))",
+    "push(id(nat), frechet)",
+    "push(enum(prod(nat)), frechet)",
+    "push(table(nat, {0: 1, 1: 0}), frechet)",
+    "principal(fin{(0,1),(2,3)})",
+    "principal(fin{()}@unit)",
+    "fin{}@prod(nat)",
+    "sections({0: fin{()}}, cofin{}@prod(unit))",
+    "seq({}, seq({0: 1}, 0))@prod(nat)",
+    "t = katetov(2)\nmeet(t, t)",
+    "a = fin{1}; b = sections({0: a}, cofin{}); principal(b)",
+    "# a comment\nfrechet # another\n",
+    "\n\n  meet(frechet,frechet) ;\n",
+]
+
+
+def _outcome(src):
+    """What parse_program makes of src: the printed value, or the error."""
+    try:
+        kind, value = parse_program(src)
+    except ParseError as e:
+        return f"ParseError {e.message!r} {e.line} {e.col}"
+    except FilterLabError as e:
+        return f"{type(e).__name__} {e}"
+    printer = {"filter": filter_to_source, "set": set_to_source, "seq": seq_to_source}
+    return f"{kind} {printer[kind](value)}"
+
+
+def _random_seq(d, rng, depth=2):
+    values = [Fraction(0), Fraction(1, 2), Fraction(-3, 4), Fraction(2)]
+    if depth and is_indexed(d) and rng.random() < 0.6:
+        entries = {
+            i: _random_seq(component(d, i), rng, depth - 1)
+            for i in rng.sample(range(4), rng.randrange(3))
+        }
+        return seq_sections(entries, _random_seq(tail_component(d), rng, depth - 1), d)
+    pts = points_within(d, 3)
+    picked = rng.sample(pts, min(len(pts), rng.randrange(4)))
+    return seq_leaf({p: rng.choice(values) for p in picked}, rng.choice(values), d)
+
+
+def _mutants(src):
+    """Malformed neighbours of src: cut short, or with one character or one
+    punctuation mark gone."""
+    out = []
+    for cut in sorted({len(src) * k // 5 for k in range(1, 5)}):
+        mark = next((i for i in range(cut, len(src)) if src[i] in "(){}[],:@/"), cut)
+        out += [src[:cut], src[:cut] + src[cut + 1 :], src[:mark] + src[mark + 1 :]]
+    return out
+
+
+def test_language_is_pinned():
+    lines = [_outcome(src) for src in LANGUAGE_EXAMPLES]
+    sources = []
+    for d in DOMAINS:
+        rng = Random(7)
+        for seed in range(100):
+            f = gen_random_filter(d, 2, seed)
+            a = gen_random_setexpr(d, 8, seed)
+            s = _random_seq(d, rng)
+            for value, src, parse in [
+                (f, filter_to_source(f), parse_filter),
+                (a, set_to_source(a), lambda src: parse_set(src, d)),
+                (s, seq_to_source(s), lambda src: parse_seq(src, d)),
+            ]:
+                assert parse(src) == value
+                sources.append(src)
+                lines.append(src)
+                lines.append(_outcome(src))
+    for src in sources[::6]:
+        lines += [_outcome(m) for m in _mutants(src)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(sources) == 1200
+    assert digest == "889e416124dd2e09fbe077935e4f4d696dba51feb1c28aef37657e7ca2f74db8"
