@@ -15,7 +15,6 @@ from random import Random
 from typing import Callable
 
 from .constructions import (
-    CertifiedFilter,
     InterleavedPair,
     PreconditionFailure,
     PullbackSet,
@@ -106,6 +105,7 @@ from .ordinals import (
     ord_str,
 )
 from .rank import (
+    CertifiedFilter,
     bounds_of,
     bounds_text,
     certificate_from_text,

@@ -47,12 +47,12 @@ from .game import (
     play,
     transcript_lines,
 )
+from .ordinals import ord_str
 from .rank import (
     CertificateError,
     InconsistentBounds,
     bounds_text,
     certificate_text,
-    ord_str,
     rank_bounds,
     replay_certificate,
 )

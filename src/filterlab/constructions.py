@@ -10,6 +10,7 @@ countable type coming apart.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
@@ -86,35 +87,6 @@ from .sets import (
     set_member,
 )
 
-__all__ = [
-    "BlockInterleaveBij",
-    "CertifiedFilter",
-    "CollapseLimit",
-    "CollapsePair",
-    "InterleavedPair",
-    "PreconditionFailure",
-    "PullbackSet",
-    "SelectorShadow",
-    "TypeGapBundle",
-    "ZCoverWitness",
-    "ZFamily",
-    "collapse_limit",
-    "collapse_pair",
-    "even_splitter",
-    "katetov",
-    "member_extended",
-    "preimage_grid",
-    "programmatic_complement",
-    "random_tower_member",
-    "rank_type_gap_example",
-    "selector_grid",
-    "selector_shadow",
-    "truncation_evidence",
-    "two_valued_limit",
-    "z_cover_witness",
-    "z_family_grid",
-]
-
 
 class PreconditionFailure(FilterLabError):
     """A construction precondition failed; carries the offending verdict."""
@@ -160,10 +132,7 @@ class ZFamily:
         return point_from_key(self.domain, self.prefix(i) + (j,))
 
     def line_contains(self, i: int, p: Point) -> bool:
-        key = point_key(p)
-        if self.gamma == 1:
-            return cantor_unpair(key[0])[0] == i
-        return key[: self.gamma - 1] == self.prefix(i)
+        return self.line_index_of(p) == i
 
     def line(self, i: int, trunc: int = 10_000) -> ProgrammaticSet:
         return ProgrammaticSet(
@@ -307,6 +276,8 @@ class InterleavedPair:
         self._points: tuple[list[Point], list[Point]] = ([], [])
         self._used: tuple[set, set] = (set(), set())
         self._inv: tuple[dict, dict] = ({}, {})
+        # line index of the point each stage allocated, per side
+        self._lines: tuple[list[int], list[int]] = ([], [])
         self._line_pos: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self._enum_pos = [0, 0]
         self._reg_count = 0
@@ -337,6 +308,7 @@ class InterleavedPair:
         g = len(self._points[0])
         if g % 3 == 2:
             picks = (self._next_enum_point(0), self._next_enum_point(1))
+            lines = tuple(self.zfamily.line_index_of(p) for p in picks)
         else:
             i, j = self._sweep_pair
             if j + 1 <= self._sweep:
@@ -348,8 +320,10 @@ class InterleavedPair:
                 self._sweep_pair = (0, 0)
             self._reg_count += 1
             picks = (self._next_line_point(0, i), self._next_line_point(1, j))
+            lines = (i, j)
         for side, p in enumerate(picks):
             self._points[side].append(p)
+            self._lines[side].append(lines[side])
             self._used[side].add(point_key(p))
             self._inv[side][point_key(p)] = g
 
@@ -378,32 +352,23 @@ class InterleavedPair:
             self.ensure(3 * (point_index(self.domain, p) + 2))
         return self._inv[side][key]
 
+    def stage_lines(self, side: int, trunc: int) -> list[int]:
+        """The line through the point allocated at each stage below trunc."""
+        self.ensure(trunc)
+        return self._lines[side][:trunc]
+
     def joint_count(self, i: int, j: int, trunc: int) -> int:
         """How many naturals below trunc sit in both line preimages."""
-        self.ensure(trunc)
-        zf = self.zfamily
-        return sum(
-            1
-            for n in range(trunc)
-            if zf.line_contains(i, self._points[0][n])
-            and zf.line_contains(j, self._points[1][n])
-        )
+        pairs = zip(self.stage_lines(0, trunc), self.stage_lines(1, trunc))
+        return sum(1 for pair in pairs if pair == (i, j))
 
     def preimage_indices(self, side: int, i: int, trunc: int) -> list[int]:
-        self.ensure(trunc)
-        zf = self.zfamily
-        return [
-            n for n in range(trunc) if zf.line_contains(i, self._points[side][n])
-        ]
+        return [n for n, k in enumerate(self.stage_lines(side, trunc)) if k == i]
 
     def joint_count_table(self, trunc: int, lines: int) -> dict[tuple[int, int], int]:
         """joint_count for every line pair below `lines`, in one pass."""
-        self.ensure(trunc)
-        zf = self.zfamily
         counts: dict[tuple[int, int], int] = {}
-        for n in range(trunc):
-            i = zf.line_index_of(self._points[0][n])
-            j = zf.line_index_of(self._points[1][n])
+        for i, j in zip(self.stage_lines(0, trunc), self.stage_lines(1, trunc)):
             if i < lines and j < lines:
                 counts[(i, j)] = counts.get((i, j), 0) + 1
         return counts
@@ -565,7 +530,7 @@ def truncation_evidence(
     pair: InterleavedPair, side: int, a: ProgrammaticSet | SetExpr, trunc: int, lines: int = 10
 ) -> list[tuple[int, int]]:
     """Per-line hit counts of the pushed-forward truncated set."""
-    pair.ensure(trunc)
+    line_of = pair.stage_lines(side, trunc)
     counts = [0] * lines
     for n in range(trunc):
         p = NatPt(n)
@@ -574,9 +539,8 @@ def truncation_evidence(
         )
         if not inside:
             continue
-        i = pair.zfamily.line_index_of(pair.pi(side, n))
-        if i < lines:
-            counts[i] += 1
+        if line_of[n] < lines:
+            counts[line_of[n]] += 1
     return list(enumerate(counts))
 
 
@@ -604,27 +568,26 @@ class SelectorShadow:
 def selector_shadow(
     pair: InterleavedPair, trunc: int, i_max: int = 20, j_max: int = 20
 ) -> SelectorShadow:
-    pair.ensure(trunc)
-    zf = pair.zfamily
+    # cells[i][j]: the least n below trunc in E_j and the side-1 preimage of line i
+    cells: list[dict[int, int]] = [{} for _ in range(i_max)]
+    for n, i in enumerate(pair.stage_lines(1, trunc)):
+        if i < i_max:
+            j = cantor_unpair(n)[0]
+            if j > i:
+                cells[i].setdefault(j, n)
     selectors: list[tuple[int, tuple[int, ...]]] = []
     available: list[tuple[int, int]] = []
     union: set[int] = set()
-    for i in range(i_max):
-        cells: dict[int, int] = {}
-        for n in range(trunc):
-            if not zf.line_contains(i, pair.pi(1, n)):
-                continue
-            j = cantor_unpair(n)[0]
-            if j > i and (j not in cells or n < cells[j]):
-                cells[j] = n
-        picks = tuple(sorted(cells.values()))
+    for i, row in enumerate(cells):
+        picks = tuple(sorted(row.values()))
         selectors.append((i, picks))
-        available.append((i, len(cells)))
+        available.append((i, len(row)))
         union.update(picks)
+    classes = Counter(cantor_unpair(n)[0] for n in union)
     e_hits: list[tuple[int, int]] = []
     problems: list[str] = []
     for j in range(j_max):
-        hits = sum(1 for n in union if cantor_unpair(n)[0] == j)
+        hits = classes[j]
         e_hits.append((j, hits))
         if hits > j:
             problems.append(f"class E{j} meets the selector union {hits} > {j} times")

@@ -21,6 +21,7 @@ from .domains import (
     component,
     enum_point,
     fresh_index,
+    is_indexed,
     is_linear_domain,
     make_point,
     point_in_domain,
@@ -50,7 +51,7 @@ from .sets import (
     set_member,
     set_span,
 )
-from .dsl import point_to_source, set_to_source
+from .dsl import domain_to_source, point_to_source, set_to_source
 
 
 class IllegalMove(FilterLabError):
@@ -179,6 +180,10 @@ class CopyStrategyI:
     def start(self, f: FilterExpr, seed: int) -> _Mover:
         sigma = self.sigma if self.sigma is not None else IdentityBij(dom_of(f))
         source = sigma.source_domain()
+        if not is_indexed(source):
+            raise DomainError(
+                f"copy strategy needs an indexed source domain, not {domain_to_source(source)}"
+            )
         return _Mover(lambda state: sigma.image_set(tail_columns(source, state.round_number)))
 
 

@@ -108,6 +108,13 @@ def test_game_unknown_strategy_errors(capsys):
     assert "error" in err
 
 
+def test_game_copy_strategy_on_a_leaf_domain_names_it(capsys):
+    code, out, err = run(capsys, "game", "frechet", "--pI", "copy")
+    assert code == 2
+    assert out == ""
+    assert err == "error: copy strategy needs an indexed source domain, not nat\n"
+
+
 # ---------------------------------------------------------------------------
 # construct
 

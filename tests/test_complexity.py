@@ -7,7 +7,7 @@ import filterlab.filters as filters
 import filterlab.game as game
 import filterlab.rank as rank
 import filterlab.sets as sets_module
-from filterlab.constructions import random_tower_member
+from filterlab.constructions import InterleavedPair, ZFamily, random_tower_member, selector_shadow
 from filterlab.domains import NAT, Prod
 from filterlab.dsl import parse_filter
 from filterlab.filters import frechet, katetov, kernel_set, member, product
@@ -173,3 +173,14 @@ def test_copy_column_bound_keys_each_claim_at_most_four_times(monkeypatch):
     calls = counting_point_key(monkeypatch)
     copy_column_bound(t)
     assert len(calls) <= 4 * claims(t)
+
+
+def test_selector_shadow_reads_the_stage_lines(monkeypatch):
+    # testing every line against every stage made 200,000 line_contains calls
+    trunc = 10**4
+    pair = InterleavedPair(2)
+    pair.ensure(trunc)
+    contains = counting(monkeypatch, "line_contains", ZFamily)
+    index_of = counting(monkeypatch, "line_index_of", ZFamily)
+    selector_shadow(pair, trunc, i_max=20, j_max=20)
+    assert len(contains) + len(index_of) <= trunc

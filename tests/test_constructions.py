@@ -4,6 +4,7 @@ import pytest
 
 from filterlab.constructions import (
     BlockInterleaveBij,
+    SelectorShadow,
     InterleavedPair,
     PreconditionFailure,
     PullbackSet,
@@ -26,6 +27,7 @@ from filterlab.domains import (
     DomainError,
     NAT,
     NatPt,
+    cantor_unpair,
     enum_point,
     point_key,
 )
@@ -292,3 +294,107 @@ def test_type_gap_bundle_values():
     assert b.diag.witness == section_family({0: full_set(NAT)}, empty_set(NAT), d)
     # the witness is almost inside every member: it is one full column
     assert member(b.filt, section_family({0: full_set(NAT)}, cofin_set([], NAT), d))
+
+
+# ---------------------------------------------------------------------------
+# stage-line readers against per-line scans of the allocated points
+
+
+def scan_line_contains(zf, i, p):
+    key = point_key(p)
+    if zf.gamma == 1:
+        return cantor_unpair(key[0])[0] == i
+    return key[: zf.gamma - 1] == zf.prefix(i)
+
+
+def scan_joint_count(pair, i, j, trunc):
+    pair.ensure(trunc)
+    zf = pair.zfamily
+    return sum(
+        1
+        for n in range(trunc)
+        if scan_line_contains(zf, i, pair.pi(0, n))
+        and scan_line_contains(zf, j, pair.pi(1, n))
+    )
+
+
+def scan_preimage_indices(pair, side, i, trunc):
+    pair.ensure(trunc)
+    return [n for n in range(trunc) if scan_line_contains(pair.zfamily, i, pair.pi(side, n))]
+
+
+def scan_joint_count_table(pair, trunc, lines):
+    pair.ensure(trunc)
+    zf = pair.zfamily
+    counts = {}
+    for n in range(trunc):
+        i = zf.line_index_of(pair.pi(0, n))
+        j = zf.line_index_of(pair.pi(1, n))
+        if i < lines and j < lines:
+            counts[(i, j)] = counts.get((i, j), 0) + 1
+    return counts
+
+
+def scan_truncation_evidence(pair, side, a, trunc, lines=10):
+    pair.ensure(trunc)
+    counts = [0] * lines
+    for n in range(trunc):
+        p = NatPt(n)
+        inside = a.predicate(p) if isinstance(a, ProgrammaticSet) else set_member(p, a)
+        if not inside:
+            continue
+        i = pair.zfamily.line_index_of(pair.pi(side, n))
+        if i < lines:
+            counts[i] += 1
+    return list(enumerate(counts))
+
+
+def scan_selector_shadow(pair, trunc, i_max=20, j_max=20):
+    pair.ensure(trunc)
+    zf = pair.zfamily
+    selectors, available, union = [], [], set()
+    for i in range(i_max):
+        cells = {}
+        for n in range(trunc):
+            if not scan_line_contains(zf, i, pair.pi(1, n)):
+                continue
+            j = cantor_unpair(n)[0]
+            if j > i and (j not in cells or n < cells[j]):
+                cells[j] = n
+        picks = tuple(sorted(cells.values()))
+        selectors.append((i, picks))
+        available.append((i, len(cells)))
+        union.update(picks)
+    e_hits, problems = [], []
+    for j in range(j_max):
+        hits = sum(1 for n in union if cantor_unpair(n)[0] == j)
+        e_hits.append((j, hits))
+        if hits > j:
+            problems.append(f"class E{j} meets the selector union {hits} > {j} times")
+    return SelectorShadow(
+        trunc, tuple(selectors), tuple(e_hits), tuple(available), not problems, tuple(problems)
+    )
+
+
+@pytest.mark.parametrize("trunc", [100, 1_000, 5_000])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_stage_lines_agree_with_per_line_scans(depth, trunc):
+    pair = InterleavedPair(depth)
+    shadow = selector_shadow(pair, trunc)
+    table = pair.joint_count_table(trunc, 10)
+    joints = {(i, j): pair.joint_count(i, j, trunc) for i in range(3) for j in range(3)}
+    preimages = {(s, i): pair.preimage_indices(s, i, trunc) for s in (0, 1) for i in range(6)}
+    sets = (even_splitter(trunc), cofin_set([], NAT), fin_set([NatPt(n) for n in range(0, trunc, 7)], NAT))
+    evidence = [truncation_evidence(pair, s, a, trunc) for s in (0, 1) for a in sets]
+
+    assert shadow == scan_selector_shadow(pair, trunc)
+    assert table == scan_joint_count_table(pair, trunc, 10)
+    assert joints == {(i, j): scan_joint_count(pair, i, j, trunc) for i, j in joints}
+    assert preimages == {(s, i): scan_preimage_indices(pair, s, i, trunc) for s, i in preimages}
+    assert evidence == [scan_truncation_evidence(pair, s, a, trunc) for s in (0, 1) for a in sets]
+    assert all(
+        pair.zfamily.line_contains(i, p) == scan_line_contains(pair.zfamily, i, p)
+        for n in range(0, trunc, 37)
+        for p in (pair.pi(0, n), pair.pi(1, n))
+        for i in range(6)
+    )

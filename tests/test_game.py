@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from filterlab.domains import NAT, NatPt, PairPt, Prod, UNIT, point_key
+from filterlab.domains import NAT, DomainError, NatPt, PairPt, Prod, UNIT, UNIT_PT, point_key
 from filterlab.filters import dom_of, frechet, katetov, principal, product
 from filterlab.game import (
     CopyStrategyI,
@@ -332,3 +332,13 @@ def test_earlier_states_never_see_later_claims():
     for n, state in enumerate(seen):
         claimed = {point_key(p): p for r in t.rounds[:n] for p in r.f}
         assert state.union_points() == tuple(claimed[k] for k in sorted(claimed))
+
+
+@pytest.mark.parametrize(
+    "filt, source",
+    [(frechet(NAT), "nat"), (principal(fin_set((UNIT_PT,), UNIT)), "unit")],
+)
+def test_copy_strategy_rejects_a_leaf_domain(filt, source):
+    with pytest.raises(DomainError) as err:
+        play(filt, CopyStrategyI(), RandomFiniteII(), 3, seed=0)
+    assert str(err.value) == f"copy strategy needs an indexed source domain, not {source}"
