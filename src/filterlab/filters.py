@@ -53,6 +53,7 @@ from .sets import (
     finite_points,
     full_set,
     gen_random_setexpr,
+    is_cofinite,
     is_empty_set,
     section,
     section_family,
@@ -501,8 +502,6 @@ def _verdict_set(keys: Iterable[int], verdict, tail_verdict: bool) -> SetExpr:
 
 def _section_verdicts(family: FilterFamily, a: SetExpr) -> SetExpr:
     """Index set {i : the i-th section of a is in F_i} as a normal form."""
-    if not isinstance(a, SectionFamily):
-        raise DomainError("sectionwise membership needs a sectionwise set")
     keys = sorted(set(family.keys) | set(exception_keys(a)))
     tail_verdict = member(family.tail, a.tail)
     return _verdict_set(keys, lambda i: member(family.at(i), section(a, i)), tail_verdict)
@@ -512,6 +511,9 @@ def member(f: FilterExpr, a: SetExpr) -> bool:
     """Exact membership of a normal-form set in the filter."""
     if a.domain != dom_of(f):
         raise DomainError(f"set over {a.domain!r} queried against filter over {dom_of(f)!r}")
+    if isinstance(a, SetExpr) and not a._valid:
+        # the rules below may read only part of a, so refuse a malformed one whole
+        validate_set(a)
     return _member(f, a)
 
 
@@ -519,12 +521,21 @@ def _member(f: FilterExpr, a: SetExpr) -> bool:
     if isinstance(f, Principal):
         return subset_check(f.core, a)
     if isinstance(f, Frechet):
-        return cofinite_excluded(a) is not None
+        return is_cofinite(a)
     parts = sum_parts(f)
     if parts is not None:
         base, fam = parts
+        if not isinstance(a, SectionFamily):
+            raise DomainError("sectionwise membership needs a sectionwise set")
+        if isinstance(base, Frechet):
+            # {i : A_i in F_i}, like {i : A in F_i} for a limit below, differs
+            # from the tail's verdict at finitely many i: it is cofinite
+            # exactly when the tail verdict holds
+            return member(fam.tail, a.tail)
         return _member(base, _section_verdicts(fam, a))
     if isinstance(f, Limit):
+        if isinstance(f.base, Frechet):
+            return member(f.family.tail, a)
         return _member_limit(f, a)
     if isinstance(f, Intersection):
         return _member(f.left, a) and _member(f.right, a)

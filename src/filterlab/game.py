@@ -25,6 +25,7 @@ from .domains import (
     is_linear_domain,
     make_point,
     point_in_domain,
+    point_index,
     point_key,
     tail_component,
 )
@@ -189,7 +190,8 @@ class CopyStrategyI:
 
 def tail_columns(domain: DomainExpr, n: int) -> SetExpr:
     """All points in sections n and beyond of an indexed domain."""
-    excs = {i: empty_set(component(domain, i)) for i in range(n)}
+    empty = {d: empty_set(d) for d in {component(domain, i) for i in range(n)}}
+    excs = {i: empty[component(domain, i)] for i in range(n)}
     return section_family(excs, full_set(tail_component(domain)), domain)
 
 
@@ -206,19 +208,25 @@ class UniversalFamily:
     generator: Callable[[int, int], tuple[Point, ...]]
     stability_bound: Callable[[SetExpr, int], int] | None = None
     n_independent: bool = False
+    # the least k with Z_n^k inside m for every n, or None, where a formula
+    # gives it without scanning k
+    _least: Callable[[SetExpr], int | None] | None = None
 
 
 def singleton_family(domain: DomainExpr) -> UniversalFamily:
     """Z_n^k = {k-th point}; universal for the cofinite filter."""
-    stability = None
+    stability = least = None
     if is_linear_domain(domain):
         stability = lambda m, n: set_span(m)
+        # here the enumeration is the canonical order: the first member fits first
+        least = lambda m: None if (p := first_point(m)) is None else point_index(domain, p)
     return UniversalFamily(
         "singletons",
         domain,
         lambda n, k: (enum_point(domain, k),),
         stability_bound=stability,
         n_independent=True,
+        _least=least,
     )
 
 
@@ -273,11 +281,21 @@ class FreshElementII:
 
     def start(self, f: FilterExpr, seed: int) -> _Mover:
         domain, bound = dom_of(f), self.bound
+        # enumeration indices below low were all claimed by round last;
+        # claims only grow within a game, so a later round resumes there
+        low, last = 0, -1
 
         def move(state: GameState, c: SetExpr) -> tuple[Point, ...]:
-            for m in range(bound):
+            nonlocal low, last
+            if state.round_number <= last:
+                low = 0
+            last = state.round_number
+            for m in range(low, bound):
                 p = enum_point(domain, m)
-                if point_key(p) not in state.claimed and set_member(p, c):
+                if point_key(p) in state.claimed:
+                    if m == low:
+                        low += 1
+                elif set_member(p, c):
                     return (p,)
             raise SearchExhausted(f"no fresh point of the move found below {bound}")
 
@@ -492,6 +510,9 @@ def verify_universal_family(
 
 def _least_fit(u: UniversalFamily, m: SetExpr, n: int, bound: int) -> int | None:
     """The least k <= bound with Z_n^k inside m, or None."""
+    if u._least is not None and m.domain == u.domain:
+        k = u._least(m)
+        return k if k is not None and k <= bound else None
     fits = (k for k in range(bound + 1) if all(set_member(p, m) for p in u.generator(n, k)))
     return next(fits, None)
 

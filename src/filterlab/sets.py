@@ -270,6 +270,13 @@ def set_member(p: Point, a: SetExpr) -> bool:
 
 
 def set_complement(a: SetExpr) -> SetExpr:
+    if isinstance(a, (FinSet, CofinSet)) and a._valid:
+        # a marked leaf lists sorted, distinct points of its domain already
+        if isinstance(a.domain, Unit):
+            return _marked(FinSet(() if a.elements else (UNIT_PT,), a.domain))
+        if isinstance(a, FinSet):
+            return _marked(CofinSet(a.elements, a.domain))
+        return _marked(FinSet(a.excluded, a.domain))
     if isinstance(a, FinSet):
         return cofin_set(a.elements, a.domain)
     if isinstance(a, CofinSet):
@@ -388,7 +395,21 @@ def is_empty_set(a: SetExpr) -> bool:
 
 
 def is_full_set(a: SetExpr) -> bool:
-    return cofinite_excluded(a) == ()
+    return is_cofinite(a, full=True)
+
+
+def is_cofinite(a: SetExpr, full: bool = False) -> bool:
+    """True when a has a finite complement (an empty one, if full).
+
+    Walks the normal form and builds nothing, unlike cofinite_excluded.
+    """
+    if isinstance(a, FinSet):
+        return isinstance(a.domain, Unit) and (bool(a.elements) or not full)
+    if isinstance(a, CofinSet):
+        return not (full and a.excluded)
+    if isinstance(a, SectionFamily):
+        return is_cofinite(a.tail, True) and all(is_cofinite(s, full) for _, s in a.exceptions)
+    raise DomainError(f"not a SetExpr: {a!r}")
 
 
 def first_point(a: SetExpr) -> Point | None:
@@ -396,11 +417,10 @@ def first_point(a: SetExpr) -> Point | None:
     if isinstance(a, FinSet):
         return a.elements[0] if a.elements else None
     if isinstance(a, CofinSet):
-        gaps = {point_key(p)[0] for p in a.excluded}
-        n = 0
-        while n in gaps:
-            n += 1
-        return NatPt(n)
+        # the excluded naturals ascend, so the first gap is the least
+        # position i whose excluded value exceeds i
+        ex = a.excluded
+        return NatPt(bisect_left(range(len(ex)), True, key=lambda i: ex[i].n > i))
     if isinstance(a, SectionFamily):
         for i in range(fresh_index(a.keys) + 1):
             p = first_point(section(a, i))
@@ -411,7 +431,21 @@ def first_point(a: SetExpr) -> Point | None:
 
 
 def subset_check(a: SetExpr, b: SetExpr) -> bool:
-    return is_empty_set(set_intersect(a, set_complement(b)))
+    """a <= b, read off both normal forms section by section; builds no set."""
+    if a.domain != b.domain:
+        raise DomainError(f"cross-domain subset check: {a.domain!r} vs {b.domain!r}")
+    if isinstance(a, SectionFamily) and isinstance(b, SectionFamily):
+        keys = set(a.keys) | set(b.keys)
+        return all(subset_check(a.at(i), b.at(i)) for i in keys) and subset_check(a.tail, b.tail)
+    for x in (a, b):
+        if not isinstance(x, (FinSet, CofinSet)):
+            raise NotNormalForm(f"not a leaf or a pair of sectionwise sets: {x!r}")
+    pa = a.elements if isinstance(a, FinSet) else a.excluded
+    pb = b.elements if isinstance(b, FinSet) else b.excluded
+    ka, kb = {point_key(p) for p in pa}, {point_key(p) for p in pb}
+    if isinstance(a, FinSet):
+        return ka <= kb if isinstance(b, FinSet) else ka.isdisjoint(kb)
+    return isinstance(b, CofinSet) and kb <= ka
 
 
 def truncate(a: SetExpr | ProgrammaticSet, bound: int) -> list[Point]:

@@ -8,12 +8,14 @@ import filterlab.game as game
 import filterlab.rank as rank
 import filterlab.sets as sets_module
 from filterlab.constructions import InterleavedPair, ZFamily, random_tower_member, selector_shadow
-from filterlab.domains import NAT, Prod
+from filterlab.domains import DSum, NAT, Prod, UNIT
 from filterlab.dsl import parse_filter
-from filterlab.filters import frechet, katetov, kernel_set, member, product
+from filterlab.filters import frechet, katetov, kernel_set, member, principal, product
 from filterlab.game import (
     CopyStrategyI,
     ExcludeUnionI,
+    FreshElementII,
+    FullSetI,
     RandomFiniteII,
     UniversalII,
     copy_column_bound,
@@ -184,3 +186,51 @@ def test_selector_shadow_reads_the_stage_lines(monkeypatch):
     index_of = counting(monkeypatch, "line_index_of", ZFamily)
     selector_shadow(pair, trunc, i_max=20, j_max=20)
     assert len(contains) + len(index_of) <= trunc
+
+
+def test_tower_membership_reads_only_the_tail(monkeypatch):
+    # 2,475 member calls when every level assembled its whole verdict set
+    f = katetov(8)
+    sets = [random_tower_member(8, s) for s in range(20)]
+    queries = counting(monkeypatch, "member")
+    for a in sets:
+        filters.member(f, a)
+    assert len(queries) <= 9 * len(sets)
+
+
+def test_exclude_union_universal_rounds_stay_under_r_squared_point_keys(monkeypatch):
+    # 222,048 calls when the universal player scanned k from 0 every round
+    rounds = 200
+    calls = counting_point_key(monkeypatch)
+    play(frechet(NAT), ExcludeUnionI(), UniversalII(), rounds, seed=0)
+    assert len(calls) <= rounds * rounds
+
+
+def test_fresh_rounds_are_linear_in_point_keys(monkeypatch):
+    # 20,900 calls when the fresh player rescanned the claimed prefix every round
+    rounds = 200
+    calls = counting_point_key(monkeypatch)
+    play(frechet(NAT), FullSetI(), FreshElementII(), rounds, seed=0)
+    assert len(calls) <= 8 * rounds
+
+
+def test_copy_rounds_build_one_empty_section_per_component(monkeypatch):
+    # 3,240 section_family calls when round n built n empty sections
+    rounds = 80
+    families = counting(monkeypatch, "section_family", sets_module)
+    play(katetov(2), CopyStrategyI(), RandomFiniteII(), rounds, seed=0)
+    assert len(families) <= 4 * rounds
+
+
+def test_principal_membership_builds_no_set(monkeypatch):
+    domains = [NAT, Prod(NAT), Prod(Prod(UNIT)), DSum((Prod(UNIT),), NAT)]
+    pairs = [
+        (principal(gen_random_setexpr(d, 8, s)), gen_random_setexpr(d, 8, s + 1000))
+        for d in domains
+        for s in range(50)
+    ]
+    names = ("section_family", "fin_set", "cofin_set")
+    built = [counting(monkeypatch, name, sets_module) for name in names]
+    verdicts = [member(f, a) for f, a in pairs]
+    assert any(verdicts) and not all(verdicts)
+    assert built == [[], [], []]
