@@ -51,6 +51,8 @@ from .sets import (
     set_complement,
     set_member,
     set_span,
+    set_without,
+    with_sections,
 )
 from .dsl import domain_to_source, point_to_source, set_to_source
 
@@ -145,6 +147,16 @@ class _Mover:
     move: Callable
 
 
+def _extends(state: GameState, seen: tuple[Round, ...] | None) -> bool:
+    """True when state continues the state whose rounds were seen.
+
+    A mover that builds on the last state it saw resumes only on such a
+    state and starts afresh on any other; the same state again extends
+    itself by no rounds.
+    """
+    return seen is not None and state.rounds[: len(seen)] == seen
+
+
 class FullSetI:
     """Plays the full set every round."""
 
@@ -162,7 +174,18 @@ class ExcludeUnionI:
 
     def start(self, f: FilterExpr, seed: int) -> _Mover:
         domain = dom_of(f)
-        return _Mover(lambda state: set_complement(fin_set(state.union_points(), domain)))
+        seen = c = None  # the last state's rounds and the move made for it
+
+        def move(state: GameState) -> SetExpr:
+            nonlocal seen, c
+            if _extends(state, seen):
+                c = set_without(c, [p for r in state.rounds[len(seen) :] for p in r.f])
+            else:
+                c = set_complement(fin_set(state.union_points(), domain))
+            seen = state.rounds
+            return c
+
+        return _Mover(move)
 
 
 class CopyStrategyI:
@@ -185,7 +208,22 @@ class CopyStrategyI:
             raise DomainError(
                 f"copy strategy needs an indexed source domain, not {domain_to_source(source)}"
             )
-        return _Mover(lambda state: sigma.image_set(tail_columns(source, state.round_number)))
+        # the move depends only on the round number: a later round empties
+        # the columns from the last round seen up to its own
+        last = cols = None  # the last round number seen and tail_columns for it
+
+        def move(state: GameState) -> SetExpr:
+            nonlocal last, cols
+            n = state.round_number
+            if last is not None and last <= n:
+                new = {i: empty_set(component(source, i)) for i in range(last, n)}
+                cols = with_sections(cols, new)
+            else:
+                cols = tail_columns(source, n)
+            last = n
+            return sigma.image_set(cols)
+
+        return _Mover(move)
 
 
 def tail_columns(domain: DomainExpr, n: int) -> SetExpr:
@@ -281,15 +319,16 @@ class FreshElementII:
 
     def start(self, f: FilterExpr, seed: int) -> _Mover:
         domain, bound = dom_of(f), self.bound
-        # enumeration indices below low were all claimed by round last;
-        # claims only grow within a game, so a later round resumes there
-        low, last = 0, -1
+        # enumeration indices below low were all claimed in the state whose
+        # rounds are seen; claims only grow along a game, so a state that
+        # extends it resumes there
+        low, seen = 0, None
 
         def move(state: GameState, c: SetExpr) -> tuple[Point, ...]:
-            nonlocal low, last
-            if state.round_number <= last:
+            nonlocal low, seen
+            if not _extends(state, seen):
                 low = 0
-            last = state.round_number
+            seen = state.rounds
             for m in range(low, bound):
                 p = enum_point(domain, m)
                 if point_key(p) in state.claimed:

@@ -331,6 +331,62 @@ def set_intersect(a: SetExpr, b: SetExpr) -> SetExpr:
     return _binop(a, b, "intersect")
 
 
+def set_without(a: SetExpr, points: Iterable[Point]) -> SetExpr:
+    """a minus a finite point set, checking only the given points.
+
+    Each point goes into its leaf by bisection, and a sectionwise set
+    rebuilds only the sections the points fall in, so the cost follows the
+    points, not the size of a.
+    """
+    validate_set(a)
+    pts = list(points)
+    for p in pts:
+        check_point(p, a.domain)
+    return _without(a, pts)
+
+
+def _without(a: SetExpr, pts: list[Point]) -> SetExpr:
+    if not pts:
+        return a
+    if isinstance(a, SectionFamily):
+        groups: dict[int, list[Point]] = {}
+        for p in pts:
+            i, rest = split_point(p)
+            groups.setdefault(i, []).append(rest)
+        return with_sections(a, {i: _without(a.at(i), rests) for i, rests in groups.items()})
+    # a leaf lists sorted points: a FinSet its members, a CofinSet its gaps
+    listed = a.elements if isinstance(a, FinSet) else a.excluded
+    held = list(listed)
+    for p in pts:
+        k = point_key(p)
+        i = bisect_left(held, k, key=point_key)
+        present = i < len(held) and point_key(held[i]) == k
+        if isinstance(a, FinSet) and present:
+            del held[i]
+        elif isinstance(a, CofinSet) and not present:
+            held.insert(i, p)
+    if len(held) == len(listed):
+        return a
+    return _marked(type(a)(tuple(held), a.domain))
+
+
+def with_sections(a: SetExpr, sections: Mapping[int, SetExpr]) -> SetExpr:
+    """a with some sections replaced, checking only the new sections.
+
+    A new section equal to the tail is dropped from the exception table;
+    every other section of a is reused as it is.
+    """
+    validate_set(a)
+    if not isinstance(a, SectionFamily):
+        raise NotNormalForm(f"with_sections needs a SectionFamily, got {type(a).__name__}")
+    for i, sec in sections.items():
+        if i < 0:
+            raise NotNormalForm("exception keys must be naturals")
+        validate_set(sec, component(a.domain, i))
+    excs = exception_table(dict(a.exceptions) | dict(sections), a.tail)
+    return _marked(SectionFamily(excs, a.tail, a.domain))
+
+
 @dataclass(frozen=True)
 class Finite:
     count: int
@@ -413,7 +469,12 @@ def is_cofinite(a: SetExpr, full: bool = False) -> bool:
 
 
 def first_point(a: SetExpr) -> Point | None:
-    """Least member in canonical order, or None for the empty set."""
+    """Least member in canonical order, or None for the empty set.
+
+    A sectionwise set is read in one pass over its exception table: the
+    exceptions in index order, with the tail tried once, at the first index
+    no exception lists.
+    """
     if isinstance(a, FinSet):
         return a.elements[0] if a.elements else None
     if isinstance(a, CofinSet):
@@ -422,11 +483,16 @@ def first_point(a: SetExpr) -> Point | None:
         ex = a.excluded
         return NatPt(bisect_left(range(len(ex)), True, key=lambda i: ex[i].n > i))
     if isinstance(a, SectionFamily):
-        for i in range(fresh_index(a.keys) + 1):
-            p = first_point(section(a, i))
+        tail = first_point(a.tail)
+        gap = 0  # the least index past the exceptions read so far
+        for i, sec in a.exceptions:
+            if gap < i and tail is not None:
+                break
+            p = first_point(sec)
             if p is not None:
                 return make_point(a.domain, i, p)
-        return None
+            gap = i + 1
+        return None if tail is None else make_point(a.domain, gap, tail)
     raise DomainError(f"not a SetExpr: {a!r}")
 
 

@@ -3,6 +3,8 @@
 These count calls, never wall time, so they are deterministic.
 """
 
+import math
+
 import filterlab.filters as filters
 import filterlab.game as game
 import filterlab.rank as rank
@@ -234,3 +236,27 @@ def test_principal_membership_builds_no_set(monkeypatch):
     verdicts = [member(f, a) for f, a in pairs]
     assert any(verdicts) and not all(verdicts)
     assert built == [[], [], []]
+
+
+def test_exclude_union_checks_each_claim_at_most_twice(monkeypatch):
+    # 19,900 check_point calls when every move rebuilt the union's complement
+    rounds = 200
+    checks = counting(monkeypatch, "check_point", sets_module)
+    t = play(frechet(NAT), ExcludeUnionI(), UniversalII(), rounds, seed=0)
+    assert len(checks) <= 2 * claims(t)
+
+
+def test_exclude_union_rounds_are_r_log_r_in_point_keys(monkeypatch):
+    # 21,653 calls when every move re-sorted the whole union
+    rounds = 200
+    calls = counting_point_key(monkeypatch)
+    play(frechet(NAT), ExcludeUnionI(), UniversalII(), rounds, seed=0)
+    assert len(calls) <= 4 * rounds * math.ceil(math.log2(rounds))
+
+
+def test_copy_rounds_read_a_bounded_number_of_sections(monkeypatch):
+    # 13,704 section calls when first_point read the columns index by index
+    rounds = 80
+    sections = counting(monkeypatch, "section", sets_module)
+    play(katetov(2), CopyStrategyI(), RandomFiniteII(), rounds, seed=0)
+    assert len(sections) <= 8 * rounds

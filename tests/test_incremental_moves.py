@@ -1,0 +1,325 @@
+"""Moves built from the last move agree with the moves built from scratch.
+
+The exclude-union player keeps the last state it answered and the move it
+made for it, and derives the next move by removing only the new claims
+(set_without).  The copy player keeps the last round number and its
+columns, and empties only the new columns (with_sections).  Every
+incremental move here is compared with the from-scratch definition, along
+whole games and along forked, rewound and repeated states.  first_point is
+compared with the index-by-index walk it replaced, copied below.
+"""
+
+from dataclasses import dataclass
+from random import Random
+
+import pytest
+
+from filterlab.domains import (
+    DSum,
+    DomainError,
+    DomainExpr,
+    NAT,
+    NatPt,
+    PairPt,
+    Prod,
+    UNIT,
+    component,
+    fresh_index,
+    is_indexed,
+    make_point,
+    points_within,
+)
+from filterlab.filters import IdentityBij, dom_of, frechet, katetov, product
+from filterlab.game import (
+    CopyStrategyI,
+    ExcludeUnionI,
+    FreshElementII,
+    FullSetI,
+    GameState,
+    RandomFiniteII,
+    Round,
+    UniversalII,
+    copy_column_bound,
+    play,
+    tail_columns,
+    validate_transcript,
+)
+from filterlab.sets import (
+    CofinSet,
+    FinSet,
+    NotNormalForm,
+    SectionFamily,
+    fin_set,
+    first_point,
+    full_set,
+    gen_random_setexpr,
+    section,
+    section_family,
+    set_complement,
+    set_intersect,
+    set_without,
+    with_sections,
+)
+
+FILTERS = {
+    "frechet": frechet(NAT),
+    "katetov(1)": katetov(1),
+    "katetov(2)": katetov(2),
+    "product": product(frechet(NAT), frechet(NAT)),
+}
+DOMAINS = [NAT, Prod(NAT), Prod(Prod(UNIT)), DSum((Prod(UNIT),), NAT)]
+PLAYERS_II = {"universal": UniversalII, "fresh": FreshElementII, "random": RandomFiniteII}
+
+
+@dataclass(frozen=True)
+class ColumnSwap:
+    """The bijection of an indexed domain that swaps columns i and j."""
+
+    domain: DomainExpr
+    i: int
+    j: int
+
+    def source_domain(self):
+        return self.domain
+
+    def _swap(self, k):
+        return self.j if k == self.i else self.i if k == self.j else k
+
+    def unapply(self, q):
+        return make_point(self.domain, self._swap(q.i), q.rest)
+
+    def image_set(self, a):
+        excs = {k: sec for k, sec in a.exceptions}
+        for k in (self.i, self.j):
+            excs[self._swap(k)] = a.at(k)
+        return section_family(excs, a.tail, a.domain)
+
+
+def sigmas(f):
+    d = dom_of(f)
+    return [None, ColumnSwap(d, 0, 2), ColumnSwap(d, 1, 5)]
+
+
+def scratch_exclude_union(f):
+    return lambda state: set_complement(fin_set(state.union_points(), dom_of(f)))
+
+
+def scratch_copy(f, sigma):
+    sigma = sigma if sigma is not None else IdentityBij(dom_of(f))
+    return lambda state: sigma.image_set(tail_columns(dom_of(f), state.round_number))
+
+
+class Checked:
+    """A player I strategy whose every move is compared with the scratch move."""
+
+    def __init__(self, inner, scratch):
+        self.inner, self.scratch, self.name = inner, scratch, inner.name
+        self.moves = 0
+
+    def start(self, f, seed):
+        mover = self.inner.start(f, seed)
+
+        class Mover:
+            def move(_, state):
+                c = mover.move(state)
+                assert c == self.scratch(state), state.round_number
+                self.moves += 1
+                return c
+
+        return Mover()
+
+
+def states_of(t):
+    states = [GameState(t.filt)]
+    for r in t.rounds:
+        states.append(states[-1].after(r))
+    return states
+
+
+# ---------------------------------------------------------------------------
+# whole games
+
+
+@pytest.mark.parametrize("fname", FILTERS)
+@pytest.mark.parametrize("p2", PLAYERS_II)
+def test_exclude_union_moves_match_the_scratch_move(fname, p2):
+    f = FILTERS[fname]
+    for seed in (0, 1):
+        player = Checked(ExcludeUnionI(), scratch_exclude_union(f))
+        t = play(f, player, PLAYERS_II[p2](), 25, seed)
+        assert player.moves == 25 and validate_transcript(t) == []
+
+
+@pytest.mark.parametrize("fname", [n for n in FILTERS if is_indexed(dom_of(FILTERS[n]))])
+@pytest.mark.parametrize("p2", PLAYERS_II)
+def test_copy_moves_match_the_scratch_move(fname, p2):
+    f = FILTERS[fname]
+    for sigma in sigmas(f):
+        player = Checked(CopyStrategyI(sigma), scratch_copy(f, sigma))
+        t = play(f, player, PLAYERS_II[p2](), 20, seed=3)
+        assert player.moves == 20 and validate_transcript(t) == []
+        assert copy_column_bound(t, sigma)[0]
+
+
+# ---------------------------------------------------------------------------
+# forked, rewound and repeated states
+
+
+def walk(a, b):
+    """States that go forward, repeat, rewind, fork to b and back to a."""
+    rebuilt = GameState(a[5].filt)
+    for r in a[5].rounds:
+        rebuilt = rebuilt.after(r)
+    return a[:9] + [a[8], a[8], a[3], a[4], rebuilt, a[6], b[6], b[7], b[3], a[7], a[10], a[0]]
+
+
+@pytest.mark.parametrize("fname", ["katetov(2)", "product"])
+def test_off_path_states_get_the_scratch_move(fname):
+    f = FILTERS[fname]
+    a = states_of(play(f, ExcludeUnionI(), RandomFiniteII(), 12, seed=0))
+    b = states_of(play(f, ExcludeUnionI(), RandomFiniteII(), 12, seed=1))
+    assert a[6].claimed != b[6].claimed
+    players = [(ExcludeUnionI(), scratch_exclude_union(f))]
+    players += [(CopyStrategyI(s), scratch_copy(f, s)) for s in sigmas(f)]
+    for player, scratch in players:
+        mover = player.start(f, 0)
+        for state in walk(a, b):
+            assert mover.move(state) == scratch(state)
+
+
+def test_fresh_player_restarts_on_a_state_from_another_game():
+    f = frechet(NAT)
+    mover = FreshElementII().start(f, 0)
+    full = full_set(NAT)
+    state = GameState(f)
+    for _ in range(5):
+        pts = mover.move(state, full)
+        state = state.after(Round(full, pts))
+    other = GameState(f)
+    for k in range(100, 106):
+        other = other.after(Round(full, (NatPt(k),)))
+    assert mover.move(other, full) == (NatPt(0),)
+
+
+def test_fresh_player_resumes_on_a_repeated_state():
+    f = frechet(NAT)
+    t = play(f, FullSetI(), FreshElementII(), 6, seed=0)
+    states = states_of(t)
+    mover = FreshElementII().start(f, 0)
+    full = full_set(NAT)
+    answers = [mover.move(s, full) for s in states + states[::-1]]
+    assert answers == [(NatPt(n),) for n in list(range(7)) + list(range(6, -1, -1))]
+
+
+def test_out_of_domain_claim_is_refused_on_both_paths():
+    f = frechet(NAT)
+    bad = GameState(f).after(Round(full_set(NAT), (PairPt(0, NatPt(1)),)))
+    with pytest.raises(DomainError):
+        scratch_exclude_union(f)(bad)
+    for warm in (False, True):
+        mover = ExcludeUnionI().start(f, 0)
+        if warm:
+            mover.move(GameState(f))
+        with pytest.raises(DomainError):
+            mover.move(bad)
+        # the refused state is not taken as the last one seen
+        good = GameState(f).after(Round(full_set(NAT), (NatPt(3),)))
+        assert mover.move(good) == scratch_exclude_union(f)(good)
+
+
+# ---------------------------------------------------------------------------
+# the set constructors
+
+
+def random_points(d, rng):
+    grid = points_within(d, 6)
+    return rng.sample(grid, min(len(grid), rng.randrange(6)))
+
+
+@pytest.mark.parametrize("d", DOMAINS, ids=repr)
+def test_set_without_is_the_intersection_with_a_cofinite_set(d):
+    rng = Random(7)
+    for seed in range(400):
+        a = gen_random_setexpr(d, 8, seed)
+        pts = random_points(d, rng)
+        ref = set_intersect(a, set_complement(fin_set(pts, d)))
+        assert set_without(a, pts) == ref, (a, pts)
+        assert set_without(set_complement(a), pts) == set_intersect(
+            set_complement(a), set_complement(fin_set(pts, d))
+        )
+
+
+def test_set_without_checks_its_points():
+    with pytest.raises(DomainError):
+        set_without(full_set(NAT), [PairPt(0, NatPt(1))])
+    with pytest.raises(DomainError):
+        set_without(full_set(Prod(NAT)), [NatPt(1)])
+
+
+@pytest.mark.parametrize("d", [Prod(NAT), Prod(Prod(UNIT)), DSum((Prod(UNIT),), NAT)], ids=repr)
+def test_with_sections_is_the_rebuilt_family(d):
+    rng = Random(11)
+    for seed in range(400):
+        a = gen_random_setexpr(d, 8, seed)
+        keys = rng.sample(range(10), rng.randrange(4))
+        new = {i: gen_random_setexpr(component(d, i), 8, seed + 1000 + i) for i in keys}
+        if keys and component(d, keys[0]) == a.tail.domain and rng.random() < 0.3:
+            new[keys[0]] = a.tail
+        excs = dict(a.exceptions) | new
+        assert with_sections(a, new) == section_family(excs, a.tail, d), (a, new)
+
+
+def test_with_sections_drops_a_section_equal_to_the_tail():
+    d = Prod(NAT)
+    a = set_complement(fin_set([PairPt(2, NatPt(0))], d))
+    b = with_sections(a, {2: full_set(NAT)})
+    assert b == full_set(d) and b.exceptions == ()
+
+
+def test_with_sections_refuses_bad_sections():
+    a = full_set(Prod(NAT))
+    with pytest.raises(NotNormalForm):
+        with_sections(a, {-1: full_set(NAT)})
+    with pytest.raises(NotNormalForm):
+        with_sections(a, {0: full_set(Prod(NAT))})
+    with pytest.raises(NotNormalForm):
+        with_sections(full_set(NAT), {0: full_set(NAT)})
+
+
+# ---------------------------------------------------------------------------
+# first_point
+
+
+def old_first_point(a):
+    """first_point as it was: every index up to the first past the exceptions."""
+    if isinstance(a, FinSet):
+        return a.elements[0] if a.elements else None
+    if isinstance(a, CofinSet):
+        ex = a.excluded
+        n = 0
+        while n < len(ex) and ex[n].n == n:
+            n += 1
+        return NatPt(n)
+    if isinstance(a, SectionFamily):
+        for i in range(fresh_index(a.keys) + 1):
+            p = old_first_point(section(a, i))
+            if p is not None:
+                return make_point(a.domain, i, p)
+        return None
+    raise AssertionError(a)
+
+
+@pytest.mark.parametrize("d", DOMAINS, ids=repr)
+def test_first_point_agrees_with_the_index_walk_on_random_sets(d):
+    for seed in range(400):
+        a = gen_random_setexpr(d, 8, seed)
+        for b in (a, set_complement(a)):
+            assert first_point(b) == old_first_point(b), b
+
+
+@pytest.mark.parametrize("d", [Prod(NAT), Prod(Prod(UNIT)), DSum((Prod(UNIT),), NAT)], ids=repr)
+def test_first_point_agrees_with_the_index_walk_on_tail_columns(d):
+    for n in range(1 if isinstance(d, DSum) else 0, 101):
+        a = tail_columns(d, n)
+        for b in (a, set_complement(a)):
+            assert first_point(b) == old_first_point(b), (d, n)
