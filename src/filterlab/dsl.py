@@ -685,7 +685,13 @@ def _table(pairs, key=str, value=str) -> str:
 
 def set_to_source(a: SetExpr | SeqExpr) -> str:
     """Source of a set or a sequence, tagged with its domain where the
-    parser would not infer that domain from the printed shape."""
+    parser would not infer that domain from the printed shape.
+
+    A marked table keeps its text, so a section that many sets share is
+    printed once; a leaf, printed without recursion, keeps nothing."""
+    kept = getattr(a, "_source", None)
+    if kept is not None:
+        return kept
     if isinstance(a, FinSet):
         body = "fin{" + ",".join(point_to_source(p) for p in a.elements) + "}"
     elif isinstance(a, CofinSet):
@@ -694,15 +700,22 @@ def set_to_source(a: SetExpr | SeqExpr) -> str:
         body = f"seq({_table(a.entries, point_to_source)},{a.tail})"
     elif isinstance(a, (SectionFamily, SectionSeq)):
         head = "sections" if isinstance(a, SectionFamily) else "seq"
-        body = f"{head}({_table(a.exceptions, value=set_to_source)},{set_to_source(a.tail)})"
+        body = f"{head}({_table(a.exceptions, value=_kept_source)},{_kept_source(a.tail)})"
     else:
         raise DomainError(f"not a printable set: {a!r}")
     if _shape_domain(a) != a.domain:
-        return f"{body}@{domain_to_source(a.domain)}"
+        body = f"{body}@{domain_to_source(a.domain)}"
+    if isinstance(a, SectionFamily) and a._valid:
+        object.__setattr__(a, "_source", body)
     return body
 
 
 seq_to_source = set_to_source
+
+
+def _kept_source(a: SetExpr | SeqExpr) -> str:
+    """The text a table keeps, printing it first where it has none."""
+    return getattr(a, "_source", None) or set_to_source(a)
 
 
 def _shape_domain(a: SetExpr | SeqExpr) -> DomainExpr:
@@ -715,6 +728,11 @@ def _shape_domain(a: SetExpr | SeqExpr) -> DomainExpr:
         return a.domain if a.entries else NAT
     if isinstance(a, CofinSet):
         return NAT
+    if isinstance(a, SectionFamily) and a._valid:
+        # validation gives each section the component at its index, so the
+        # sections sum to the set's own domain, save a dsum that lists none
+        d = a.domain
+        return Prod(d.tail) if isinstance(d, DSum) and not d.exceptions else d
     return sum_domain({i: e.domain for i, e in a.exceptions}, a.tail.domain)
 
 

@@ -9,8 +9,9 @@ transcripts and checks per-round invariants; no winner is ever declared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from random import Random
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .domains import (
     DomainError,
@@ -83,32 +84,87 @@ class Round:
     f: tuple[Point, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
+class _Log:
+    """The rounds of one line of play, shared by the states along it.
+
+    Only a state at the tip appends, so the log never changes below its
+    tip.  claims maps the key of every claimed point to the first round that
+    claimed it and the point, in the order of claiming; sizes[n] is how many
+    points the first n rounds claimed.
+    """
+
+    rounds: list[Round] = field(default_factory=list)
+    claims: dict[tuple[int, ...], tuple[int, Point]] = field(default_factory=dict)
+    sizes: list[int] = field(default_factory=lambda: [0])
+
+    def prefix(self, n: int) -> _Log:
+        """A new log holding the first n rounds of this one."""
+        claims = dict(islice(self.claims.items(), self.sizes[n]))
+        return _Log(self.rounds[:n], claims, self.sizes[: n + 1])
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class GameState:
     """The rounds played so far, with the union of player II's claims.
 
+    A state is the first round_number rounds of a log that the states
+    extending each other share, after the fat-node method of Driscoll,
+    Sarnak, Sleator and Tarjan.  `after` on the state at the log's tip
+    appends to the log; on an older state it first copies the rounds that
+    state holds, so a state a strategy holds never sees later claims.
     `claimed` maps the key of every point claimed so far to the point, in
-    ascending key order; it is the running union.  `after` copies it before
-    adding a round's claims, so a state a strategy holds never sees later
-    claims.
+    ascending key order; it is the running union, built on each read.  Two
+    states are equal when they hold the same filter and rounds.
     """
 
     filt: FilterExpr
-    rounds: tuple[Round, ...] = ()
-    claimed: Mapping[tuple[int, ...], Point] = field(default_factory=dict, compare=False, repr=False)
+    _log: _Log = field(default_factory=_Log)
+    _n: int = 0
 
     @property
     def round_number(self) -> int:
-        return len(self.rounds)
+        return self._n
+
+    @property
+    def rounds(self) -> tuple[Round, ...]:
+        return tuple(self._log.rounds[: self._n])
+
+    @property
+    def claimed(self) -> dict[tuple[int, ...], Point]:
+        claims = islice(self._log.claims.items(), self._log.sizes[self._n])
+        return {k: p for k, (_, p) in sorted(claims)}
 
     def union_points(self) -> tuple[Point, ...]:
         return tuple(self.claimed.values())
 
+    def _has_claimed(self, k: tuple[int, ...]) -> bool:
+        """True when the rounds this state holds claimed the point keyed k."""
+        entry = self._log.claims.get(k)
+        return entry is not None and entry[0] < self._n
+
     def after(self, r: Round) -> GameState:
-        claimed = dict(self.claimed)
-        if _claim(claimed, r.f):
-            claimed = dict(sorted(claimed.items()))
-        return GameState(self.filt, self.rounds + (r,), claimed)
+        log, n = self._log, self._n
+        if len(log.rounds) > n:
+            log = log.prefix(n)
+        for p in r.f:
+            log.claims.setdefault(point_key(p), (n, p))
+        log.rounds.append(r)
+        log.sizes.append(len(log.claims))
+        return GameState(self.filt, log, n + 1)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GameState):
+            return NotImplemented
+        if self.filt != other.filt or self._n != other._n:
+            return False
+        return self._log is other._log or self.rounds == other.rounds
+
+    def __hash__(self) -> int:
+        return hash((self.filt, self.rounds))
+
+    def __repr__(self) -> str:
+        return f"GameState(filt={self.filt!r}, rounds={self.rounds!r})"
 
 
 @dataclass(frozen=True)
@@ -147,14 +203,15 @@ class _Mover:
     move: Callable
 
 
-def _extends(state: GameState, seen: tuple[Round, ...] | None) -> bool:
-    """True when state continues the state whose rounds were seen.
+def _extends(state: GameState, seen: GameState | None) -> bool:
+    """True when state continues seen: both hold one log, and state holds at
+    least as many of its rounds.
 
     A mover that builds on the last state it saw resumes only on such a
     state and starts afresh on any other; the same state again extends
     itself by no rounds.
     """
-    return seen is not None and state.rounds[: len(seen)] == seen
+    return seen is not None and state._log is seen._log and state._n >= seen._n
 
 
 class FullSetI:
@@ -174,15 +231,16 @@ class ExcludeUnionI:
 
     def start(self, f: FilterExpr, seed: int) -> _Mover:
         domain = dom_of(f)
-        seen = c = None  # the last state's rounds and the move made for it
+        seen = c = None  # the last state seen and the move made for it
 
         def move(state: GameState) -> SetExpr:
             nonlocal seen, c
             if _extends(state, seen):
-                c = set_without(c, [p for r in state.rounds[len(seen) :] for p in r.f])
+                new = state._log.rounds[seen.round_number : state.round_number]
+                c = set_without(c, [p for r in new for p in r.f])
             else:
                 c = set_complement(fin_set(state.union_points(), domain))
-            seen = state.rounds
+            seen = state
             return c
 
         return _Mover(move)
@@ -319,19 +377,19 @@ class FreshElementII:
 
     def start(self, f: FilterExpr, seed: int) -> _Mover:
         domain, bound = dom_of(f), self.bound
-        # enumeration indices below low were all claimed in the state whose
-        # rounds are seen; claims only grow along a game, so a state that
-        # extends it resumes there
+        # enumeration indices below low were all claimed in the state seen
+        # last; claims only grow along a game, so a state that extends it
+        # resumes there
         low, seen = 0, None
 
         def move(state: GameState, c: SetExpr) -> tuple[Point, ...]:
             nonlocal low, seen
             if not _extends(state, seen):
                 low = 0
-            seen = state.rounds
+            seen = state
             for m in range(low, bound):
                 p = enum_point(domain, m)
-                if point_key(p) in state.claimed:
+                if state._has_claimed(point_key(p)):
                     if m == low:
                         low += 1
                 elif set_member(p, c):
@@ -346,7 +404,8 @@ class RandomFiniteII:
 
     Points are drawn near the front of the move: each draw walks the set,
     picking a random nonempty section within `window` of the least occupied
-    index at every level.
+    index at every level.  The move's first point is found once a round and
+    serves every draw.
     """
 
     name = "random"
@@ -358,24 +417,26 @@ class RandomFiniteII:
         rng, window = Random(2 * seed + 1), self.window
 
         def move(state: GameState, c: SetExpr) -> tuple[Point, ...]:
-            return tuple(_random_member(c, rng, window) for _ in range(1 + rng.randrange(3)))
+            lead = first_point(c)
+            return tuple(_random_member(c, rng, window, lead) for _ in range(1 + rng.randrange(3)))
 
         return _Mover(move)
 
 
-def _random_member(a: SetExpr, rng: Random, window: int) -> Point:
-    """A member of a nonempty set, biased toward small coordinates."""
+def _random_member(a: SetExpr, rng: Random, window: int, lead: Point | None = None) -> Point:
+    """A member of a nonempty set, biased toward small coordinates; lead,
+    where given, is the set's first point."""
     if isinstance(a, FinSet):
         if not a.elements:
             raise SearchExhausted("drew from an empty set")
         return rng.choice(a.elements)
     if isinstance(a, CofinSet):
-        cut = {point_key(q)[0] for q in a.excluded}
-        while True:
-            n = rng.randrange(window + len(cut))
-            if n not in cut:
-                return NatPt(n)
-    lead = first_point(a)
+        while True:  # set_member bisects the excluded points
+            p = NatPt(rng.randrange(window + len(a.excluded)))
+            if set_member(p, a):
+                return p
+    if lead is None:
+        lead = first_point(a)
     if lead is None:
         raise SearchExhausted("drew from an empty set")
     lo = point_key(lead)[0]
@@ -492,19 +553,25 @@ def copy_column_bound(t: Transcript, sigma=None) -> tuple[bool, list[str]]:
     counts: dict[int, int] = {}
     least: dict[int, tuple[int, ...]] = {}  # least union key in each column
     spent = [0]  # spent[m] is the sum of |F_j| for j < m
+    # the columns over budget at the last round and those this round adds
+    # to: a column's budget never falls, so no other column can be over it
+    over: set[int] = set()
     for r, rnd in enumerate(t.rounds):
         spent.append(spent[-1] + len(rnd.f))
         for k in _claim(union, rnd.f):
             col = point_key(sigma.unapply(union[k]))[0]
             counts[col] = counts.get(col, 0) + 1
             least[col] = min(least.get(col, k), k)
+            over.add(col)
         # columns in the order the sorted union first meets them
-        for col in sorted(counts, key=least.__getitem__):
+        for col in sorted(over, key=least.__getitem__):
             budget = spent[max(min(col, r) + 1, 0)]
             if counts[col] > budget:
                 problems.append(
                     f"round {r}: column {col} holds {counts[col]} points, budget {budget}"
                 )
+            else:
+                over.discard(col)
     return not problems, problems
 
 

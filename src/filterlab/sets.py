@@ -84,6 +84,9 @@ class SectionFamily(SetExpr, ExceptionTable):
     exceptions: tuple[tuple[int, SetExpr], ...]
     tail: SetExpr
     domain: DomainExpr
+    # the printed source of a marked table, kept by dsl.set_to_source; like
+    # _valid, never part of eq, hash or repr
+    _source: str | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ These count calls, never wall time, so they are deterministic.
 
 import math
 
+import filterlab.dsl as dsl
 import filterlab.filters as filters
 import filterlab.game as game
 import filterlab.rank as rank
@@ -25,7 +26,13 @@ from filterlab.game import (
     transcript_lines,
 )
 from filterlab.rank import rank_bounds
-from filterlab.sets import gen_random_setexpr, set_complement, set_intersect, set_union
+from filterlab.sets import (
+    SectionFamily,
+    gen_random_setexpr,
+    set_complement,
+    set_intersect,
+    set_union,
+)
 
 
 def meet_chain(length: int):
@@ -260,3 +267,62 @@ def test_copy_rounds_read_a_bounded_number_of_sections(monkeypatch):
     sections = counting(monkeypatch, "section", sets_module)
     play(katetov(2), CopyStrategyI(), RandomFiniteII(), rounds, seed=0)
     assert len(sections) <= 8 * rounds
+
+
+def test_states_along_one_game_copy_no_claims(monkeypatch):
+    # 160,000 entries when each state copied the union and re-sorted it
+    copied = []
+
+    def counting_dict(*args):
+        d = dict(*args)
+        copied.append(len(d))
+        return d
+
+    # every dict that game.py builds by a call, which is how a state copies
+    monkeypatch.setattr(game, "dict", counting_dict, raising=False)
+    rounds = 400
+    play(frechet(NAT), FullSetI(), FreshElementII(), rounds, seed=0)
+    assert sum(copied) <= 4 * rounds
+
+
+def set_nodes(a, seen: dict) -> dict:
+    """The set nodes reachable from a, by identity."""
+    if id(a) not in seen:
+        seen[id(a)] = a
+        if isinstance(a, SectionFamily):
+            for _, sec in a.exceptions:
+                set_nodes(sec, seen)
+            set_nodes(a.tail, seen)
+    return seen
+
+
+def test_transcript_lines_prints_each_set_node_once(monkeypatch):
+    # 1,680 set_to_source calls for 120 nodes, and 860 sum_domain calls, when
+    # every round printed its whole move and decided each table's tag by
+    # summing the domains of its entries
+    t = play(katetov(2), CopyStrategyI(), RandomFiniteII(), 40, seed=0)
+    nodes: dict = {}
+    for r in t.rounds:
+        set_nodes(r.c, nodes)
+    calls = []
+    inner = dsl.set_to_source
+
+    def set_to_source(a):
+        calls.append(a)
+        return inner(a)
+
+    monkeypatch.setattr(dsl, "set_to_source", set_to_source)
+    monkeypatch.setattr(game, "set_to_source", set_to_source)
+    sums = counting(monkeypatch, "sum_domain", dsl)
+    transcript_lines(t)
+    assert len(calls) <= len(nodes)
+    assert sums == []
+
+
+def test_random_answers_find_the_move_first_point_once(monkeypatch):
+    # 78 first_point calls on the moves for 40 answers when each draw walked
+    # the move's table afresh
+    calls = counting(monkeypatch, "first_point", game)
+    t = play(katetov(2), CopyStrategyI(), RandomFiniteII(), 40, seed=0)
+    moves = {id(r.c) for r in t.rounds}
+    assert sum(1 for a in calls if id(a) in moves) <= len(t.rounds)

@@ -6,7 +6,10 @@ made for it, and derives the next move by removing only the new claims
 columns, and empties only the new columns (with_sections).  Every
 incremental move here is compared with the from-scratch definition, along
 whole games and along forked, rewound and repeated states.  first_point is
-compared with the index-by-index walk it replaced, copied below.
+compared with the index-by-index walk it replaced, copied below.  States
+share one log of rounds and copy it when they fork; the random player's
+draws are compared with the draw loop that built a set of the excluded
+points, copied below.
 """
 
 from dataclasses import dataclass
@@ -27,6 +30,7 @@ from filterlab.domains import (
     fresh_index,
     is_indexed,
     make_point,
+    point_key,
     points_within,
 )
 from filterlab.filters import IdentityBij, dom_of, frechet, katetov, product
@@ -39,6 +43,7 @@ from filterlab.game import (
     RandomFiniteII,
     Round,
     UniversalII,
+    _random_member,
     copy_column_bound,
     play,
     tail_columns,
@@ -49,6 +54,7 @@ from filterlab.sets import (
     FinSet,
     NotNormalForm,
     SectionFamily,
+    cofin_set,
     fin_set,
     first_point,
     full_set,
@@ -323,3 +329,71 @@ def test_first_point_agrees_with_the_index_walk_on_tail_columns(d):
         a = tail_columns(d, n)
         for b in (a, set_complement(a)):
             assert first_point(b) == old_first_point(b), (d, n)
+
+
+# ---------------------------------------------------------------------------
+# one log per line of play
+
+
+def test_forked_states_keep_their_own_rounds_and_claims():
+    f = katetov(2)
+    t = play(f, ExcludeUnionI(), RandomFiniteII(), 12, seed=0)
+    u = play(f, ExcludeUnionI(), RandomFiniteII(), 12, seed=1)
+    a = states_of(t)
+    # b forks from a[5], which a[6] already extends; then a[5] forks again
+    # with a's own round, and the new state a[6] continues a's line
+    b = [a[5]]
+    for r in u.rounds[5:]:
+        b.append(b[-1].after(r))
+    again = a[5].after(t.rounds[5])
+    a.append(a[-1].after(u.rounds[0]))
+    lines = [(a, t.rounds + u.rounds[:1]), (b, t.rounds[:5] + u.rounds[5:])]
+    for states, rounds in lines:
+        for state in states:
+            n = state.round_number
+            want = {point_key(p): p for r in rounds[:n] for p in r.f}
+            assert state.rounds == rounds[:n]
+            assert list(state.claimed) == sorted(want) and len(state.claimed) == len(want)
+            assert dict(state.claimed) == want
+            assert state.union_points() == tuple(want[k] for k in sorted(want))
+            later = [point_key(p) for r in rounds[n:] for p in r.f]
+            assert all((k in state.claimed) == (k in want) for k in later)
+    assert again == a[6] and hash(again) == hash(a[6]) and repr(again) == repr(a[6])
+    assert a[6] != b[1] and a[5] == b[0] == GameState(f, a[5]._log, 5)
+    assert repr(a[1]) == f"GameState(filt={f!r}, rounds={t.rounds[:1]!r})"
+
+
+# ---------------------------------------------------------------------------
+# random draws
+
+
+def old_cofinite_draw(a, rng, window):
+    cut = {point_key(q)[0] for q in a.excluded}
+    while True:
+        n = rng.randrange(window + len(cut))
+        if n not in cut:
+            return NatPt(n)
+
+
+def test_cofinite_draws_match_the_set_building_loop():
+    for seed in range(300):
+        gen = Random(seed)
+        a = cofin_set([NatPt(gen.randrange(60)) for _ in range(gen.randrange(50))], NAT)
+        window = gen.choice([1, 3, 25])
+        new, old = Random(seed), Random(seed)
+        for _ in range(10):
+            assert _random_member(a, new, window) == old_cofinite_draw(a, old, window)
+        assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("d", [Prod(NAT), Prod(Prod(UNIT)), DSum((Prod(UNIT),), NAT)], ids=repr)
+def test_draws_from_a_given_first_point_match_the_draws_that_find_it(d):
+    for seed in range(200):
+        a = gen_random_setexpr(d, 8, seed)
+        lead = first_point(a)
+        if lead is None:
+            continue
+        new, old = Random(seed), Random(seed)
+        for _ in range(5):
+            assert _random_member(a, new, 4, lead) == _random_member(a, old, 4)
+        assert new.getstate() == old.getstate()
