@@ -134,15 +134,6 @@ class ZFamily:
     def line_contains(self, i: int, p: Point) -> bool:
         return self.line_index_of(p) == i
 
-    def line(self, i: int, trunc: int = 10_000) -> ProgrammaticSet:
-        return ProgrammaticSet(
-            lambda p: self.line_contains(i, p),
-            trunc,
-            self.domain,
-            None,
-            f"Z{i}",
-        )
-
     def line_index_of(self, p: Point) -> int:
         """The unique line through p."""
         key = point_key(p)
@@ -443,14 +434,6 @@ class PullbackSet:
     side: int
     inner: SetExpr
     label: str = ""
-
-    def as_programmatic(self, pair: InterleavedPair, trunc: int = 10_000) -> ProgrammaticSet:
-        def pred(p: Point) -> bool:
-            return set_member(pair.pi(self.side, point_key(p)[0]), self.inner)
-
-        return ProgrammaticSet(
-            pred, trunc, NAT, None, self.label or f"pullback[{self.side}]"
-        )
 
 
 @dataclass(frozen=True)

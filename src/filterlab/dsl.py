@@ -58,6 +58,7 @@ from .filters import (
     SeqExpr,
     TableBij,
     dom_of,
+    filter_family,
     fubini_domain,
     katetov,
     seq_leaf,
@@ -428,10 +429,10 @@ class _Parser:
             entries = self.table(self.parse_nat, self.parse_filter, "filter", open_tok)
             self.expect(",")
         tail = self.parse_filter()
+        inner = filter_family(dict(entries), tail)
         if t.text == "family":
             self.expect(")")
-            return FilterFamily(tuple(sorted(entries)), tail)
-        inner = FilterFamily(tuple(sorted(entries)), tail)
+            return inner
         domain = fubini_domain(inner)
         if self.peek().text == ",":
             self.take()

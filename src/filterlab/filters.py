@@ -256,15 +256,12 @@ class FilterFamily(ExceptionTable):
 class SectionwiseFamily:
     """Family whose i-th member is the cylinder of inner's i-th filter.
 
-    at(i) judges a set by its i-th section only; this is the family shape
+    Member i judges a set by its i-th section only; this is the family shape
     under which a Fubini sum becomes a limit.
     """
 
     inner: FilterFamily
     domain: DomainExpr
-
-    def at(self, i: int) -> "FilterExpr":
-        return SectionFilter(i, self.inner.at(i), self.domain)
 
 
 @dataclass(frozen=True)
@@ -278,12 +275,6 @@ class RepeatedSectionwiseFamily:
 
     inner: FilterFamily
     domain: DomainExpr
-
-    def at(self, n: int) -> "FilterExpr":
-        from .domains import cantor_unpair
-
-        row = cantor_unpair(n)[0]
-        return SectionFilter(row, self.inner.at(row), self.domain)
 
 
 FamilyLike = Union[FilterFamily, SectionwiseFamily, RepeatedSectionwiseFamily]
@@ -617,23 +608,17 @@ def _sectionwise_kernel(
     base_kernel: SetExpr, family: FilterFamily, domain: DomainExpr
 ) -> SetExpr:
     # a co-singleton at (i, rest) is in the sum iff rest avoids F_i's kernel
-    # or the base accepts the index set short of i
-    if isinstance(base_kernel, FinSet):
-        live = {point_key(p)[0] for p in base_kernel.elements}
-        excs = {i: kernel_set(family.at(i)) for i in live}
-        for i in family.keys:
-            excs.setdefault(i, empty_set(dom_of(family.at(i))))
-        _fill_dsum_empties(domain, excs)
-        return section_family(excs, empty_set(tail_component(domain)), domain)
-    dead = {point_key(p)[0] for p in base_kernel.excluded}
+    # or the base accepts the index set short of i: section i of the kernel
+    # is F_i's kernel where the base kernel holds i, and empty elsewhere
+    cofinite = isinstance(base_kernel, CofinSet)
+    listed = base_kernel.excluded if cofinite else base_kernel.elements
     excs = {}
-    for i in sorted(dead | set(family.keys)):
-        if i in dead:
-            excs[i] = empty_set(dom_of(family.at(i)))
-        else:
-            excs[i] = kernel_set(family.at(i))
+    for i in sorted({point_key(p)[0] for p in listed} | set(family.keys)):
+        g = family.at(i)
+        excs[i] = kernel_set(g) if set_member(NatPt(i), base_kernel) else empty_set(dom_of(g))
     _fill_dsum_empties(domain, excs)
-    return section_family(excs, kernel_set(family.tail), domain)
+    tail = kernel_set(family.tail) if cofinite else empty_set(tail_component(domain))
+    return section_family(excs, tail, domain)
 
 
 def _limit_kernel(f: Limit) -> SetExpr:

@@ -26,8 +26,8 @@ from .filters import (
     Principal,
     Product,
     Pushforward,
+    RepeatedSectionwiseFamily,
     SectionFilter,
-    SectionwiseFamily,
     UnsupportedPreimage,
     is_borel_rank_one,
     katetov_depth,
@@ -362,10 +362,8 @@ def _derive(f: RankSubject) -> CertNode:
     depth = katetov_depth(f)
     if depth is not None:
         apps.append(_app("RKat", {"depth": str(depth)}))
-    if isinstance(f, (Product, FubiniSum)):
-        _derive_sum(f, apps, children)
-    elif isinstance(f, Limit):
-        _derive_limit(f, apps, children)
+    if isinstance(f, (Product, FubiniSum, Limit)):
+        _derive_table(f, apps, children)
     elif isinstance(f, Intersection):
         left = _derive(f.left)
         right = _derive(f.right)
@@ -380,26 +378,6 @@ def _derive(f: RankSubject) -> CertNode:
         children.append(_with_role(comp, f"section {f.index}"))
         apps.append(_app("RSection", {"index": str(f.index)}, [comp.final]))
     return _finalize(label, apps, children)
-
-
-def _aggregate(members: Sequence[RankBounds]) -> RankBounds:
-    lo = members[0].lo
-    hi: Ordinal | None = members[0].hi
-    for b in members[1:]:
-        lo = ord_min(lo, b.lo)
-        hi = None if (hi is None or b.hi is None) else ord_max(hi, b.hi)
-    return RankBounds(lo, hi)
-
-
-def _family_candidates(
-    exc_nodes: Sequence[CertNode], tail_node: CertNode, co_admissible: bool
-) -> list[tuple[str, RankBounds]]:
-    """Aggregated member bounds per admissible index set J."""
-    full = _aggregate([n.final for n in exc_nodes] + [tail_node.final])
-    cands = [("full", full)]
-    if co_admissible and exc_nodes:
-        cands.append(("cofinite-beyond-exceptions", tail_node.final))
-    return cands
 
 
 def _pick_lo(
@@ -422,135 +400,91 @@ def _pick_hi(cands: list[tuple[str, RankBounds]]) -> tuple[str, RankBounds] | No
     return best
 
 
-def _co_admissible(base: FilterExpr, keys: Sequence[int]) -> bool:
-    if not keys:
-        return False
-    return member(base, cofin_set([NatPt(i) for i in keys], NAT))
-
-
-def _derive_sum(
-    f: Union[Product, FubiniSum], apps: list[RuleApp], children: list[CertNode]
+def _derive_table(
+    f: Union[Product, FubiniSum, Limit], apps: list[RuleApp], children: list[CertNode]
 ) -> None:
-    base, fam = sum_parts(f)
-    base_node = _derive(base)
-    exc_nodes = [
-        _with_role(_derive(g), f"summand {i}") for i, g in fam.exceptions
-    ]
-    tail_node = _with_role(_derive(fam.tail), "summand tail")
-    children.append(_with_role(base_node, "base"))
-    children.extend(exc_nodes)
-    children.append(tail_node)
-    cands = _family_candidates(exc_nodes, tail_node, _co_admissible(base, fam.keys))
+    """Sum or limit rules over a base and the members of an indexed family.
 
-    j, agg = _pick_lo(cands, base_node.final)
-    apps.append(
-        _app(
-            "RFubLo",
-            {"J": j, "xi": ord_str(agg.lo), "alpha": ord_str(base_node.final.lo)},
-            [agg, base_node.final],
+    A sum or product lists its summands (sum_parts) and a limit of a plain
+    family its own table; a limit of a sectionwise family lists, at each
+    listed index i and at the first index past them, the cylinder judging
+    section i by the i-th component.  J is every index ("full") or, where the
+    base holds it, the cofinite set beyond the listed ones; a repeated family
+    has no such J, since every row recurs on an infinite set of positions.
+    """
+    is_sum = not isinstance(f, Limit)
+    base, fam = sum_parts(f) if is_sum else (f.base, f.family)
+    base_node = _derive(base)
+    base_b = base_node.final
+    if isinstance(fam, FilterFamily):
+        keys, tail = fam.keys, fam.tail
+        listed: Iterable[tuple[int, FilterExpr]] = fam.exceptions
+    else:
+        inner, dom = fam.inner, fam.domain
+        keys, tail = inner.keys, SectionFilter(fresh_index(inner.keys), inner.tail, dom)
+        listed = ((i, SectionFilter(i, g, dom)) for i, g in inner.exceptions)
+    repeated = isinstance(fam, RepeatedSectionwiseFamily)
+    role = "summand" if is_sum else "member row" if repeated else "member"
+    nodes = [_with_role(_derive(g), f"{role} {i}") for i, g in listed]
+    tail_node = _with_role(_derive(tail), "summand tail" if is_sum else "member tail")
+    children += [_with_role(base_node, "base"), *nodes, tail_node]
+
+    # the members' bounds on each admissible J
+    lo, hi = tail_node.final.lo, tail_node.final.hi
+    for n in nodes:
+        lo = ord_min(lo, n.final.lo)
+        hi = None if (hi is None or n.final.hi is None) else ord_max(hi, n.final.hi)
+    cands = [("full", RankBounds(lo, hi))]
+    if keys and not repeated and member(base, cofin_set([NatPt(i) for i in keys], NAT)):
+        cands.append(("cofinite-beyond-exceptions", tail_node.final))
+
+    if is_sum:
+        j, agg = _pick_lo(cands, base_b)
+        apps.append(
+            _app(
+                "RFubLo",
+                {"J": j, "xi": ord_str(agg.lo), "alpha": ord_str(base_b.lo)},
+                [agg, base_b],
+            )
         )
-    )
-    if base_node.final.hi is not None:
-        pick = _pick_hi(cands)
-        if pick is not None:
-            j, agg = pick
+    elif isinstance(fam, FilterFamily) and not keys:
+        apps.append(_app("RLimConst", (), [tail_node.final]))
+    pick = _pick_hi(cands)
+    if pick is not None:
+        j, agg = pick
+        if base_b.hi is not None:
+            name, key = ("RFubHi", "xi") if is_sum else ("RLimHi", "beta")
             apps.append(
                 _app(
-                    "RFubHi",
-                    {
-                        "J": j,
-                        "xi": ord_str(agg.hi),
-                        "alpha": ord_str(base_node.final.hi),
-                    },
-                    [agg, base_node.final],
+                    name,
+                    {"J": j, key: ord_str(agg.hi), "alpha": ord_str(base_b.hi)},
+                    [agg, base_b],
                 )
             )
-    if isinstance(base, Frechet):
-        pick = _pick_hi(cands)
-        if pick is not None:
-            j, agg = pick
-            apps.append(
-                _app("RFubFr", {"J": j, "xi": ord_str(agg.hi)}, [agg, base_node.final])
-            )
-    if is_borel_rank_one(base) and ord_le(ONE, base_node.final.lo):
+        # along the cofinite filter (or, for a limit, any rank-one Borel base)
+        # the base adds one, not 1 + its rank
+        if isinstance(base, Frechet) if is_sum else is_borel_rank_one(base):
+            name, key = ("RFubFr", "xi") if is_sum else ("RLimHi1", "alpha")
+            apps.append(_app(name, {"J": j, key: ord_str(agg.hi)}, [agg, base_b]))
+    if not is_sum:
+        for j, agg in cands:
+            if ord_le(ONE, agg.lo):
+                apps.append(_app("RLimLo", {"J": j}, [agg]))
+                break
+    elif is_borel_rank_one(base) and ord_le(ONE, base_b.lo):
         for j, agg in cands:
             if agg.exact is not None:
                 apps.append(
-                    _app(
-                        "RFubExact",
-                        {"J": j, "alpha": ord_str(agg.exact)},
-                        [agg, base_node.final],
-                    )
+                    _app("RFubExact", {"J": j, "alpha": ord_str(agg.exact)}, [agg, base_b])
                 )
                 break
 
 
-def _limit_member_nodes(f: Limit) -> tuple[list[CertNode], CertNode, bool, bool]:
-    """Member certificate nodes, tail node, co-J admissibility, const flag."""
-    fam = f.family
-    if isinstance(fam, FilterFamily):
-        exc = [_with_role(_derive(g), f"member {i}") for i, g in fam.exceptions]
-        tail = _with_role(_derive(fam.tail), "member tail")
-        return exc, tail, _co_admissible(f.base, fam.keys), not fam.exceptions
-    if isinstance(fam, SectionwiseFamily):
-        keys = fam.inner.keys
-        exc = [_with_role(_derive(fam.at(i)), f"member {i}") for i in keys]
-        tail = _with_role(_derive(fam.at(fresh_index(keys))), "member tail")
-        return exc, tail, _co_admissible(f.base, keys), False
-    keys = fam.inner.keys
-    exc = [_with_role(_derive(fam.at(i)), f"member row {i}") for i in keys]
-    tail = _with_role(_derive(fam.at(fresh_index(keys))), "member tail")
-    # every row recurs on an infinite index set, so no cofinite J avoids the
-    # exceptional rows
-    return exc, tail, False, False
-
-
-def _derive_limit(f: Limit, apps: list[RuleApp], children: list[CertNode]) -> None:
-    base_node = _derive(f.base)
-    exc_nodes, tail_node, co_adm, is_const = _limit_member_nodes(f)
-    children.append(_with_role(base_node, "base"))
-    children.extend(exc_nodes)
-    children.append(tail_node)
-    cands = _family_candidates(exc_nodes, tail_node, co_adm)
-
-    if is_const:
-        apps.append(_app("RLimConst", (), [tail_node.final]))
-    if base_node.final.hi is not None:
-        pick = _pick_hi(cands)
-        if pick is not None:
-            j, agg = pick
-            apps.append(
-                _app(
-                    "RLimHi",
-                    {
-                        "J": j,
-                        "beta": ord_str(agg.hi),
-                        "alpha": ord_str(base_node.final.hi),
-                    },
-                    [agg, base_node.final],
-                )
-            )
-    if is_borel_rank_one(f.base):
-        pick = _pick_hi(cands)
-        if pick is not None:
-            j, agg = pick
-            apps.append(
-                _app("RLimHi1", {"J": j, "alpha": ord_str(agg.hi)}, [agg, base_node.final])
-            )
-    for j, agg in cands:
-        if ord_le(ONE, agg.lo):
-            apps.append(_app("RLimLo", {"J": j}, [agg]))
-            break
-
-
 def _attach_witness(node: CertNode, f: RankSubject, w: RankWitness) -> CertNode:
     src_node = _derive(w.source)
-    if isinstance(w, CopyWitness):
-        _check_copy(w, f)
-        app = _app("RCopy", {"via": type(w.sigma).__name__}, [src_node.final])
-    else:
-        _check_qh(w, f)
-        app = _app("RQH", {"via": type(w.pi).__name__}, [src_node.final])
+    _check_witness(w, f)
+    rule, via = ("RCopy", w.sigma) if isinstance(w, CopyWitness) else ("RQH", w.pi)
+    app = _app(rule, {"via": type(via).__name__}, [src_node.final])
     final = intersect_bounds(node.final, app.output, where=node.label)
     return CertNode(
         node.label,
@@ -560,34 +494,30 @@ def _attach_witness(node: CertNode, f: RankSubject, w: RankWitness) -> CertNode:
     )
 
 
-def _check_copy(w: CopyWitness, target: RankSubject) -> None:
+def _check_witness(w: RankWitness, target: RankSubject) -> None:
+    """Every sample in the first filter must map into the second.
+
+    A copy witness maps source members into the target by the bijection; a
+    QH witness maps target members back into the source by preimages.
+    """
+    if isinstance(w, CopyWitness):
+        first, move, second = w.source, w.sigma.image_set, target
+        kind, escaped = "copy ", "copy witness image escaped the target filter"
+    else:
+        first, move, second = target, w.pi.preimage_set, w.source
+        kind, escaped = "", "preimage of a target member escaped the source"
     used = 0
     for a in w.samples:
-        if not member(w.source, a):
-            continue
-        v = holds_in(target, w.sigma.image_set(a))
+        v = holds_in(first, a)
+        if v:
+            v = holds_in(second, move(a))
+            if v is False:
+                raise WitnessRejected(escaped)
         if v is None:
-            raise WitnessRejected("copy witness sample outside the decidable language")
-        if not v:
-            raise WitnessRejected("copy witness image escaped the target filter")
-        used += 1
+            raise WitnessRejected(f"{kind}witness sample outside the decidable language")
+        used += v
     if used == 0:
-        raise WitnessRejected("copy witness verified against no valid sample")
-
-
-def _check_qh(w: QHWitness, target: RankSubject) -> None:
-    used = 0
-    for a in w.samples:
-        v = holds_in(target, a)
-        if v is None:
-            raise WitnessRejected("witness sample outside the decidable language")
-        if not v:
-            continue
-        if not member(w.source, w.pi.preimage_set(a)):
-            raise WitnessRejected("preimage of a target member escaped the source")
-        used += 1
-    if used == 0:
-        raise WitnessRejected("witness verified against no valid sample")
+        raise WitnessRejected(f"{kind}witness verified against no valid sample")
 
 
 # ---------------------------------------------------------------------------
