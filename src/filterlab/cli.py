@@ -18,7 +18,6 @@ import os
 import sys
 from typing import Sequence
 
-from .checks import run_suite, suite_names
 from .constructions import (
     ZFamily,
     collapse_limit,
@@ -301,6 +300,8 @@ def _cmd_construct(args: argparse.Namespace, out: _Output, trunc: int) -> int:
 
 
 def _cmd_check(args: argparse.Namespace, out: _Output, trunc: int) -> int:
+    # only this command needs the self-check suites, so only it compiles them
+    from .checks import run_suite, suite_names
     if args.list:
         for name in suite_names():
             out.text(name)

@@ -29,11 +29,9 @@ from .domains import (
     cantor_pair,
     cantor_unpair,
     check_point,
-    enum_point,
     fresh_index,
     index_of_tuple,
     point_from_key,
-    point_index,
     point_key,
     tuple_of_index,
 )
@@ -126,21 +124,27 @@ class ZFamily:
             return ()
         return tuple_of_index(i, self.gamma - 1)
 
-    def line_point(self, i: int, j: int) -> Point:
+    def line_key(self, i: int, j: int) -> tuple[int, ...]:
+        """Coordinate key of the j-th point of line i."""
         if self.gamma == 1:
-            return point_from_key(self.domain, (cantor_pair(i, j),))
-        return point_from_key(self.domain, self.prefix(i) + (j,))
+            return (cantor_pair(i, j),)
+        return self.prefix(i) + (j,)
+
+    def line_of_key(self, key: tuple[int, ...]) -> int:
+        """The unique line through the point with this key."""
+        if self.gamma == 1:
+            return cantor_unpair(key[0])[0]
+        return index_of_tuple(key[: self.gamma - 1])
+
+    def line_point(self, i: int, j: int) -> Point:
+        return point_from_key(self.domain, self.line_key(i, j))
 
     def line_contains(self, i: int, p: Point) -> bool:
         return self.line_index_of(p) == i
 
     def line_index_of(self, p: Point) -> int:
         """The unique line through p."""
-        key = point_key(p)
-        if self.gamma == 1:
-            return cantor_unpair(key[0])[0]
-        prefix = key[: self.gamma - 1]
-        return index_of_tuple(prefix)
+        return self.line_of_key(point_key(p))
 
 
 @dataclass(frozen=True)
@@ -239,11 +243,6 @@ def _round_pair(t: int) -> tuple[int, int]:
     return offset // (r + 1), offset % (r + 1)
 
 
-def _regular_stages(trunc: int) -> int:
-    # every third global stage is a completion stage
-    return trunc - trunc // 3
-
-
 class InterleavedPair:
     """Two streaming bijections from the naturals onto a tower domain.
 
@@ -255,7 +254,9 @@ class InterleavedPair:
     surjectivity.  Sweeps enumerate ever-larger square grids of pairs, so
     every pair is served at infinitely many stages.
 
-    Memo tables grow on demand; an instance needs exclusive access.
+    Memo tables hold one coordinate key per stage and side and grow on
+    demand; pi builds a Point only when asked.  An instance needs exclusive
+    access.
     """
 
     def __init__(self, alpha: int) -> None:
@@ -264,8 +265,8 @@ class InterleavedPair:
         self.alpha = alpha
         self.zfamily = ZFamily(alpha)
         self.domain = self.zfamily.domain
-        self._points: tuple[list[Point], list[Point]] = ([], [])
-        self._used: tuple[set, set] = (set(), set())
+        # key of the point each stage allocated, and its inverse, per side
+        self._points: tuple[list, list] = ([], [])
         self._inv: tuple[dict, dict] = ({}, {})
         # line index of the point each stage allocated, per side
         self._lines: tuple[list[int], list[int]] = ([], [])
@@ -277,29 +278,26 @@ class InterleavedPair:
         self._sweep = 0
         self._sweep_pair = (0, 0)
 
-    def _next_line_point(self, side: int, i: int) -> Point:
+    def _next_line_key(self, side: int, i: int) -> tuple[int, ...]:
         j = self._line_pos[side].get(i, 0)
-        while True:
-            p = self.zfamily.line_point(i, j)
+        while (key := self.zfamily.line_key(i, j)) in self._inv[side]:
             j += 1
-            if point_key(p) not in self._used[side]:
-                self._line_pos[side][i] = j
-                return p
+        self._line_pos[side][i] = j + 1
+        return key
 
-    def _next_enum_point(self, side: int) -> Point:
+    def _next_enum_key(self, side: int) -> tuple[int, ...]:
+        # the m-th point of the tower domain has the m-th alpha-tuple as key
         m = self._enum_pos[side]
-        while True:
-            p = enum_point(self.domain, m)
+        while (key := tuple_of_index(m, self.alpha)) in self._inv[side]:
             m += 1
-            if point_key(p) not in self._used[side]:
-                self._enum_pos[side] = m
-                return p
+        self._enum_pos[side] = m + 1
+        return key
 
     def _advance(self) -> None:
         g = len(self._points[0])
         if g % 3 == 2:
-            picks = (self._next_enum_point(0), self._next_enum_point(1))
-            lines = tuple(self.zfamily.line_index_of(p) for p in picks)
+            keys = (self._next_enum_key(0), self._next_enum_key(1))
+            lines = tuple(map(self.zfamily.line_of_key, keys))
         else:
             i, j = self._sweep_pair
             if j + 1 <= self._sweep:
@@ -310,13 +308,12 @@ class InterleavedPair:
                 self._sweep += 1
                 self._sweep_pair = (0, 0)
             self._reg_count += 1
-            picks = (self._next_line_point(0, i), self._next_line_point(1, j))
+            keys = (self._next_line_key(0, i), self._next_line_key(1, j))
             lines = (i, j)
-        for side, p in enumerate(picks):
-            self._points[side].append(p)
+        for side, key in enumerate(keys):
+            self._points[side].append(key)
             self._lines[side].append(lines[side])
-            self._used[side].add(point_key(p))
-            self._inv[side][point_key(p)] = g
+            self._inv[side][key] = g
 
     def ensure(self, n: int) -> None:
         """Allocate through stage n-1."""
@@ -329,7 +326,7 @@ class InterleavedPair:
         if n < 0:
             raise DomainError("stage must be a natural")
         self.ensure(n + 1)
-        return self._points[side][n]
+        return point_from_key(self.domain, self._points[side][n])
 
     def index_of(self, side: int, p: Point) -> int:
         """The stage at which p was allocated on the given side.
@@ -340,7 +337,7 @@ class InterleavedPair:
         check_point(p, self.domain)
         key = point_key(p)
         if key not in self._inv[side]:
-            self.ensure(3 * (point_index(self.domain, p) + 2))
+            self.ensure(3 * (index_of_tuple(key) + 2))
         return self._inv[side][key]
 
     def stage_lines(self, side: int, trunc: int) -> list[int]:
@@ -366,7 +363,7 @@ class InterleavedPair:
 
     def sweeps_completed(self, trunc: int) -> int:
         """Full pair sweeps finished within the first trunc stages."""
-        regs = _regular_stages(trunc)
+        regs = trunc - trunc // 3  # every third stage is a completion stage
         r = 0
         while _round_start(r + 1) <= regs:
             r += 1

@@ -377,7 +377,8 @@ def with_sections(a: SetExpr, sections: Mapping[int, SetExpr]) -> SetExpr:
     """a with some sections replaced, checking only the new sections.
 
     A new section equal to the tail is dropped from the exception table;
-    every other section of a is reused as it is.
+    every other section of a is reused as it is, without comparing it to the
+    tail again (a validated table holds no section equal to its tail).
     """
     validate_set(a)
     if not isinstance(a, SectionFamily):
@@ -386,7 +387,8 @@ def with_sections(a: SetExpr, sections: Mapping[int, SetExpr]) -> SetExpr:
         if i < 0:
             raise NotNormalForm("exception keys must be naturals")
         validate_set(sec, component(a.domain, i))
-    excs = exception_table(dict(a.exceptions) | dict(sections), a.tail)
+    table = dict(a.exceptions) | dict(sections)
+    excs = tuple((i, table[i]) for i in sorted(table) if i not in sections or table[i] != a.tail)
     return _marked(SectionFamily(excs, a.tail, a.domain))
 
 
