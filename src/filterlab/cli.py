@@ -19,6 +19,7 @@ import sys
 from typing import Sequence
 
 from .constructions import (
+    InterleavedPair,
     ZFamily,
     collapse_limit,
     collapse_pair,
@@ -268,8 +269,7 @@ def _cmd_construct(args: argparse.Namespace, out: _Output, trunc: int) -> int:
         for i, line in enumerate(z_family_grid(zf, 6, 10)):
             out.text(line)
             out.kv(f"line.{i}", line)
-        cp = collapse_pair(args.depth)
-        shadow = selector_shadow(cp.pair, trunc, i_max=10, j_max=10)
+        shadow = selector_shadow(InterleavedPair(args.depth), trunc, i_max=10, j_max=10)
         out.text(f"selector shadow at truncation {trunc}:")
         for i, line in enumerate(selector_grid(shadow)):
             out.text("  " + line)

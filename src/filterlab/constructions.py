@@ -55,7 +55,7 @@ from .filters import (
     member,
     principal,
 )
-from .ordinals import ONE, ZERO, ord_le
+from .ordinals import ONE, ZERO
 from .rank import (
     CertifiedFilter,
     QHWitness,
@@ -650,7 +650,7 @@ def two_valued_limit(
         )
 
     if bounds is None:
-        both_free = ord_le(ONE, g0.bounds.lo) and ord_le(ONE, g1.bounds.lo)
+        both_free = ONE <= min(g0.bounds.lo, g1.bounds.lo)
         bounds = RankBounds(ONE if both_free else ZERO, min_hi(g0.bounds, g1.bounds))
     return CertifiedFilter(
         f"limit({g0.name},{g1.name})",

@@ -55,6 +55,7 @@ from .sets import (
     gen_random_setexpr,
     is_cofinite,
     is_empty_set,
+    listed_components,
     section,
     section_family,
     set_complement,
@@ -596,12 +597,8 @@ def _column_set(domain: DomainExpr, index: int, sec: SetExpr) -> SetExpr:
 
 
 def _fill_dsum_empties(domain: DomainExpr, excs: dict) -> None:
-    # only heterogeneous components need explicit entries; the rest default
-    # to the sectionwise tail
-    if isinstance(domain, DSum):
-        for i, comp_dom in enumerate(domain.exceptions):
-            if comp_dom != domain.tail:
-                excs.setdefault(i, empty_set(comp_dom))
+    for i, e in listed_components(domain):
+        excs.setdefault(i, empty_set(e))
 
 
 def _sectionwise_kernel(

@@ -47,6 +47,7 @@ from .sets import (
     first_point,
     full_set,
     is_empty_set,
+    listed_components,
     section,
     section_family,
     set_complement,
@@ -288,6 +289,7 @@ def tail_columns(domain: DomainExpr, n: int) -> SetExpr:
     """All points in sections n and beyond of an indexed domain."""
     empty = {d: empty_set(d) for d in {component(domain, i) for i in range(n)}}
     excs = {i: empty[component(domain, i)] for i in range(n)}
+    excs |= {i: full_set(e) for i, e in listed_components(domain) if i >= n}
     return section_family(excs, full_set(tail_component(domain)), domain)
 
 
@@ -623,10 +625,6 @@ def _least_fit(u: UniversalFamily, m: SetExpr, n: int, bound: int) -> int | None
     return next(fits, None)
 
 
-def _meets(u: UniversalFamily, m: SetExpr, n: int, k: int) -> bool:
-    return any(set_member(p, m) for p in u.generator(n, k))
-
-
 def _diag_threshold(u: UniversalFamily, m: SetExpr, n_bound: int) -> tuple[int, int] | None:
     """An (n, threshold) with Z_n^k meeting m for every k past the threshold.
 
@@ -635,15 +633,25 @@ def _diag_threshold(u: UniversalFamily, m: SetExpr, n_bound: int) -> tuple[int, 
     """
     if u.stability_bound is None:
         return None
-    for n in range(n_bound):
-        k0 = max(u.stability_bound(m, n), 0)
-        if not _meets(u, m, n, k0):
-            continue
-        last_miss = -1
-        for k in range(k0):
-            if not _meets(u, m, n, k):
-                last_miss = k
-        return (n, last_miss + 1)
+    return _stable_threshold(
+        range(n_bound),
+        lambda n: max(u.stability_bound(m, n), 0),
+        lambda n, k: any(set_member(p, m) for p in u.generator(n, k)),
+    )
+
+
+def _stable_threshold(
+    ns: Iterable[int], k0_of: Callable[[int], int], holds: Callable[[int, int], bool]
+) -> tuple[int, int] | None:
+    """The first n whose verdict holds at its stable index k0, with its threshold.
+
+    Past k0 the verdict no longer depends on k, so the threshold is one past
+    the last k below k0 where it fails.
+    """
+    for n in ns:
+        k0 = k0_of(n)
+        if holds(n, k0):
+            return n, 1 + max((k for k in range(k0) if not holds(n, k)), default=-1)
     return None
 
 
@@ -702,15 +710,13 @@ def separator_verdict(
 
     if u.stability_bound is None:
         return SepUnknown(0)
-    ns = [0] if u.n_independent else list(range(n_bound))
-    for n in ns:
-        k0 = max(u.stability_bound(a, n), fresh_index(sep.keys, exception_keys(a)), 0)
-        if clause(n, k0):
-            last_false = -1
-            for k in range(k0):
-                if not clause(n, k):
-                    last_false = k
-            return SepIn(n, last_false + 1)
+    hit = _stable_threshold(
+        [0] if u.n_independent else range(n_bound),
+        lambda n: max(u.stability_bound(a, n), fresh_index(sep.keys, exception_keys(a)), 0),
+        clause,
+    )
+    if hit is not None:
+        return SepIn(*hit)
     if u.n_independent:
         return SepOut()
     return SepUnknown(n_bound)

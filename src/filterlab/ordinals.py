@@ -3,10 +3,14 @@
 An ordinal is a sum  w^e1*c1 + ... + w^ek*ck  with strictly decreasing
 natural exponents and positive integer coefficients.  Addition absorbs on
 the left: lower terms of the left operand vanish under a higher right head.
+Ordinals compare with <, <=, min and max: their term tuples order
+lexicographically exactly as the ordinals do.  ord_str spells a term as w,
+w^e, w*c, w^e*c or a natural, and parse_ordinal reads that one grammar.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .domains import FilterLabError
@@ -16,9 +20,13 @@ class OrdinalError(FilterLabError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Ordinal:
-    """terms = ((exponent, coefficient), ...), exponents strictly decreasing."""
+    """terms = ((exponent, coefficient), ...), exponents strictly decreasing.
+
+    The field order is the ordinal order: the higher leading exponent wins,
+    then the larger coefficient, then the form with more terms.
+    """
 
     terms: tuple[tuple[int, int], ...]
 
@@ -73,30 +81,23 @@ def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
 
 
 def ord_cmp(a: Ordinal, b: Ordinal) -> int:
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea != eb:
-            return 1 if ea > eb else -1
-        if ca != cb:
-            return 1 if ca > cb else -1
-    if len(a.terms) != len(b.terms):
-        return 1 if len(a.terms) > len(b.terms) else -1
-    return 0
+    return (a > b) - (a < b)
 
 
 def ord_le(a: Ordinal, b: Ordinal) -> bool:
-    return ord_cmp(a, b) <= 0
+    return a <= b
 
 
 def ord_lt(a: Ordinal, b: Ordinal) -> bool:
-    return ord_cmp(a, b) < 0
+    return a < b
 
 
 def ord_max(a: Ordinal, b: Ordinal) -> Ordinal:
-    return a if ord_cmp(a, b) >= 0 else b
+    return max(a, b)
 
 
 def ord_min(a: Ordinal, b: Ordinal) -> Ordinal:
-    return a if ord_cmp(a, b) <= 0 else b
+    return min(a, b)
 
 
 def ord_succ(a: Ordinal) -> Ordinal:
@@ -117,44 +118,18 @@ def ord_str(a: Ordinal) -> str:
     return "+".join(parts)
 
 
+# one +-separated term: w, w^e, w*c, w^e*c or a natural, blanks around ^ and *
+_TERM = re.compile(r"\s*(?:w\s*(?:\^\s*(\d+)\s*)?(?:\*\s*(\d+))?|(\d+))\s*")
+
+
 def parse_ordinal(text: str) -> Ordinal:
     """Inverse of ord_str, tolerant of whitespace around + * ^."""
-    s = text.strip()
-    if s == "0":
-        return ZERO
-    terms: list[tuple[int, int]] = []
-    for chunk in s.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise OrdinalError(f"empty term in {text!r}")
-        if chunk[0] == "w":
-            rest = chunk[1:].strip()
-            e = 1
-            if rest.startswith("^"):
-                rest = rest[1:].strip()
-                digits = ""
-                while rest and rest[0].isdigit():
-                    digits, rest = digits + rest[0], rest[1:]
-                if not digits:
-                    raise OrdinalError(f"missing exponent in {text!r}")
-                e = int(digits)
-                rest = rest.strip()
-            c = 1
-            if rest.startswith("*"):
-                c = _parse_nat(rest[1:], text)
-            elif rest:
-                raise OrdinalError(f"trailing junk {rest!r} in {text!r}")
-        else:
-            e, c = 0, _parse_nat(chunk, text)
-        terms.append((e, c))
     out = ZERO
-    for e, c in terms:
-        out = ord_add(out, omega_pow(e, c))
+    for chunk in text.split("+"):
+        m = _TERM.fullmatch(chunk)
+        if m is None:
+            raise OrdinalError(f"malformed term {chunk.strip()!r} in {text!r}")
+        e, c, n = m.groups()
+        term = omega_pow(int(e or 1), int(c or 1)) if n is None else ord_of_int(int(n))
+        out = ord_add(out, term)
     return out
-
-
-def _parse_nat(s: str, full: str) -> int:
-    s = s.strip()
-    if not s.isdigit():
-        raise OrdinalError(f"expected a number, got {s!r} in {full!r}")
-    return int(s)

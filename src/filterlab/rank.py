@@ -40,10 +40,6 @@ from .ordinals import (
     Ordinal,
     ZERO,
     ord_add,
-    ord_le,
-    ord_lt,
-    ord_max,
-    ord_min,
     ord_of_int,
     ord_str,
     ord_succ,
@@ -74,7 +70,7 @@ class RankBounds:
     hi: Ordinal | None  # None: no upper bound derived
 
     def __post_init__(self) -> None:
-        if self.hi is not None and ord_lt(self.hi, self.lo):
+        if self.hi is not None and self.hi < self.lo:
             raise InconsistentBounds(f"empty interval {bounds_text(self)}")
 
     @property
@@ -113,13 +109,13 @@ def min_hi(a: RankBounds, b: RankBounds) -> Ordinal | None:
         return b.hi
     if b.hi is None:
         return a.hi
-    return ord_min(a.hi, b.hi)
+    return min(a.hi, b.hi)
 
 
 def intersect_bounds(a: RankBounds, b: RankBounds, where: str = "") -> RankBounds:
-    lo = ord_max(a.lo, b.lo)
+    lo = max(a.lo, b.lo)
     hi = min_hi(a, b)
-    if hi is not None and ord_lt(hi, lo):
+    if hi is not None and hi < lo:
         ctx = f" at {where}" if where else ""
         raise InconsistentBounds(
             f"bounds {bounds_text(a)} and {bounds_text(b)} have empty intersection{ctx}"
@@ -219,36 +215,25 @@ def eval_rule(
         his = [b.hi for b in inputs if b.hi is not None]
         if not his:
             raise CertificateError("RMono: no bounded input")
-        hi = his[0]
-        for h in his[1:]:
-            hi = ord_min(hi, h)
-        return RankBounds(ZERO, hi)
+        return RankBounds(ZERO, min(his))
     if name == "RFubLo":
         return RankBounds(ord_add(need(0).lo, need(1).lo), None)
-    if name == "RFubHi":
+    if name in ("RFubHi", "RLimHi"):
         return RankBounds(
             ZERO, ord_add(ord_add(need_hi(need(0)), ONE), need_hi(need(1)))
         )
-    if name == "RFubFr":
+    if name in ("RFubFr", "RLimHi1"):
         return RankBounds(ZERO, ord_succ(need_hi(need(0))))
     if name == "RFubExact":
         a = need(0).exact
         if a is None:
             raise CertificateError("RFubExact: summand bounds not exact")
         return RankBounds(ord_succ(a), ord_succ(a))
-    if name == "RLimHi":
-        return RankBounds(
-            ZERO, ord_add(ord_add(need_hi(need(0)), ONE), need_hi(need(1)))
-        )
-    if name == "RLimHi1":
-        return RankBounds(ZERO, ord_succ(need_hi(need(0))))
     if name == "RLimLo":
-        if ord_lt(need(0).lo, ONE):
+        if need(0).lo < ONE:
             raise CertificateError("RLimLo: family members not all free")
         return RankBounds(ONE, None)
-    if name == "RLimConst":
-        return need(0)
-    if name in ("RSection", "RIso"):
+    if name in ("RLimConst", "RSection", "RIso"):
         return need(0)
     if name == "RCert":
         return parse_bounds(params["bounds"])
@@ -380,26 +365,6 @@ def _derive(f: RankSubject) -> CertNode:
     return _finalize(label, apps, children)
 
 
-def _pick_lo(
-    cands: list[tuple[str, RankBounds]], base: RankBounds
-) -> tuple[str, RankBounds]:
-    best = cands[0]
-    for c in cands[1:]:
-        if ord_lt(ord_add(best[1].lo, base.lo), ord_add(c[1].lo, base.lo)):
-            best = c
-    return best
-
-def _pick_hi(cands: list[tuple[str, RankBounds]]) -> tuple[str, RankBounds] | None:
-    bounded = [c for c in cands if c[1].hi is not None]
-    if not bounded:
-        return None
-    best = bounded[0]
-    for c in bounded[1:]:
-        if ord_lt(c[1].hi, best[1].hi):
-            best = c
-    return best
-
-
 def _derive_table(
     f: Union[Product, FubiniSum, Limit], apps: list[RuleApp], children: list[CertNode]
 ) -> None:
@@ -430,53 +395,42 @@ def _derive_table(
     children += [_with_role(base_node, "base"), *nodes, tail_node]
 
     # the members' bounds on each admissible J
-    lo, hi = tail_node.final.lo, tail_node.final.hi
-    for n in nodes:
-        lo = ord_min(lo, n.final.lo)
-        hi = None if (hi is None or n.final.hi is None) else ord_max(hi, n.final.hi)
-    cands = [("full", RankBounds(lo, hi))]
+    finals = [tail_node.final] + [n.final for n in nodes]
+    his = [b.hi for b in finals]
+    cands = [("full", RankBounds(min(b.lo for b in finals), None if None in his else max(his)))]
     if keys and not repeated and member(base, cofin_set([NatPt(i) for i in keys], NAT)):
         cands.append(("cofinite-beyond-exceptions", tail_node.final))
 
+    # max and min keep the first best J, so "full" wins ties
     if is_sum:
-        j, agg = _pick_lo(cands, base_b)
+        j, agg = max(cands, key=lambda c: ord_add(c[1].lo, base_b.lo))
         apps.append(
-            _app(
-                "RFubLo",
-                {"J": j, "xi": ord_str(agg.lo), "alpha": ord_str(base_b.lo)},
-                [agg, base_b],
-            )
+            _app("RFubLo", {"J": j, "xi": str(agg.lo), "alpha": str(base_b.lo)}, [agg, base_b])
         )
     elif isinstance(fam, FilterFamily) and not keys:
         apps.append(_app("RLimConst", (), [tail_node.final]))
-    pick = _pick_hi(cands)
-    if pick is not None:
-        j, agg = pick
+    bounded = [c for c in cands if c[1].hi is not None]
+    if bounded:
+        j, agg = min(bounded, key=lambda c: c[1].hi)
         if base_b.hi is not None:
             name, key = ("RFubHi", "xi") if is_sum else ("RLimHi", "beta")
             apps.append(
-                _app(
-                    name,
-                    {"J": j, key: ord_str(agg.hi), "alpha": ord_str(base_b.hi)},
-                    [agg, base_b],
-                )
+                _app(name, {"J": j, key: str(agg.hi), "alpha": str(base_b.hi)}, [agg, base_b])
             )
         # along the cofinite filter (or, for a limit, any rank-one Borel base)
         # the base adds one, not 1 + its rank
         if isinstance(base, Frechet) if is_sum else is_borel_rank_one(base):
             name, key = ("RFubFr", "xi") if is_sum else ("RLimHi1", "alpha")
-            apps.append(_app(name, {"J": j, key: ord_str(agg.hi)}, [agg, base_b]))
+            apps.append(_app(name, {"J": j, key: str(agg.hi)}, [agg, base_b]))
     if not is_sum:
         for j, agg in cands:
-            if ord_le(ONE, agg.lo):
+            if ONE <= agg.lo:
                 apps.append(_app("RLimLo", {"J": j}, [agg]))
                 break
-    elif is_borel_rank_one(base) and ord_le(ONE, base_b.lo):
+    elif is_borel_rank_one(base) and ONE <= base_b.lo:
         for j, agg in cands:
             if agg.exact is not None:
-                apps.append(
-                    _app("RFubExact", {"J": j, "alpha": ord_str(agg.exact)}, [agg, base_b])
-                )
+                apps.append(_app("RFubExact", {"J": j, "alpha": str(agg.exact)}, [agg, base_b]))
                 break
 
 
@@ -485,12 +439,8 @@ def _attach_witness(node: CertNode, f: RankSubject, w: RankWitness) -> CertNode:
     _check_witness(w, f)
     rule, via = ("RCopy", w.sigma) if isinstance(w, CopyWitness) else ("RQH", w.pi)
     app = _app(rule, {"via": type(via).__name__}, [src_node.final])
-    final = intersect_bounds(node.final, app.output, where=node.label)
-    return CertNode(
-        node.label,
-        node.applied + (app,),
-        final,
-        node.children + (_with_role(src_node, "witness source"),),
+    return _finalize(
+        node.label, [*node.applied, app], [*node.children, _with_role(src_node, "witness source")]
     )
 
 
@@ -642,10 +592,8 @@ def ct_bound(f: FilterExpr) -> CtBound:
     lvl = _ct(f)
     if lvl is not None:
         b, _ = rank_bounds(f)
-        if not ord_le(b.lo, ord_of_int(lvl)):
-            raise InconsistentBounds(
-                f"construction level {lvl} below rank lower bound {ord_str(b.lo)}"
-            )
+        if b.lo > ord_of_int(lvl):
+            raise InconsistentBounds(f"construction level {lvl} below rank lower bound {b.lo}")
     return CtBound(lvl)
 
 

@@ -140,12 +140,21 @@ def section_family(
     return fam
 
 
+def listed_components(domain: DomainExpr) -> list[tuple[int, DomainExpr]]:
+    """(i, component) for each component of a sum domain that differs from its tail.
+
+    A table over the domain lists every such index, whatever section it holds
+    there: its tail section lives on the tail component and cannot stand in.
+    """
+    if not isinstance(domain, DSum):
+        return []
+    return [(i, e) for i, e in enumerate(domain.exceptions) if e != domain.tail]
+
+
 def empty_set(domain: DomainExpr) -> SetExpr:
     if not is_indexed(domain):
         return fin_set((), domain)
-    excs = {}
-    if isinstance(domain, DSum):
-        excs = {i: empty_set(e) for i, e in enumerate(domain.exceptions)}
+    excs = {i: empty_set(e) for i, e in listed_components(domain)}
     tail = empty_set(tail_component(domain))
     return section_family(excs, tail, domain)
 
@@ -155,9 +164,7 @@ def full_set(domain: DomainExpr) -> SetExpr:
         return fin_set((UNIT_PT,), domain)
     if isinstance(domain, Nat):
         return cofin_set((), domain)
-    excs = {}
-    if isinstance(domain, DSum):
-        excs = {i: full_set(e) for i, e in enumerate(domain.exceptions)}
+    excs = {i: full_set(e) for i, e in listed_components(domain)}
     tail = full_set(tail_component(domain))
     return section_family(excs, tail, domain)
 
@@ -172,9 +179,8 @@ def fin_set(points: Iterable[Point], domain: DomainExpr) -> SetExpr:
         i, rest = split_point(p)
         groups.setdefault(i, []).append(rest)
     excs = {i: fin_set(rests, component(domain, i)) for i, rests in groups.items()}
-    if isinstance(domain, DSum):
-        for i in range(len(domain.exceptions)):
-            excs.setdefault(i, empty_set(component(domain, i)))
+    for i, e in listed_components(domain):
+        excs.setdefault(i, empty_set(e))
     tail = empty_set(tail_component(domain))
     return section_family(excs, tail, domain)
 
@@ -225,13 +231,10 @@ def validate_set(a: SetExpr, domain: DomainExpr | None = None) -> None:
             # a marked part over the right domain needs no call
             if not (isinstance(sec, SetExpr) and sec._valid and sec.domain == d):
                 validate_set(sec, d)
-        if isinstance(domain, DSum):
-            covered = dict(a.exceptions)
-            for i, e in enumerate(domain.exceptions):
-                if i not in covered and e != tail_component(domain):
-                    raise NotNormalForm(
-                        f"index {i} has component {e!r} but would fall to the tail"
-                    )
+        covered = dict(a.exceptions)
+        for i, e in listed_components(domain):
+            if i not in covered:
+                raise NotNormalForm(f"index {i} has component {e!r} but would fall to the tail")
     else:
         raise NotNormalForm(f"not a SetExpr: {a!r}")
     _marked(a)

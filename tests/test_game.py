@@ -4,7 +4,19 @@ import re
 
 import pytest
 
-from filterlab.domains import NAT, DomainError, NatPt, PairPt, Prod, UNIT, UNIT_PT, point_key
+from filterlab.domains import (
+    DSum,
+    NAT,
+    DomainError,
+    NatPt,
+    PairPt,
+    Prod,
+    UNIT,
+    UNIT_PT,
+    point_key,
+    points_within,
+)
+from filterlab.dsl import parse_filter
 from filterlab.filters import dom_of, frechet, katetov, principal, product
 from filterlab.game import (
     CopyStrategyI,
@@ -192,6 +204,28 @@ def test_copy_battery_column_bound():
         ok, problems = copy_column_bound(t)
         assert ok, problems
         assert replay_transcript(t) == t
+
+
+# a sum whose summand 3 lives on Prod(Unit) while the others live on Nat
+MIXED_SUM = "fubini(frechet, family({3: katetov(1)}, frechet))"
+
+
+def test_copy_strategy_plays_on_a_sum_over_mixed_components():
+    f = parse_filter(MIXED_SUM)
+    for seed in range(5):
+        t = play(f, CopyStrategyI(), RandomFiniteII(), 8, seed=seed)
+        assert validate_transcript(t) == []
+        ok, problems = copy_column_bound(t)
+        assert ok, problems
+        assert replay_transcript(t) == t
+
+
+@pytest.mark.parametrize("d", [DSum((Prod(UNIT),), NAT), dom_of(parse_filter(MIXED_SUM))])
+def test_tail_columns_holds_exactly_the_points_past_column_n(d):
+    pts = points_within(d, 8)
+    for n in range(7):
+        a = tail_columns(d, n)
+        assert [set_member(p, a) for p in pts] == [point_key(p)[0] >= n for p in pts], n
 
 
 def test_copy_column_bound_flags_overfull_columns():
