@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .constructions import (
     InterleavedPair,
@@ -63,7 +63,7 @@ CONSTRUCTIONS = ("collapse-pair", "collapse-limit", "zfamily", "type-gap")
 
 
 class _Output:
-    """Collects either prose lines or key=value pairs, then prints once."""
+    """Collects either prose lines or key=value pairs; main prints them once."""
 
     def __init__(self, structured: bool) -> None:
         self.structured = structured
@@ -76,6 +76,16 @@ class _Output:
     def kv(self, key: str, value: object) -> None:
         if self.structured:
             self._lines.append(f"{key}={value}")
+
+    def put(self, key: str, value: object, line: str | None = None) -> None:
+        """One fact: key=value when structured, else line, or the value itself."""
+        self.kv(key, value)
+        self.text(str(value) if line is None else line)
+
+    def rows(self, key: str, lines: Iterable[str], indent: str = "") -> None:
+        """Numbered facts: key.0, key.1, ... when structured, else the indented lines."""
+        for i, line in enumerate(lines):
+            self.put(f"{key}.{i}", line, indent + line)
 
     def flush(self) -> None:
         lines = ["format=1", *self._lines] if self.structured else self._lines
@@ -172,16 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# command bodies
+# command bodies: each puts its facts on out and returns the exit code
 
 
 def _cmd_member(args: argparse.Namespace, out: _Output) -> int:
     f = parse_filter(args.filter)
     a = parse_set(args.set, dom_of(f))
     verdict = member(f, a)
-    out.text("true" if verdict else "false")
-    out.kv("verdict", "true" if verdict else "false")
-    out.flush()
+    out.put("verdict", "true" if verdict else "false")
     return 0 if verdict else 1
 
 
@@ -190,17 +198,11 @@ def _cmd_rank(args: argparse.Namespace, out: _Output) -> int:
     bounds, cert = rank_bounds(f)
     if replay_certificate(cert) != bounds:
         raise InconsistentBounds("replayed certificate disagrees with the engine")
-    out.text(f"bounds: {bounds_text(bounds)}")
-    out.kv("bounds", bounds_text(bounds))
+    out.put("bounds", bounds_text(bounds), f"bounds: {bounds_text(bounds)}")
     if bounds.exact is not None:
-        out.text(f"exact rank: {ord_str(bounds.exact)}")
-        out.kv("exact", ord_str(bounds.exact))
+        out.put("exact", ord_str(bounds.exact), f"exact rank: {ord_str(bounds.exact)}")
     out.text("certificate:")
-    lines = certificate_text(cert).rstrip("\n").split("\n")
-    for i, line in enumerate(lines):
-        out.text(line)
-        out.kv(f"cert.{i}", line)
-    out.flush()
+    out.rows("cert", certificate_text(cert).rstrip("\n").split("\n"))
     return 0
 
 
@@ -208,10 +210,7 @@ def _cmd_flim(args: argparse.Namespace, out: _Output) -> int:
     f = parse_filter(args.filter)
     s = parse_seq(args.seq, dom_of(f))
     v = flim(s, f)
-    text = "divergent" if v is DIVERGENT else str(v)
-    out.text(text)
-    out.kv("value", text)
-    out.flush()
+    out.put("value", "divergent" if v is DIVERGENT else str(v))
     return 1 if v is DIVERGENT else 0
 
 
@@ -220,116 +219,94 @@ def _cmd_game(args: argparse.Namespace, out: _Output) -> int:
         raise FilterLabError("--rounds must be positive")
     f = parse_filter(args.filter)
     t = play(f, make_player_i(args.pI), make_player_ii(args.pII), args.rounds, args.seed)
-    lines = transcript_lines(t)
     out.kv("rounds", len(t.rounds))
     out.kv("player_i", t.player_i)
     out.kv("player_ii", t.player_ii)
     out.kv("seed", t.seed)
-    for i, line in enumerate(lines):
-        out.text(line)
-        out.kv(f"round.{i}", line)
-    out.flush()
+    out.rows("round", transcript_lines(t))
     return 0
 
 
-def _cmd_construct(args: argparse.Namespace, out: _Output, trunc: int) -> int:
+def _cmd_construct(args: argparse.Namespace, out: _Output) -> int:
+    trunc = args.trunc
     if args.name == "collapse-pair":
         cp = collapse_pair(args.depth)
         for g in (cp.g0, cp.g1, cp.meet):
-            out.text(f"{g.name} bounds {bounds_text(g.bounds)}: {g.provenance}")
-            out.kv(f"bounds.{g.name}", bounds_text(g.bounds))
-        out.text(f"side-0 line preimages, truncated at {trunc}:")
-        for i, line in enumerate(preimage_grid(cp.pair, 0, 4, trunc)):
-            out.text("  " + line)
-            out.kv(f"preimage0.{i}", line)
-        out.text(f"side-1 line preimages, truncated at {trunc}:")
-        for i, line in enumerate(preimage_grid(cp.pair, 1, 4, trunc)):
-            out.text("  " + line)
-            out.kv(f"preimage1.{i}", line)
-        out.flush()
+            bounds = bounds_text(g.bounds)
+            out.put(f"bounds.{g.name}", bounds, f"{g.name} bounds {bounds}: {g.provenance}")
+        for side in (0, 1):
+            out.text(f"side-{side} line preimages, truncated at {trunc}:")
+            out.rows(f"preimage{side}", preimage_grid(cp.pair, side, 4, trunc), "  ")
         return 0
     if args.name == "collapse-limit":
         cl = collapse_limit(args.depth)
-        out.text(f"{cl.limit.name} bounds {bounds_text(cl.limit.bounds)}")
-        out.kv("bounds", bounds_text(cl.limit.bounds))
-        out.text(f"  {cl.limit.provenance}")
-        out.kv("provenance", cl.limit.provenance)
-        out.text(f"base: {filter_to_source(cl.base)}")
-        out.kv("base", filter_to_source(cl.base))
+        bounds = bounds_text(cl.limit.bounds)
+        out.put("bounds", bounds, f"{cl.limit.name} bounds {bounds}")
+        out.put("provenance", cl.limit.provenance, f"  {cl.limit.provenance}")
+        base = filter_to_source(cl.base)
+        out.put("base", base, f"base: {base}")
         label = getattr(cl.h, "label", "") or "splitting set"
-        out.text(f"split along: {label} (undecided by the base, both ways)")
-        out.kv("split", label)
+        out.put("split", label, f"split along: {label} (undecided by the base, both ways)")
         for g in (cl.parts.g0, cl.parts.g1):
-            out.text(f"{g.name} bounds {bounds_text(g.bounds)}")
-            out.kv(f"bounds.{g.name}", bounds_text(g.bounds))
-        out.flush()
+            bounds = bounds_text(g.bounds)
+            out.put(f"bounds.{g.name}", bounds, f"{g.name} bounds {bounds}")
         return 0
     if args.name == "zfamily":
-        zf = ZFamily(args.depth)
-        for i, line in enumerate(z_family_grid(zf, 6, 10)):
-            out.text(line)
-            out.kv(f"line.{i}", line)
+        out.rows("line", z_family_grid(ZFamily(args.depth), 6, 10))
         shadow = selector_shadow(InterleavedPair(args.depth), trunc, i_max=10, j_max=10)
         out.text(f"selector shadow at truncation {trunc}:")
-        for i, line in enumerate(selector_grid(shadow)):
-            out.text("  " + line)
-            out.kv(f"selector.{i}", line)
+        out.rows("selector", selector_grid(shadow), "  ")
         out.kv("selector.bound_ok", str(shadow.bound_ok).lower())
-        out.flush()
         return 0
     bundle = rank_type_gap_example()
-    out.text(f"filter: {filter_to_source(bundle.filt)}")
-    out.kv("filter", filter_to_source(bundle.filt))
-    out.text(f"bounds {bounds_text(bundle.bounds)}")
-    out.kv("bounds", bounds_text(bundle.bounds))
-    out.text(f"countable type level: {bundle.ct.level}")
-    out.kv("ct", bundle.ct.level)
+    source = filter_to_source(bundle.filt)
+    out.put("filter", source, f"filter: {source}")
+    out.put("bounds", bounds_text(bundle.bounds), f"bounds {bounds_text(bundle.bounds)}")
+    out.put("ct", bundle.ct.level, f"countable type level: {bundle.ct.level}")
     witness = getattr(bundle.diag, "witness", None)
     if witness is not None:
-        out.text(f"diagonal witness: {set_to_source(witness)}")
-        out.kv("witness", set_to_source(witness))
-    out.text(bundle.commentary)
-    out.kv("commentary", bundle.commentary)
-    cert_lines = certificate_text(bundle.certificate).rstrip("\n").split("\n")
+        source = set_to_source(witness)
+        out.put("witness", source, f"diagonal witness: {source}")
+    out.put("commentary", bundle.commentary)
     out.text("certificate:")
-    for i, line in enumerate(cert_lines):
-        out.text(line)
-        out.kv(f"cert.{i}", line)
-    out.flush()
+    out.rows("cert", certificate_text(bundle.certificate).rstrip("\n").split("\n"))
     return 0
 
 
-def _cmd_check(args: argparse.Namespace, out: _Output, trunc: int) -> int:
+def _cmd_check(args: argparse.Namespace, out: _Output) -> int:
     # only this command needs the self-check suites, so only it compiles them
     from .checks import run_suite, suite_names
     if args.list:
         for name in suite_names():
-            out.text(name)
-            out.kv("suite", name)
-        out.flush()
+            out.put("suite", name)
         return 0
     if args.suite is None:
         raise FilterLabError("check needs a suite name or --list")
     names = suite_names() if args.suite == "all" else [args.suite]
     passed = total = 0
-    idx = 0
     for name in names:
-        for r in run_suite(name, trunc=trunc, seed=args.seed):
+        for r in run_suite(name, trunc=args.trunc, seed=args.seed):
             word = "PASS" if r.ok else "FAIL"
             tail = f" ({r.detail})" if r.detail else ""
-            out.text(f"{word} {name}: {r.name}{tail}")
-            out.kv(f"result.{idx}", "pass" if r.ok else "fail")
-            out.kv(f"check.{idx}", f"{name}: {r.name}")
+            out.put(f"result.{total}", word.lower(), f"{word} {name}: {r.name}{tail}")
+            out.kv(f"check.{total}", f"{name}: {r.name}")
             if r.detail:
-                out.kv(f"detail.{idx}", r.detail)
+                out.kv(f"detail.{total}", r.detail)
             passed += r.ok
             total += 1
-            idx += 1
-    out.text(f"passed {passed}/{total}")
-    out.kv("passed", passed)
+    out.put("passed", passed, f"passed {passed}/{total}")
     out.kv("total", total)
-    out.flush()
     return 0 if passed == total else 1
+
+
+_COMMANDS = {
+    "member": _cmd_member,
+    "rank": _cmd_rank,
+    "flim": _cmd_flim,
+    "game": _cmd_game,
+    "construct": _cmd_construct,
+    "check": _cmd_check,
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -341,18 +318,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
     out = _Output(args.format == "structured")
     try:
-        trunc = _trunc_from(args)
-        if args.command == "member":
-            return _cmd_member(args, out)
-        if args.command == "rank":
-            return _cmd_rank(args, out)
-        if args.command == "flim":
-            return _cmd_flim(args, out)
-        if args.command == "game":
-            return _cmd_game(args, out)
-        if args.command == "construct":
-            return _cmd_construct(args, out, trunc)
-        return _cmd_check(args, out, trunc)
+        args.trunc = _trunc_from(args)
+        code = _COMMANDS[args.command](args, out)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -367,6 +334,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         detail = " ".join(str(e).split())
         print(f"error: internal: {type(e).__name__}: {detail}", file=sys.stderr)
         return 3
+    # a command that raised printed nothing: stdout holds whole answers only
+    out.flush()
+    return code
 
 
 if __name__ == "__main__":

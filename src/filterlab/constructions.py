@@ -480,10 +480,8 @@ def collapse_pair(alpha: int) -> CollapsePair:
                 if a.side == side:
                     return member(tower, a.inner)
                 return None
-            if isinstance(a, FinSet):
-                return False
-            if isinstance(a, CofinSet):
-                return True
+            if isinstance(a, (FinSet, CofinSet)):
+                return a.tail_holds
             return None
 
         return decide

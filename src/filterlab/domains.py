@@ -119,9 +119,9 @@ def fresh_index(*key_groups: Iterable[int]) -> int:
     return max((i for keys in key_groups for i in keys), default=-1) + 1
 
 
-def exception_table(mapping: Mapping[int, object], tail: object) -> tuple:
-    """Sorted (index, value) pairs of mapping, without values equal to tail."""
-    return tuple((i, mapping[i]) for i in sorted(mapping) if mapping[i] != tail)
+def exception_table(mapping: Mapping, tail: object, key=None) -> tuple:
+    """(index, value) pairs of mapping sorted by key, without values equal to tail."""
+    return tuple((i, mapping[i]) for i in sorted(mapping, key=key) if mapping[i] != tail)
 
 
 def keys_ascending(exceptions: tuple) -> bool:

@@ -693,10 +693,9 @@ def set_to_source(a: SetExpr | SeqExpr) -> str:
     kept = getattr(a, "_source", None)
     if kept is not None:
         return kept
-    if isinstance(a, FinSet):
-        body = "fin{" + ",".join(point_to_source(p) for p in a.elements) + "}"
-    elif isinstance(a, CofinSet):
-        body = "cofin{" + ",".join(point_to_source(p) for p in a.excluded) + "}"
+    if isinstance(a, (FinSet, CofinSet)):
+        head = "cofin" if a.tail_holds else "fin"
+        body = head + "{" + ",".join(point_to_source(p) for p in a.listed) + "}"
     elif isinstance(a, LeafSeq):
         body = f"seq({_table(a.entries, point_to_source)},{a.tail})"
     elif isinstance(a, (SectionFamily, SectionSeq)):
@@ -723,12 +722,10 @@ def _shape_domain(a: SetExpr | SeqExpr) -> DomainExpr:
     """The domain the printer leaves to the parser's inference: a leaf's
     points show it, except a cofinite set's; an empty leaf names nat; a
     table sums the domains of its entries, which their own tags fix."""
-    if isinstance(a, FinSet):
-        return a.domain if a.elements else NAT
+    if isinstance(a, (FinSet, CofinSet)):
+        return NAT if a.tail_holds or not a.listed else a.domain
     if isinstance(a, LeafSeq):
         return a.domain if a.entries else NAT
-    if isinstance(a, CofinSet):
-        return NAT
     if isinstance(a, SectionFamily) and a._valid:
         # validation gives each section the component at its index, so the
         # sections sum to the set's own domain, save a dsum that lists none

@@ -55,6 +55,7 @@ from .sets import (
     gen_random_setexpr,
     is_cofinite,
     is_empty_set,
+    leaf_set,
     listed_components,
     section,
     section_family,
@@ -112,20 +113,15 @@ class _LeafEnumeration:
     __slots__ = ()
 
     def image_set(self, a: SetExpr) -> SetExpr:
-        if isinstance(a, FinSet):
-            return fin_set([self.apply(p) for p in a.elements], self.target)
-        if isinstance(a, CofinSet):
-            images = [self.apply(p) for p in a.excluded]
-            return set_complement(fin_set(images, self.target))
+        if isinstance(a, (FinSet, CofinSet)):
+            return leaf_set([self.apply(p) for p in a.listed], a.tail_holds, self.target)
         raise UnsupportedPreimage("image of a non-leaf set under an enumeration")
 
     def preimage_set(self, a: SetExpr) -> SetExpr:
-        pts = finite_points(a)
-        if pts is not None:
-            return fin_set([self.unapply(q) for q in pts], NAT)
-        gaps = cofinite_excluded(a)
-        if gaps is not None:
-            return cofin_set([self.unapply(q) for q in gaps], NAT)
+        for tail_holds, off_tail in ((False, finite_points), (True, cofinite_excluded)):
+            pts = off_tail(a)
+            if pts is not None:
+                return leaf_set([self.unapply(q) for q in pts], tail_holds, NAT)
         raise UnsupportedPreimage(
             "preimage under an enumeration is only a normal form for finite or "
             f"cofinite sets, got {type(a).__name__}"
@@ -484,12 +480,7 @@ def katetov_depth(f: FilterExpr) -> int | None:
 
 
 def _verdict_set(keys: Iterable[int], verdict, tail_verdict: bool) -> SetExpr:
-    trues, falses = [], []
-    for i in keys:
-        (trues if verdict(i) else falses).append(NatPt(i))
-    if tail_verdict:
-        return cofin_set(falses, NAT)
-    return fin_set(trues, NAT)
+    return leaf_set([NatPt(i) for i in keys if verdict(i) != tail_verdict], tail_verdict, NAT)
 
 
 def _section_verdicts(family: FilterFamily, a: SetExpr) -> SetExpr:
@@ -607,14 +598,12 @@ def _sectionwise_kernel(
     # a co-singleton at (i, rest) is in the sum iff rest avoids F_i's kernel
     # or the base accepts the index set short of i: section i of the kernel
     # is F_i's kernel where the base kernel holds i, and empty elsewhere
-    cofinite = isinstance(base_kernel, CofinSet)
-    listed = base_kernel.excluded if cofinite else base_kernel.elements
     excs = {}
-    for i in sorted({point_key(p)[0] for p in listed} | set(family.keys)):
+    for i in sorted({point_key(p)[0] for p in base_kernel.listed} | set(family.keys)):
         g = family.at(i)
         excs[i] = kernel_set(g) if set_member(NatPt(i), base_kernel) else empty_set(dom_of(g))
     _fill_dsum_empties(domain, excs)
-    tail = kernel_set(family.tail) if cofinite else empty_set(tail_component(domain))
+    tail = kernel_set(family.tail) if base_kernel.tail_holds else empty_set(tail_component(domain))
     return section_family(excs, tail, domain)
 
 
@@ -650,11 +639,9 @@ def _limit_kernel(f: Limit) -> SetExpr:
         regions = split
     out = empty_set(target)
     for region, held in regions:
-        if held[-1]:
-            good = fin_set([NatPt(i) for i, b in zip(keys, held) if not b], NAT)
-        else:
-            good = cofin_set([NatPt(i) for i, b in zip(keys, held) if b], NAT)
-        if not member(f.base, good):
+        # the base judges {i : the region lies outside F_i's kernel}
+        inside = dict(zip(keys, held))
+        if not member(f.base, _verdict_set(keys, lambda i: not inside[i], not held[-1])):
             out = set_union(out, region)
     return out
 
@@ -732,13 +719,10 @@ def seq_leaf(
     entries: Mapping[Point, Fraction | int], tail: Fraction | int, domain: DomainExpr
 ) -> LeafSeq:
     tail_v = Fraction(tail)
-    kept = []
-    for p in sorted(entries, key=point_key):
+    for p in entries:
         check_point(p, domain)
-        v = Fraction(entries[p])
-        if v != tail_v:
-            kept.append((p, v))
-    return LeafSeq(tuple(kept), tail_v, domain)
+    values = {p: Fraction(v) for p, v in entries.items()}
+    return LeafSeq(exception_table(values, tail_v, key=point_key), tail_v, domain)
 
 
 def seq_sections(
@@ -759,9 +743,8 @@ def seq_values(s: SeqExpr) -> tuple[Fraction, ...]:
 def seq_level_set(s: SeqExpr, v: Fraction) -> SetExpr:
     """{p : s(p) = v} as a normal form."""
     if isinstance(s, LeafSeq):
-        if s.tail == v:
-            return cofin_set([p for p, w in s.entries if w != v], s.domain)
-        return fin_set([p for p, w in s.entries if w == v], s.domain)
+        tail_holds = s.tail == v
+        return leaf_set([p for p, w in s.entries if (w == v) != tail_holds], tail_holds, s.domain)
     excs = {i: seq_level_set(sub, v) for i, sub in s.exceptions}
     return section_family(excs, seq_level_set(s.tail, v), s.domain)
 

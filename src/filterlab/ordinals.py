@@ -118,8 +118,9 @@ def ord_str(a: Ordinal) -> str:
     return "+".join(parts)
 
 
-# one +-separated term: w, w^e, w*c, w^e*c or a natural, blanks around ^ and *
-_TERM = re.compile(r"\s*(?:w\s*(?:\^\s*(\d+)\s*)?(?:\*\s*(\d+))?|(\d+))\s*")
+# one +-separated term: w, w^e, w*c, w^e*c or a natural, blanks around ^ and *;
+# numerals are ASCII, as ord_str writes them
+_TERM = re.compile(r"\s*(?:w\s*(?:\^\s*([0-9]+)\s*)?(?:\*\s*([0-9]+))?|([0-9]+))\s*")
 
 
 def parse_ordinal(text: str) -> Ordinal:

@@ -206,10 +206,16 @@ def eval_rule(
             raise CertificateError(f"{name}: unbounded input where a bound is needed")
         return b.hi
 
+    def param(key: str, nat: bool = False) -> str:
+        value = params.get(key)
+        if value is None or nat and not (value.isascii() and value.isdigit()):
+            raise CertificateError(f"{name}: missing or malformed parameter {key}={value!r}")
+        return value
+
     if name == "R0":
         return TOP if params.get("free") == "yes" else RankBounds(ZERO, ZERO)
     if name == "RKat":
-        d = ord_of_int(int(params["depth"]))
+        d = ord_of_int(int(param("depth", nat=True)))
         return RankBounds(d, d)
     if name == "RMono":
         his = [b.hi for b in inputs if b.hi is not None]
@@ -236,7 +242,7 @@ def eval_rule(
     if name in ("RLimConst", "RSection", "RIso"):
         return need(0)
     if name == "RCert":
-        return parse_bounds(params["bounds"])
+        return parse_bounds(param("bounds"))
     if name == "RQH":
         return RankBounds(ZERO, need_hi(need(0)))
     if name == "RCopy":

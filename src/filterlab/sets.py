@@ -1,8 +1,11 @@
 """Eventually uniform subsets of structured domains, in normal form.
 
-A set over Unit or Nat is a finite or cofinite leaf.  A set over an indexed
-domain is a SectionFamily: finitely many exceptional sections plus one tail
-section repeated at every other index.  This shape is closed under the
+A set over Unit or Nat is a leaf: a sorted tuple of listed points, whose
+membership differs from one tail verdict.  A FinSet's tail verdict is false,
+so it lists its members; a CofinSet's is true, so it lists its gaps.  A set
+over an indexed domain is a SectionFamily: finitely many exceptional
+sections plus one tail section repeated at every other index.  Both are
+"a finite exception table plus a uniform tail", which is closed under the
 boolean operations and keeps every query in this module exact.
 """
 
@@ -10,8 +13,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import and_, attrgetter, or_
 from random import Random
-from typing import Callable, Iterable, Mapping
+from typing import Callable, ClassVar, Iterable, Mapping
 
 from .domains import (
     DSum,
@@ -63,6 +67,8 @@ class FinSet(SetExpr):
 
     elements: tuple[Point, ...]
     domain: DomainExpr
+    tail_holds: ClassVar[bool] = False
+    listed = property(attrgetter("elements"))
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,8 @@ class CofinSet(SetExpr):
 
     excluded: tuple[Point, ...]
     domain: DomainExpr
+    tail_holds: ClassVar[bool] = True
+    listed = property(attrgetter("excluded"))
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,11 @@ def cofin_set(excluded: Iterable[Point], domain: DomainExpr) -> SetExpr:
     if isinstance(domain, Nat):
         return _marked(CofinSet(_sorted_points(excluded, domain), domain))
     return cofinite_set_expr(excluded, domain)
+
+
+def leaf_set(points: Iterable[Point], tail_holds: bool, domain: DomainExpr) -> SetExpr:
+    """The leaf that holds a point exactly where its listing differs from tail_holds."""
+    return cofin_set(points, domain) if tail_holds else fin_set(points, domain)
 
 
 def section_family(
@@ -265,10 +278,10 @@ def exception_keys(a: SetExpr) -> tuple[int, ...]:
 
 def set_member(p: Point, a: SetExpr) -> bool:
     if isinstance(a, (FinSet, CofinSet)):
-        pts = a.elements if isinstance(a, FinSet) else a.excluded  # sorted, distinct keys
+        pts = a.listed  # sorted, distinct keys
         k = point_key(p)
         i = bisect_left(pts, k, key=point_key)
-        return (i < len(pts) and point_key(pts[i]) == k) == isinstance(a, FinSet)
+        return (i < len(pts) and point_key(pts[i]) == k) != a.tail_holds
     if isinstance(a, SectionFamily):
         i, rest = split_point(p)
         return set_member(rest, section(a, i))
@@ -276,65 +289,47 @@ def set_member(p: Point, a: SetExpr) -> bool:
 
 
 def set_complement(a: SetExpr) -> SetExpr:
-    if isinstance(a, (FinSet, CofinSet)) and a._valid:
-        # a marked leaf lists sorted, distinct points of its domain already
-        if isinstance(a.domain, Unit):
-            return _marked(FinSet(() if a.elements else (UNIT_PT,), a.domain))
-        if isinstance(a, FinSet):
-            return _marked(CofinSet(a.elements, a.domain))
-        return _marked(FinSet(a.excluded, a.domain))
-    if isinstance(a, FinSet):
-        return cofin_set(a.elements, a.domain)
-    if isinstance(a, CofinSet):
-        return fin_set(a.excluded, a.domain)
+    if isinstance(a, (FinSet, CofinSet)):
+        if a._valid and isinstance(a.domain, Nat):
+            # a marked leaf lists sorted, distinct points of its domain already;
+            # over Unit, leaf_set keeps the complement a FinSet
+            return _marked((FinSet if a.tail_holds else CofinSet)(a.listed, a.domain))
+        return leaf_set(a.listed, not a.tail_holds, a.domain)
     if isinstance(a, SectionFamily):
         excs = {i: set_complement(sec) for i, sec in a.exceptions}
         return section_family(excs, set_complement(a.tail), a.domain)
     raise DomainError(f"not a SetExpr: {a!r}")
 
 
-def _leaf_binop(a: SetExpr, b: SetExpr, op: str) -> SetExpr:
-    ka = {point_key(p): p for p in (a.elements if isinstance(a, FinSet) else a.excluded)}
-    kb = {point_key(p): p for p in (b.elements if isinstance(b, FinSet) else b.excluded)}
-    fin_a, fin_b = isinstance(a, FinSet), isinstance(b, FinSet)
-    d = a.domain
-    if op == "union":
-        if fin_a and fin_b:
-            return fin_set(list(ka.values()) + list(kb.values()), d)
-        if fin_a:  # Fin u Cofin: drop a's points from b's exclusions
-            return cofin_set([kb[k] for k in kb if k not in ka], d)
-        if fin_b:
-            return cofin_set([ka[k] for k in ka if k not in kb], d)
-        return cofin_set([ka[k] for k in ka if k in kb], d)
-    if op == "intersect":
-        if fin_a and fin_b:
-            return fin_set([ka[k] for k in ka if k in kb], d)
-        if fin_a:
-            return fin_set([ka[k] for k in ka if k not in kb], d)
-        if fin_b:
-            return fin_set([kb[k] for k in kb if k not in ka], d)
-        return cofin_set(list(ka.values()) + list(kb.values()), d)
-    raise AssertionError(op)
+def _leaf_binop(a: SetExpr, b: SetExpr, op: Callable[[bool, bool], bool]) -> SetExpr:
+    # off both listings each side holds its tail verdict, so the result's tail
+    # is op of the two, and it lists the listed points where op differs
+    ta, tb = a.tail_holds, b.tail_holds
+    tail = op(ta, tb)
+    ka = {point_key(p): p for p in a.listed}
+    kb = {point_key(p): p for p in b.listed}
+    kept = [p for k, p in (kb | ka).items() if op((k in ka) != ta, (k in kb) != tb) != tail]
+    return leaf_set(kept, tail, a.domain)
 
 
-def _binop(a: SetExpr, b: SetExpr, op: str) -> SetExpr:
+def _binop(a: SetExpr, b: SetExpr, op: Callable[[bool, bool], bool], name: str) -> SetExpr:
     if a.domain != b.domain:
-        raise DomainError(f"cross-domain {op}: {a.domain!r} vs {b.domain!r}")
+        raise DomainError(f"cross-domain {name}: {a.domain!r} vs {b.domain!r}")
     if isinstance(a, SectionFamily) != isinstance(b, SectionFamily):
         raise NotNormalForm("mixed leaf/sectionwise operands over one domain")
     if not isinstance(a, SectionFamily):
         return _leaf_binop(a, b, op)
     keys = sorted(set(exception_keys(a)) | set(exception_keys(b)))
-    excs = {i: _binop(section(a, i), section(b, i), op) for i in keys}
-    return section_family(excs, _binop(a.tail, b.tail, op), a.domain)
+    excs = {i: _binop(section(a, i), section(b, i), op, name) for i in keys}
+    return section_family(excs, _binop(a.tail, b.tail, op, name), a.domain)
 
 
 def set_union(a: SetExpr, b: SetExpr) -> SetExpr:
-    return _binop(a, b, "union")
+    return _binop(a, b, or_, "union")
 
 
 def set_intersect(a: SetExpr, b: SetExpr) -> SetExpr:
-    return _binop(a, b, "intersect")
+    return _binop(a, b, and_, "intersect")
 
 
 def set_without(a: SetExpr, points: Iterable[Point]) -> SetExpr:
@@ -361,17 +356,16 @@ def _without(a: SetExpr, pts: list[Point]) -> SetExpr:
             groups.setdefault(i, []).append(rest)
         return with_sections(a, {i: _without(a.at(i), rests) for i, rests in groups.items()})
     # a leaf lists sorted points: a FinSet its members, a CofinSet its gaps
-    listed = a.elements if isinstance(a, FinSet) else a.excluded
-    held = list(listed)
+    held = list(a.listed)
     for p in pts:
         k = point_key(p)
         i = bisect_left(held, k, key=point_key)
         present = i < len(held) and point_key(held[i]) == k
-        if isinstance(a, FinSet) and present:
+        if present and not a.tail_holds:
             del held[i]
-        elif isinstance(a, CofinSet) and not present:
+        elif not present and a.tail_holds:
             held.insert(i, p)
-    if len(held) == len(listed):
+    if len(held) == len(a.listed):
         return a
     return _marked(type(a)(tuple(held), a.domain))
 
@@ -407,50 +401,42 @@ class Cofinite:
 
 def classify_nat(a: SetExpr) -> Finite | Cofinite:
     """Exact finite/cofinite verdict for a leaf set over Nat or Unit."""
-    if isinstance(a, FinSet):
-        return Finite(len(a.elements))
-    if isinstance(a, CofinSet):
-        return Cofinite(len(a.excluded))
+    if isinstance(a, (FinSet, CofinSet)):
+        return (Cofinite if a.tail_holds else Finite)(len(a.listed))
     raise DomainError("classify_nat expects a leaf set")
 
 
 def finite_points(a: SetExpr) -> tuple[Point, ...] | None:
     """All points of a if a is finite, else None."""
-    if isinstance(a, FinSet):
-        return a.elements
-    if isinstance(a, CofinSet):
-        return None
-    if isinstance(a, SectionFamily):
-        if finite_points(a.tail) != ():
-            return None
-        out: list[Point] = []
-        for i, sec in a.exceptions:
-            pts = finite_points(sec)
-            if pts is None:
-                return None
-            out.extend(make_point(a.domain, i, r) for r in pts)
-        return tuple(sorted(out, key=point_key))
-    raise DomainError(f"not a SetExpr: {a!r}")
+    return _off_tail(a, False)
 
 
 def cofinite_excluded(a: SetExpr) -> tuple[Point, ...] | None:
     """The finite complement of a if there is one, else None."""
-    if isinstance(a, FinSet):
-        if isinstance(a.domain, Unit):
-            return () if a.elements else (UNIT_PT,)
+    return _off_tail(a, True)
+
+
+def _off_tail(a: SetExpr, holds: bool) -> tuple[Point, ...] | None:
+    """The points where membership in a differs from holds, if finitely many.
+
+    Exceptions ascend, and so does each section's listing, so the points
+    come out in canonical order."""
+    if isinstance(a, (FinSet, CofinSet)):
+        if a.tail_holds == holds:
+            return a.listed
+        if isinstance(a.domain, Unit):  # a FinSet, read off a true tail
+            return () if a.listed else (UNIT_PT,)
         return None
-    if isinstance(a, CofinSet):
-        return a.excluded
     if isinstance(a, SectionFamily):
-        if cofinite_excluded(a.tail) != ():
+        if _off_tail(a.tail, holds) != ():
             return None
         out: list[Point] = []
         for i, sec in a.exceptions:
-            gaps = cofinite_excluded(sec)
-            if gaps is None:
+            pts = _off_tail(sec, holds)
+            if pts is None:
                 return None
-            out.extend(make_point(a.domain, i, r) for r in gaps)
-        return tuple(sorted(out, key=point_key))
+            out.extend(make_point(a.domain, i, r) for r in pts)
+        return tuple(out)
     raise DomainError(f"not a SetExpr: {a!r}")
 
 
@@ -514,12 +500,10 @@ def subset_check(a: SetExpr, b: SetExpr) -> bool:
     for x in (a, b):
         if not isinstance(x, (FinSet, CofinSet)):
             raise NotNormalForm(f"not a leaf or a pair of sectionwise sets: {x!r}")
-    pa = a.elements if isinstance(a, FinSet) else a.excluded
-    pb = b.elements if isinstance(b, FinSet) else b.excluded
-    ka, kb = {point_key(p) for p in pa}, {point_key(p) for p in pb}
-    if isinstance(a, FinSet):
-        return ka <= kb if isinstance(b, FinSet) else ka.isdisjoint(kb)
-    return isinstance(b, CofinSet) and kb <= ka
+    ka, kb = {point_key(p) for p in a.listed}, {point_key(p) for p in b.listed}
+    if a.tail_holds:
+        return b.tail_holds and kb <= ka
+    return ka.isdisjoint(kb) if b.tail_holds else ka <= kb
 
 
 def truncate(a: SetExpr | ProgrammaticSet, bound: int) -> list[Point]:
@@ -541,10 +525,8 @@ def truncate(a: SetExpr | ProgrammaticSet, bound: int) -> list[Point]:
 
 def set_span(a: SetExpr) -> int:
     """One past the largest index mentioned anywhere in a."""
-    if isinstance(a, FinSet):
-        return max((point_key(p)[0] + 1 for p in a.elements if point_key(p)), default=0)
-    if isinstance(a, CofinSet):
-        return max((point_key(p)[0] + 1 for p in a.excluded), default=0)
+    if isinstance(a, (FinSet, CofinSet)):
+        return max((point_key(p)[0] + 1 for p in a.listed if point_key(p)), default=0)
     if isinstance(a, SectionFamily):
         return fresh_index(a.keys)
     raise DomainError(f"not a SetExpr: {a!r}")

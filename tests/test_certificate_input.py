@@ -1,0 +1,50 @@
+"""Certificate text is read only in the forms certificate_text writes.
+
+Ordinals and rule parameters take ASCII decimal digits, and a missing or
+malformed parameter is a CertificateError, not a raw ValueError or KeyError.
+"""
+
+import pytest
+
+from filterlab.ordinals import OrdinalError, parse_ordinal
+from filterlab.rank import (
+    CertificateError,
+    certificate_from_text,
+    eval_rule,
+    replay_certificate,
+)
+
+KAT = 'NODE "x" final=[{out}]\n  RULE RKat {params} cite="c" out=[{out}]\n'
+
+
+@pytest.mark.parametrize("text", ["w^٣", "٣", "w*٣", "w^2+١"])
+def test_an_ordinal_takes_only_ascii_digits(text):
+    with pytest.raises(OrdinalError):
+        parse_ordinal(text)
+
+
+@pytest.mark.parametrize(
+    "rule, params",
+    [
+        ("RKat", {"depth": "x"}),
+        ("RKat", {"depth": "٣"}),
+        ("RKat", {"depth": "-1"}),
+        ("RKat", {}),
+        ("RCert", {}),
+    ],
+)
+def test_a_bad_rule_parameter_is_a_certificate_error(rule, params):
+    with pytest.raises(CertificateError, match=rule):
+        eval_rule(rule, params, ())
+
+
+@pytest.mark.parametrize("params", ["depth=x", "depth=٣", ""])
+def test_replaying_a_certificate_with_a_bad_depth_is_a_certificate_error(params):
+    cert = certificate_from_text(KAT.format(out="3,3", params=params))
+    with pytest.raises(CertificateError):
+        replay_certificate(cert)
+
+
+def test_a_well_formed_depth_replays():
+    cert = certificate_from_text(KAT.format(out="3,3", params="depth=3"))
+    assert str(replay_certificate(cert).exact) == "3"
