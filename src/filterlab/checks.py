@@ -129,6 +129,13 @@ from .sets import (
     set_union,
 )
 
+# how many random cases the sampling suites try at every seed
+LAW_TRIALS = 500
+SUM_LIMIT_SETS = 200
+SEPARATOR_SETS = 100
+ZFAMILY_SAMPLES = 100
+ORDINAL_TRIALS = 1000
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -293,12 +300,12 @@ LAW_CONSTRUCTORS = (
 )
 
 
-def check_laws(trunc: int = 10_000, seed: int = 0, trials: int = 500) -> list[CheckResult]:
+def check_laws(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
     for kind in LAW_CONSTRUCTORS:
         upward = inter = proper = in_count = 0
         bad = ""
-        for t in range(trials):
+        for t in range(LAW_TRIALS):
             f = _law_filter(kind, t, seed)
             d = dom_of(f)
             rng = Random((seed << 16) ^ (t * 7919 + 11))
@@ -321,10 +328,10 @@ def check_laws(trunc: int = 10_000, seed: int = 0, trials: int = 500) -> list[Ch
                         inter += 1
                     elif not bad:
                         bad = f"intersection closure broke at trial {t}"
-        ok = proper == trials and not bad
+        ok = proper == LAW_TRIALS and not bad
         out.append(
             _res(
-                f"{kind}: laws on {trials} random triples",
+                f"{kind}: laws on {LAW_TRIALS} random triples",
                 ok,
                 bad or f"{in_count} members seen, {upward} upward, {inter} meets",
             )
@@ -336,7 +343,7 @@ def check_laws(trunc: int = 10_000, seed: int = 0, trials: int = 500) -> list[Ch
 # sums against their limit form
 
 
-def check_fubini_limit(trunc: int = 10_000, seed: int = 0, count: int = 200) -> list[CheckResult]:
+def check_fubini_limit(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     shapes = [
         (
             "plain cofinite base and tail",
@@ -360,7 +367,7 @@ def check_fubini_limit(trunc: int = 10_000, seed: int = 0, count: int = 200) -> 
         d = dom_of(f)
         mismatch = ""
         agree = 0
-        for i in range(count):
+        for i in range(SUM_LIMIT_SETS):
             a = gen_random_setexpr(d, 8, (seed << 12) ^ (i * 131 + 7))
             if member(f, a) == member(lim, a):
                 agree += 1
@@ -368,8 +375,8 @@ def check_fubini_limit(trunc: int = 10_000, seed: int = 0, count: int = 200) -> 
                 mismatch = f"disagreement on sample {i}: {set_to_source(a)}"
         out.append(
             _res(
-                f"sum vs limit form, {label}: {count} random sets",
-                agree == count,
+                f"sum vs limit form, {label}: {SUM_LIMIT_SETS} random sets",
+                agree == SUM_LIMIT_SETS,
                 mismatch or f"{agree} agreements",
             )
         )
@@ -463,7 +470,7 @@ def check_games(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
 # separator verdicts: members in, dual members out, nothing unknown
 
 
-def check_separator(trunc: int = 10_000, seed: int = 0, count: int = 100) -> list[CheckResult]:
+def check_separator(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     d = Prod(NAT)
     inner = filter_family({}, frechet(NAT))
     lim = limit_of(frechet(NAT), SectionwiseFamily(inner, d))
@@ -479,7 +486,7 @@ def check_separator(trunc: int = 10_000, seed: int = 0, count: int = 100) -> lis
 
     ins = outs = unknowns = 0
     bad = ""
-    for i in range(count):
+    for i in range(SEPARATOR_SETS):
         m = section_family(
             random_sections(rng.randrange(3)),
             cofin_set([NatPt(rng.randrange(9)) for _ in range(rng.randrange(4))], NAT),
@@ -494,7 +501,7 @@ def check_separator(trunc: int = 10_000, seed: int = 0, count: int = 100) -> lis
         else:
             unknowns += not isinstance(v, SepOut)
             bad = bad or f"member {i} judged {type(v).__name__}"
-    for i in range(count):
+    for i in range(SEPARATOR_SETS):
         dset = section_family(
             random_sections(rng.randrange(3)),
             fin_set([NatPt(rng.randrange(30)) for _ in range(rng.randrange(5))], NAT),
@@ -511,14 +518,14 @@ def check_separator(trunc: int = 10_000, seed: int = 0, count: int = 100) -> lis
             bad = bad or f"dual member {i} judged {type(v).__name__}"
     out = [
         _res(
-            f"{count} members all judged inside",
-            ins == count,
-            bad or f"{ins}/{count}",
+            f"{SEPARATOR_SETS} members all judged inside",
+            ins == SEPARATOR_SETS,
+            bad or f"{ins}/{SEPARATOR_SETS}",
         ),
         _res(
-            f"{count} dual members all judged outside",
-            outs == count,
-            bad or f"{outs}/{count}",
+            f"{SEPARATOR_SETS} dual members all judged outside",
+            outs == SEPARATOR_SETS,
+            bad or f"{outs}/{SEPARATOR_SETS}",
         ),
         _res("no unknown verdicts", unknowns == 0, f"{unknowns} unknown"),
     ]
@@ -529,7 +536,7 @@ def check_separator(trunc: int = 10_000, seed: int = 0, count: int = 100) -> lis
 # line families: disjoint infinite lines, cover witnesses for tower members
 
 
-def check_zfamily(trunc: int = 10_000, seed: int = 0, samples: int = 100) -> list[CheckResult]:
+def check_zfamily(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
     for gamma in (1, 2, 3):
         zf = ZFamily(gamma)
@@ -558,7 +565,7 @@ def check_zfamily(trunc: int = 10_000, seed: int = 0, samples: int = 100) -> lis
 
         covered = 0
         bad = ""
-        for s in range(samples):
+        for s in range(ZFAMILY_SAMPLES):
             m = random_tower_member(gamma, seed * 1009 + s)
             if not member(katetov(gamma), m):
                 bad = bad or f"sample {s} is not a tower member"
@@ -579,9 +586,9 @@ def check_zfamily(trunc: int = 10_000, seed: int = 0, samples: int = 100) -> lis
                 bad = bad or f"sample {s}: witness misses the line trace"
         out.append(
             _res(
-                f"depth {gamma}: {samples} random members carry exact cover witnesses",
-                covered == samples,
-                bad or f"{covered}/{samples}",
+                f"depth {gamma}: {ZFAMILY_SAMPLES} random members carry exact cover witnesses",
+                covered == ZFAMILY_SAMPLES,
+                bad or f"{covered}/{ZFAMILY_SAMPLES}",
             )
         )
     return out
@@ -891,12 +898,12 @@ def _of_pair(x: tuple[int, int]) -> Ordinal:
     return Ordinal(tuple(terms))
 
 
-def check_ordinals(trunc: int = 10_000, seed: int = 0, trials: int = 1000) -> list[CheckResult]:
+def check_ordinals(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     rng = Random(seed * 101 + 13)
     out: list[CheckResult] = []
 
     assoc = absorb = 0
-    for _ in range(trials):
+    for _ in range(ORDINAL_TRIALS):
         a, b, c = (_random_ordinal(rng) for _ in range(3))
         if ord_add(ord_add(a, b), c) == ord_add(a, ord_add(b, c)):
             assoc += 1
@@ -906,16 +913,16 @@ def check_ordinals(trunc: int = 10_000, seed: int = 0, trials: int = 1000) -> li
             absorb += 1
     out.append(
         _res(
-            f"{trials} random sums associate",
-            assoc == trials,
-            f"{assoc}/{trials}",
+            f"{ORDINAL_TRIALS} random sums associate",
+            assoc == ORDINAL_TRIALS,
+            f"{assoc}/{ORDINAL_TRIALS}",
         )
     )
     out.append(
         _res(
-            f"{trials} finite heads absorbed by infinite tails",
-            absorb == trials,
-            f"{absorb}/{trials}",
+            f"{ORDINAL_TRIALS} finite heads absorbed by infinite tails",
+            absorb == ORDINAL_TRIALS,
+            f"{absorb}/{ORDINAL_TRIALS}",
         )
     )
     out.append(

@@ -272,9 +272,8 @@ class InterleavedPair:
         self._lines: tuple[list[int], list[int]] = ([], [])
         self._line_pos: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self._enum_pos = [0, 0]
-        self._reg_count = 0
-        # row-major cursor into the current sweep's grid; must stay equal to
-        # _round_pair(_reg_count)
+        # row-major cursor into the current sweep's grid; after t regular
+        # stages it must equal _round_pair(t)
         self._sweep = 0
         self._sweep_pair = (0, 0)
 
@@ -307,7 +306,6 @@ class InterleavedPair:
             else:
                 self._sweep += 1
                 self._sweep_pair = (0, 0)
-            self._reg_count += 1
             keys = (self._next_line_key(0, i), self._next_line_key(1, j))
             lines = (i, j)
         for side, key in enumerate(keys):

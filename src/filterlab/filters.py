@@ -344,7 +344,12 @@ class Limit(FilterExpr):
             if any(dom_of(g) != d for _, g in self.family.exceptions):
                 raise FilterError("limit family members must share one domain")
         else:
-            d = self.family.domain
+            d, inner = self.family.domain, self.family.inner
+            listed = set(inner.keys) | {i for i, _ in listed_components(d)}
+            if not is_indexed(d) or dom_of(inner.tail) != tail_component(d) or any(
+                dom_of(inner.at(i)) != component(d, i) for i in listed
+            ):
+                raise FilterError("sectionwise family members must live on their sections")
         self._set_dom(d)
 
 

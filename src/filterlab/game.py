@@ -4,12 +4,15 @@ Player I names a member C_n of the filter, player II answers with a finite
 subset F_n of C_n.  Whether the accumulated union lands in the dual is a
 property of infinite play, so the engine only records legal finite
 transcripts and checks per-round invariants; no winner is ever declared.
+
+play holds one GameState and extends it in place after every round.  start
+binds a strategy to one game, and play calls the mover it returns once per
+round, in order, so a mover may build each move on the one before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -43,14 +46,12 @@ from .sets import (
     SetExpr,
     empty_set,
     exception_keys,
-    fin_set,
     first_point,
     full_set,
     is_empty_set,
     listed_components,
     section,
     section_family,
-    set_complement,
     set_member,
     set_span,
     set_without,
@@ -86,86 +87,20 @@ class Round:
 
 
 @dataclass(eq=False)
-class _Log:
-    """The rounds of one line of play, shared by the states along it.
-
-    Only a state at the tip appends, so the log never changes below its
-    tip.  claims maps the key of every claimed point to the first round that
-    claimed it and the point, in the order of claiming; sizes[n] is how many
-    points the first n rounds claimed.
-    """
-
-    rounds: list[Round] = field(default_factory=list)
-    claims: dict[tuple[int, ...], tuple[int, Point]] = field(default_factory=dict)
-    sizes: list[int] = field(default_factory=lambda: [0])
-
-    def prefix(self, n: int) -> _Log:
-        """A new log holding the first n rounds of this one."""
-        claims = dict(islice(self.claims.items(), self.sizes[n]))
-        return _Log(self.rounds[:n], claims, self.sizes[: n + 1])
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class GameState:
-    """The rounds played so far, with the union of player II's claims.
+    """The game so far, which play extends in place after every round.
 
-    A state is the first round_number rounds of a log that the states
-    extending each other share, after the fat-node method of Driscoll,
-    Sarnak, Sleator and Tarjan.  `after` on the state at the log's tip
-    appends to the log; on an older state it first copies the rounds that
-    state holds, so a state a strategy holds never sees later claims.
-    `claimed` maps the key of every point claimed so far to the point, in
-    ascending key order; it is the running union, built on each read.  Two
-    states are equal when they hold the same filter and rounds.
+    claimed maps the key of every point claimed in rounds to the point, in
+    the order of claiming: the running union of player II's answers.
     """
 
     filt: FilterExpr
-    _log: _Log = field(default_factory=_Log)
-    _n: int = 0
+    rounds: list[Round]
+    claimed: dict[tuple[int, ...], Point]
 
     @property
     def round_number(self) -> int:
-        return self._n
-
-    @property
-    def rounds(self) -> tuple[Round, ...]:
-        return tuple(self._log.rounds[: self._n])
-
-    @property
-    def claimed(self) -> dict[tuple[int, ...], Point]:
-        claims = islice(self._log.claims.items(), self._log.sizes[self._n])
-        return {k: p for k, (_, p) in sorted(claims)}
-
-    def union_points(self) -> tuple[Point, ...]:
-        return tuple(self.claimed.values())
-
-    def _has_claimed(self, k: tuple[int, ...]) -> bool:
-        """True when the rounds this state holds claimed the point keyed k."""
-        entry = self._log.claims.get(k)
-        return entry is not None and entry[0] < self._n
-
-    def after(self, r: Round) -> GameState:
-        log, n = self._log, self._n
-        if len(log.rounds) > n:
-            log = log.prefix(n)
-        for p in r.f:
-            log.claims.setdefault(point_key(p), (n, p))
-        log.rounds.append(r)
-        log.sizes.append(len(log.claims))
-        return GameState(self.filt, log, n + 1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GameState):
-            return NotImplemented
-        if self.filt != other.filt or self._n != other._n:
-            return False
-        return self._log is other._log or self.rounds == other.rounds
-
-    def __hash__(self) -> int:
-        return hash((self.filt, self.rounds))
-
-    def __repr__(self) -> str:
-        return f"GameState(filt={self.filt!r}, rounds={self.rounds!r})"
+        return len(self.rounds)
 
 
 @dataclass(frozen=True)
@@ -199,20 +134,13 @@ def union_size(t: Transcript) -> int:
 
 @dataclass(frozen=True)
 class _Mover:
-    """A strategy bound to one game; move(state) for player I, move(state, c) for II."""
+    """A strategy bound to one game; move(state) for player I, move(state, c) for II.
+
+    play calls each mover once per round, in order, with the one state it
+    extends, so a mover may build each move on the one before.
+    """
 
     move: Callable
-
-
-def _extends(state: GameState, seen: GameState | None) -> bool:
-    """True when state continues seen: both hold one log, and state holds at
-    least as many of its rounds.
-
-    A mover that builds on the last state it saw resumes only on such a
-    state and starts afresh on any other; the same state again extends
-    itself by no rounds.
-    """
-    return seen is not None and state._log is seen._log and state._n >= seen._n
 
 
 class FullSetI:
@@ -221,6 +149,7 @@ class FullSetI:
     name = "full"
 
     def start(self, f: FilterExpr, seed: int) -> _Mover:
+        """Bind the strategy to one game of f; play calls the mover once per round."""
         full = full_set(dom_of(f))
         return _Mover(lambda state: full)
 
@@ -231,17 +160,12 @@ class ExcludeUnionI:
     name = "exclude-union"
 
     def start(self, f: FilterExpr, seed: int) -> _Mover:
-        domain = dom_of(f)
-        seen = c = None  # the last state seen and the move made for it
+        c = full_set(dom_of(f))  # the last move; each round removes only its new claims
 
         def move(state: GameState) -> SetExpr:
-            nonlocal seen, c
-            if _extends(state, seen):
-                new = state._log.rounds[seen.round_number : state.round_number]
-                c = set_without(c, [p for r in new for p in r.f])
-            else:
-                c = set_complement(fin_set(state.union_points(), domain))
-            seen = state
+            nonlocal c
+            if state.rounds:
+                c = set_without(c, state.rounds[-1].f)
             return c
 
         return _Mover(move)
@@ -267,19 +191,12 @@ class CopyStrategyI:
             raise DomainError(
                 f"copy strategy needs an indexed source domain, not {domain_to_source(source)}"
             )
-        # the move depends only on the round number: a later round empties
-        # the columns from the last round seen up to its own
-        last = cols = None  # the last round number seen and tail_columns for it
+        cols = tail_columns(source, 0)  # each round empties one more column
 
         def move(state: GameState) -> SetExpr:
-            nonlocal last, cols
-            n = state.round_number
-            if last is not None and last <= n:
-                new = {i: empty_set(component(source, i)) for i in range(last, n)}
-                cols = with_sections(cols, new)
-            else:
-                cols = tail_columns(source, n)
-            last = n
+            nonlocal cols
+            if n := state.round_number:
+                cols = with_sections(cols, {n - 1: empty_set(component(source, n - 1))})
             return sigma.image_set(cols)
 
         return _Mover(move)
@@ -379,19 +296,14 @@ class FreshElementII:
 
     def start(self, f: FilterExpr, seed: int) -> _Mover:
         domain, bound = dom_of(f), self.bound
-        # enumeration indices below low were all claimed in the state seen
-        # last; claims only grow along a game, so a state that extends it
-        # resumes there
-        low, seen = 0, None
+        # enumeration indices below low are all claimed, and claims only grow
+        low = 0
 
         def move(state: GameState, c: SetExpr) -> tuple[Point, ...]:
-            nonlocal low, seen
-            if not _extends(state, seen):
-                low = 0
-            seen = state
+            nonlocal low
             for m in range(low, bound):
                 p = enum_point(domain, m)
-                if state._has_claimed(point_key(p)):
+                if point_key(p) in state.claimed:
                     if m == low:
                         low += 1
                 elif set_member(p, c):
@@ -485,7 +397,7 @@ def play(f: FilterExpr, s_i, s_ii, rounds: int, seed: int) -> Transcript:
     mover_i = s_i.start(f, seed)
     mover_ii = s_ii.start(f, seed)
     dom = dom_of(f)
-    state = GameState(f)
+    state = GameState(f, [], {})
     for n in range(rounds):
         c = mover_i.move(state)
         if c.domain != dom:
@@ -501,8 +413,9 @@ def play(f: FilterExpr, s_i, s_ii, rounds: int, seed: int) -> Transcript:
                 raise IllegalMove(
                     f"player II, round {n}: point {point_to_source(p)} outside {where}"
                 )
-        state = state.after(Round(c, pts))
-    return Transcript(f, state.rounds, seed, s_i.name, s_ii.name)
+        state.rounds.append(Round(c, pts))
+        _claim(state.claimed, pts)
+    return Transcript(f, tuple(state.rounds), seed, s_i.name, s_ii.name)
 
 
 def replay_transcript(t: Transcript, s_i=None, s_ii=None) -> Transcript:

@@ -38,6 +38,7 @@ from .filters import (
 from .ordinals import (
     ONE,
     Ordinal,
+    OrdinalError,
     ZERO,
     ord_add,
     ord_of_int,
@@ -98,8 +99,11 @@ def parse_bounds(text: str) -> RankBounds:
     m = re.fullmatch(r"\[([^,\]]+),([^,\]]+)\]", text.strip())
     if not m:
         raise CertificateError(f"malformed bounds {text!r}")
-    lo = parse_ordinal(m.group(1))
-    hi = None if m.group(2) == "*" else parse_ordinal(m.group(2))
+    try:
+        lo = parse_ordinal(m.group(1))
+        hi = None if m.group(2) == "*" else parse_ordinal(m.group(2))
+    except OrdinalError as e:
+        raise CertificateError(f"malformed bounds {text!r}: {e}") from None
     return RankBounds(lo, hi)
 
 

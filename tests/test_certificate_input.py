@@ -1,7 +1,8 @@
 """Certificate text is read only in the forms certificate_text writes.
 
 Ordinals and rule parameters take ASCII decimal digits, and a missing or
-malformed parameter is a CertificateError, not a raw ValueError or KeyError.
+malformed parameter or bound is a CertificateError, not a raw ValueError,
+KeyError or OrdinalError.
 """
 
 import pytest
@@ -48,3 +49,14 @@ def test_replaying_a_certificate_with_a_bad_depth_is_a_certificate_error(params)
 def test_a_well_formed_depth_replays():
     cert = certificate_from_text(KAT.format(out="3,3", params="depth=3"))
     assert str(replay_certificate(cert).exact) == "3"
+
+
+def test_a_bad_ordinal_in_node_bounds_is_a_certificate_error():
+    with pytest.raises(CertificateError, match=r"malformed bounds '\[x,1\]'"):
+        certificate_from_text('NODE "x" final=[x,1]')
+
+
+def test_replaying_a_bad_ordinal_in_certified_bounds_is_a_certificate_error():
+    cert = certificate_from_text('NODE "x" final=[1,1]\n  RULE RCert bounds=[y,1] cite="c" out=[1,1]\n')
+    with pytest.raises(CertificateError, match=r"malformed bounds '\[y,1\]'"):
+        replay_certificate(cert)

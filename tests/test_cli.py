@@ -56,6 +56,15 @@ def test_rank_structured(capsys):
     assert "bounds=[1,1]" in out
 
 
+@pytest.mark.parametrize("head", ["secfamily", "repfamily"])
+def test_a_family_member_off_its_section_is_refused_by_member_and_rank(capsys, head):
+    filt = f"limit(frechet, {head}({{0: katetov(1)}}, frechet, prod(nat)))"
+    for argv in (["member", filt, "sections({}, cofin{})"], ["rank", filt]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: sectionwise family members must live on their sections\n"
+
+
 # ---------------------------------------------------------------------------
 # flim
 

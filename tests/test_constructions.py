@@ -140,29 +140,14 @@ def test_pair_surjectivity_budget():
 
 
 def test_sweep_cursor_matches_round_pair():
-    # the incremental cursor must agree with the closed-form schedule
+    # the incremental cursor must agree with the closed-form schedule:
+    # re-derive the pair for each regular stage from the lines its allocated
+    # points sit on
     pair = InterleavedPair(1)
-    served = []
-
-    for stage in range(600):
-        g = len(pair._points[0])
-        before = pair._reg_count
-        pair._advance()
-        if pair._reg_count != before:
-            served.append((before, g))
-    for t, _g in served:
-        pass
-    for t in range(pair._reg_count):
-        assert _round_pair(t) is not None
-    # direct check: re-deriving the pair for each regular stage agrees with
-    # what the cursor produced, via the line the allocated points sit on
     zf = pair.zfamily
-    reg = 0
-    for n in range(600):
-        if n % 3 == 2:
-            continue
-        i, j = _round_pair(reg)
-        reg += 1
+    regular = [n for n in range(600) if n % 3 != 2]
+    for t, n in enumerate(regular):
+        i, j = _round_pair(t)
         assert zf.line_index_of(pair.pi(0, n)) == i
         assert zf.line_index_of(pair.pi(1, n)) == j
 

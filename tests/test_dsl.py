@@ -339,4 +339,4 @@ def test_language_is_pinned():
         lines += [_outcome(m) for m in _mutants(src)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert len(sources) == 1200
-    assert digest == "889e416124dd2e09fbe077935e4f4d696dba51feb1c28aef37657e7ca2f74db8"
+    assert digest == "cbdf5f57f7abfb4d114df94261d16f433fc917564b90353c42ed3ebbb9e5fea3"

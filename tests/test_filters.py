@@ -30,6 +30,7 @@ from filterlab.filters import (
     Principal,
     Product,
     Pushforward,
+    RepeatedSectionwiseFamily,
     SectionFilter,
     SectionwiseFamily,
     dom_of,
@@ -178,6 +179,20 @@ def test_limit_with_constant_family_is_the_constant():
     for seed in range(30):
         a = gen_random_setexpr(NAT, 8, seed)
         assert member(lim, a) == member(g, a)
+
+
+@pytest.mark.parametrize("kind", [SectionwiseFamily, RepeatedSectionwiseFamily])
+def test_sectionwise_limit_members_must_live_on_their_sections(kind):
+    d = DSum((UNIT,), NAT)
+    assert dom_of(limit_of(frechet(NAT), kind(filter_family({0: katetov(0)}, frechet(NAT)), d))) == d
+    for exceptions, tail, domain in [
+        ({0: katetov(1)}, frechet(NAT), Prod(NAT)),  # member 0 off component 0
+        ({}, katetov(1), Prod(NAT)),  # tail off the tail component
+        ({}, frechet(NAT), d),  # member 0, the tail, off component 0
+        ({}, frechet(NAT), NAT),  # no components at all
+    ]:
+        with pytest.raises(FilterError):
+            limit_of(frechet(NAT), kind(filter_family(exceptions, tail), domain))
 
 
 def test_limit_finite_base_reads_finitely_many_members():

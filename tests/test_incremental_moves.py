@@ -1,15 +1,13 @@
 """Moves built from the last move agree with the moves built from scratch.
 
-The exclude-union player keeps the last state it answered and the move it
-made for it, and derives the next move by removing only the new claims
-(set_without).  The copy player keeps the last round number and its
-columns, and empties only the new columns (with_sections).  Every
-incremental move here is compared with the from-scratch definition, along
-whole games and along forked, rewound and repeated states.  first_point is
-compared with the index-by-index walk it replaced, copied below.  States
-share one log of rounds and copy it when they fork; the random player's
-draws are compared with the draw loop that built a set of the excluded
-points, copied below.
+play extends one state and calls each mover once per round, in order.  The
+exclude-union player keeps its last move and removes only the newest
+round's claims (set_without).  The copy player keeps its columns and
+empties only the newest one (with_sections).  Every incremental move here
+is compared with the from-scratch definition along whole games.
+first_point is compared with the index-by-index walk it replaced, and the
+random player's draws with the draw loop that built a set of the excluded
+points, both copied below.
 """
 
 from dataclasses import dataclass
@@ -38,7 +36,6 @@ from filterlab.game import (
     CopyStrategyI,
     ExcludeUnionI,
     FreshElementII,
-    FullSetI,
     GameState,
     RandomFiniteII,
     Round,
@@ -107,7 +104,7 @@ def sigmas(f):
 
 
 def scratch_exclude_union(f):
-    return lambda state: set_complement(fin_set(state.union_points(), dom_of(f)))
+    return lambda state: set_complement(fin_set(state.claimed.values(), dom_of(f)))
 
 
 def scratch_copy(f, sigma):
@@ -135,13 +132,6 @@ class Checked:
         return Mover()
 
 
-def states_of(t):
-    states = [GameState(t.filt)]
-    for r in t.rounds:
-        states.append(states[-1].after(r))
-    return states
-
-
 # ---------------------------------------------------------------------------
 # whole games
 
@@ -167,70 +157,15 @@ def test_copy_moves_match_the_scratch_move(fname, p2):
         assert copy_column_bound(t, sigma)[0]
 
 
-# ---------------------------------------------------------------------------
-# forked, rewound and repeated states
-
-
-def walk(a, b):
-    """States that go forward, repeat, rewind, fork to b and back to a."""
-    rebuilt = GameState(a[5].filt)
-    for r in a[5].rounds:
-        rebuilt = rebuilt.after(r)
-    return a[:9] + [a[8], a[8], a[3], a[4], rebuilt, a[6], b[6], b[7], b[3], a[7], a[10], a[0]]
-
-
-@pytest.mark.parametrize("fname", ["katetov(2)", "product"])
-def test_off_path_states_get_the_scratch_move(fname):
-    f = FILTERS[fname]
-    a = states_of(play(f, ExcludeUnionI(), RandomFiniteII(), 12, seed=0))
-    b = states_of(play(f, ExcludeUnionI(), RandomFiniteII(), 12, seed=1))
-    assert a[6].claimed != b[6].claimed
-    players = [(ExcludeUnionI(), scratch_exclude_union(f))]
-    players += [(CopyStrategyI(s), scratch_copy(f, s)) for s in sigmas(f)]
-    for player, scratch in players:
-        mover = player.start(f, 0)
-        for state in walk(a, b):
-            assert mover.move(state) == scratch(state)
-
-
-def test_fresh_player_restarts_on_a_state_from_another_game():
-    f = frechet(NAT)
-    mover = FreshElementII().start(f, 0)
-    full = full_set(NAT)
-    state = GameState(f)
-    for _ in range(5):
-        pts = mover.move(state, full)
-        state = state.after(Round(full, pts))
-    other = GameState(f)
-    for k in range(100, 106):
-        other = other.after(Round(full, (NatPt(k),)))
-    assert mover.move(other, full) == (NatPt(0),)
-
-
-def test_fresh_player_resumes_on_a_repeated_state():
-    f = frechet(NAT)
-    t = play(f, FullSetI(), FreshElementII(), 6, seed=0)
-    states = states_of(t)
-    mover = FreshElementII().start(f, 0)
-    full = full_set(NAT)
-    answers = [mover.move(s, full) for s in states + states[::-1]]
-    assert answers == [(NatPt(n),) for n in list(range(7)) + list(range(6, -1, -1))]
-
-
 def test_out_of_domain_claim_is_refused_on_both_paths():
     f = frechet(NAT)
-    bad = GameState(f).after(Round(full_set(NAT), (PairPt(0, NatPt(1)),)))
+    stray = PairPt(0, NatPt(1))
+    bad = GameState(f, [Round(full_set(NAT), (stray,))], {point_key(stray): stray})
     with pytest.raises(DomainError):
         scratch_exclude_union(f)(bad)
-    for warm in (False, True):
-        mover = ExcludeUnionI().start(f, 0)
-        if warm:
-            mover.move(GameState(f))
-        with pytest.raises(DomainError):
-            mover.move(bad)
-        # the refused state is not taken as the last one seen
-        good = GameState(f).after(Round(full_set(NAT), (NatPt(3),)))
-        assert mover.move(good) == scratch_exclude_union(f)(good)
+    mover = ExcludeUnionI().start(f, 0)
+    with pytest.raises(DomainError):
+        mover.move(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -329,38 +264,6 @@ def test_first_point_agrees_with_the_index_walk_on_tail_columns(d):
         a = tail_columns(d, n)
         for b in (a, set_complement(a)):
             assert first_point(b) == old_first_point(b), (d, n)
-
-
-# ---------------------------------------------------------------------------
-# one log per line of play
-
-
-def test_forked_states_keep_their_own_rounds_and_claims():
-    f = katetov(2)
-    t = play(f, ExcludeUnionI(), RandomFiniteII(), 12, seed=0)
-    u = play(f, ExcludeUnionI(), RandomFiniteII(), 12, seed=1)
-    a = states_of(t)
-    # b forks from a[5], which a[6] already extends; then a[5] forks again
-    # with a's own round, and the new state a[6] continues a's line
-    b = [a[5]]
-    for r in u.rounds[5:]:
-        b.append(b[-1].after(r))
-    again = a[5].after(t.rounds[5])
-    a.append(a[-1].after(u.rounds[0]))
-    lines = [(a, t.rounds + u.rounds[:1]), (b, t.rounds[:5] + u.rounds[5:])]
-    for states, rounds in lines:
-        for state in states:
-            n = state.round_number
-            want = {point_key(p): p for r in rounds[:n] for p in r.f}
-            assert state.rounds == rounds[:n]
-            assert list(state.claimed) == sorted(want) and len(state.claimed) == len(want)
-            assert dict(state.claimed) == want
-            assert state.union_points() == tuple(want[k] for k in sorted(want))
-            later = [point_key(p) for r in rounds[n:] for p in r.f]
-            assert all((k in state.claimed) == (k in want) for k in later)
-    assert again == a[6] and hash(again) == hash(a[6]) and repr(again) == repr(a[6])
-    assert a[6] != b[1] and a[5] == b[0] == GameState(f, a[5]._log, 5)
-    assert repr(a[1]) == f"GameState(filt={f!r}, rounds={t.rounds[:1]!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -277,18 +277,21 @@ def test_member_refuses_a_section_over_the_wrong_domain():
 def test_fresh_cursor_agrees_with_the_scan_and_restarts(f):
     d = dom_of(f)
     t = play(f, FullSetI(), FreshElementII(), 12, seed=0)
-    states = [GameState(f)]
-    for r in t.rounds:
-        states.append(states[-1].after(r))
-    rng = Random(5)
     moves = [gen_random_setexpr(d, 8, s) for s in range(12)] + [t.rounds[0].c]
-    mover = FreshElementII(bound=400).start(f, 0)
-    # forward through the game, then back to earlier rounds and forward again
-    for n in list(range(13)) + [3, 3, 0, 7, 12]:
-        c = rng.choice(moves)
-        want = ref_fresh(d, states[n], c, 400)
-        if want is None:
-            with pytest.raises(FilterLabError):
-                mover.move(states[n], c)
-        else:
-            assert mover.move(states[n], c) == want
+    player = FreshElementII(bound=400)
+    # forward through the game, then through it again with a mover the same
+    # player starts afresh: the new mover's cursor starts back at zero
+    for rng in (Random(5), Random(6)):
+        mover = player.start(f, 0)
+        state = GameState(f, [], {})
+        for r in t.rounds + (None,):
+            c = rng.choice(moves)
+            want = ref_fresh(d, state, c, 400)
+            if want is None:
+                with pytest.raises(FilterLabError):
+                    mover.move(state, c)
+            else:
+                assert mover.move(state, c) == want
+            if r is not None:
+                state.rounds.append(r)
+                state.claimed.update((point_key(p), p) for p in r.f)
