@@ -9,7 +9,6 @@ the code under test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Callable
@@ -37,6 +36,7 @@ from .domains import (
     NatPt,
     Prod,
     enum_point,
+    node,
     point_key,
     points_within,
 )
@@ -137,7 +137,7 @@ ZFAMILY_SAMPLES = 100
 ORDINAL_TRIALS = 1000
 
 
-@dataclass(frozen=True)
+@node
 class CheckResult:
     name: str
     ok: bool

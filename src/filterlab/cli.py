@@ -327,7 +327,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except FilterLabError as e:
-        print(f"error: {e}", file=sys.stderr)
+        at = "" if e.line is None else f"line {e.line}, column {e.col}: "
+        print(f"error: {at}{e}", file=sys.stderr)
         return 2
     except Exception as e:
         # keep exit 1 meaning "negative verdict" whatever goes wrong

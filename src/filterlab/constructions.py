@@ -11,7 +11,6 @@ countable type coming apart.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 from typing import Callable
@@ -31,6 +30,7 @@ from .domains import (
     check_point,
     fresh_index,
     index_of_tuple,
+    node,
     point_from_key,
     point_key,
     tuple_of_index,
@@ -99,7 +99,7 @@ class PreconditionFailure(FilterLabError):
 # disjoint line families inside tower domains
 
 
-@dataclass(frozen=True)
+@node
 class ZFamily:
     """Pairwise disjoint infinite lines covering the depth-gamma tower domain.
 
@@ -147,7 +147,7 @@ class ZFamily:
         return self.line_of_key(point_key(p))
 
 
-@dataclass(frozen=True)
+@node
 class ZCoverWitness:
     """A line whose part outside the witnessed member is finite."""
 
@@ -376,7 +376,7 @@ class InterleavedPair:
         return max(0, self.sweeps_completed(trunc) - max(i, j))
 
 
-@dataclass(frozen=True)
+@node
 class BlockInterleaveBij:
     """One side of an interleaved pair, viewed as a bijection onto omega.
 
@@ -417,7 +417,7 @@ class BlockInterleaveBij:
 # the collapse pair
 
 
-@dataclass(frozen=True)
+@node
 class PullbackSet:
     """{n : pi_side(n) in inner} for a symbolic inner set.
 
@@ -431,7 +431,7 @@ class PullbackSet:
     label: str = ""
 
 
-@dataclass(frozen=True)
+@node
 class CollapsePair:
     alpha: int
     pair: InterleavedPair
@@ -524,7 +524,7 @@ def truncation_evidence(
 # the selector shadow
 
 
-@dataclass(frozen=True)
+@node
 class SelectorShadow:
     """Finite-truncation shadow of the selector argument.
 
@@ -658,7 +658,7 @@ def two_valued_limit(
     )
 
 
-@dataclass(frozen=True)
+@node
 class CollapseLimit:
     limit: CertifiedFilter
     parts: CollapsePair
@@ -683,7 +683,7 @@ def collapse_limit(
 # a worked example: rank one, countable type two
 
 
-@dataclass(frozen=True)
+@node
 class TypeGapBundle:
     filt: FilterExpr
     bounds: RankBounds

@@ -11,7 +11,6 @@ sets, filter families and sequences.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -21,7 +20,14 @@ MAX_SUM_SPAN = 1 << 16  # components a sum domain may list before its tail
 
 
 class FilterLabError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package.
+
+    line and col place an error that a node constructor raised while a text
+    was parsed at the head token that called it; otherwise they are None.
+    """
+
+    line: int | None = None
+    col: int | None = None
 
 
 class DomainError(FilterLabError):
@@ -33,6 +39,110 @@ class EnumerationUnsupported(FilterLabError):
 
 
 # ---------------------------------------------------------------------------
+# node classes: records whose fields are their annotated class attributes
+
+
+class Hidden:
+    """Class-body value of a field kept out of __init__, eq, hash and repr.
+
+    The class attribute holds default, which every instance reads until the
+    owning module sets its own value with object.__setattr__ (a cached
+    domain, kernel or validity mark).
+    """
+
+    __slots__ = ("default",)
+
+    def __init__(self, default: object = None) -> None:
+        self.default = default
+
+
+_REQUIRED = object()  # the spec of a field without a default
+_ORDER = (("__lt__", "<"), ("__le__", "<="), ("__gt__", ">"), ("__ge__", ">="))
+
+
+def _frozen_setattr(self, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _node_repr(self) -> str:
+    shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__node_shown__)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def node(cls: type | None = None, *, frozen: bool = True, order: bool = False):
+    """Class decorator that makes cls a record of its annotated attributes.
+
+    The fields are the base nodes' fields, then the class's own annotations,
+    in order; a class-body value is the field's default, or a Hidden.  The
+    generated __init__ sets each shown (not hidden) field with
+    object.__setattr__, then calls __post_init__ if the class has one.  A
+    frozen node (the default) refuses assignment and deletion, and compares
+    and hashes as the tuple of its shown fields, against its own class
+    only; order=True adds <, <=, > and >= on that tuple.  With frozen=False
+    the node is a mutable record that compares by identity.  The generated
+    methods of a class are compiled together by one exec.  The class lists
+    its fields in __node_fields__ (name to class-body value, hidden ones
+    included) and its shown fields in __node_shown__.
+    """
+    if cls is None:
+        return lambda c: node(c, frozen=frozen, order=order)
+    specs: dict[str, object] = {}
+    for base in reversed(cls.__mro__[1:]):
+        specs.update(base.__dict__.get("__node_fields__", {}))
+    for name in cls.__dict__.get("__annotations__", {}):
+        spec = specs[name] = cls.__dict__.get(name, _REQUIRED)
+        if isinstance(spec, Hidden):
+            setattr(cls, name, spec.default)
+    # the shown fields: those that __init__ takes and that eq, hash and repr read
+    shown = tuple(k for k, s in specs.items() if not isinstance(s, Hidden))
+    env = {"_set": object.__setattr__ if frozen else setattr}
+    params, body = ["self"], []
+    for k in shown:
+        if specs[k] is _REQUIRED:
+            params.append(k)
+        else:
+            env[f"_d_{k}"] = specs[k]
+            params.append(f"{k}=_d_{k}")
+        body.append(f"_set(self, {k!r}, {k})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    src = [f"def __init__({', '.join(params)}):", *(f"    {line}" for line in body or ["pass"])]
+    methods = ["__init__"]
+    if frozen:
+        mine = "".join(f"self.{k}," for k in shown)
+        theirs = mine.replace("self.", "other.")
+        for meth, op in (("__eq__", "=="), *(_ORDER if order else ())):
+            methods.append(meth)
+            src += [
+                f"def {meth}(self, other):",
+                "    if other.__class__ is self.__class__:",
+                f"        return ({mine}) {op} ({theirs})",
+                "    return NotImplemented",
+            ]
+        methods.append("__hash__")
+        src += ["def __hash__(self):", f"    return hash(({mine}))"]
+        cls.__setattr__ = _frozen_setattr
+        cls.__delattr__ = _frozen_delattr
+    exec("\n".join(src), env)
+    for meth in methods:
+        env[meth].__qualname__ = f"{cls.__qualname__}.{meth}"
+        setattr(cls, meth, env[meth])
+    cls.__repr__ = _node_repr
+    cls.__node_fields__, cls.__node_shown__ = specs, shown
+    return cls
+
+
+def replace(x, **changes):
+    """A copy of node x with some of its __init__ fields changed."""
+    kept = {k: getattr(x, k) for k in x.__node_shown__}
+    return type(x)(**(kept | changes))
+
+
+# ---------------------------------------------------------------------------
 # domains
 
 
@@ -40,24 +150,24 @@ class DomainExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class Unit(DomainExpr):
     """The one-point domain."""
 
 
-@dataclass(frozen=True)
+@node
 class Nat(DomainExpr):
     """The naturals."""
 
 
-@dataclass(frozen=True)
+@node
 class Prod(DomainExpr):
     """omega x inner."""
 
     inner: DomainExpr
 
 
-@dataclass(frozen=True)
+@node
 class DSum(DomainExpr):
     """Disjoint sum over omega: exceptional components, then a uniform tail.
 
@@ -138,7 +248,7 @@ _index_of = itemgetter(0)
 
 
 class ExceptionTable:
-    """Mixin for frozen dataclasses with fields ``exceptions`` and ``tail``.
+    """Mixin for frozen nodes with fields ``exceptions`` and ``tail``.
 
     exceptions holds (index, value) pairs sorted by index; every index not
     listed carries tail.
@@ -189,23 +299,23 @@ class Point:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class UnitPt(Point):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class NatPt(Point):
     n: int
 
 
-@dataclass(frozen=True)
+@node
 class PairPt(Point):
     i: int
     rest: Point
 
 
-@dataclass(frozen=True)
+@node
 class SumPt(Point):
     i: int
     rest: Point

@@ -11,14 +11,14 @@ domain instead.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, TypeVar
+from typing import Callable, Mapping, NamedTuple, TypeVar
 
 from .domains import (
     DSum,
     DomainError,
     DomainExpr,
+    FilterLabError,
     NAT,
     Nat,
     NatPt,
@@ -35,6 +35,7 @@ from .domains import (
     is_indexed,
     is_linear_domain,
     make_point,
+    node,
     sum_domain,
     tail_component,
 )
@@ -133,7 +134,7 @@ def tokenize(src: str) -> list[Token]:
 # raw literal trees (resolved against a domain after parsing)
 
 
-@dataclass(frozen=True)
+@node
 class RawLiteral:
     """A set or sequence literal whose domain is not fixed yet.
 
@@ -151,7 +152,7 @@ class RawLiteral:
     col: int
 
 
-@dataclass(frozen=True)
+@node
 class _ResolvedRaw:
     """A set binding spliced into a raw tree (already a normal form)."""
 
@@ -224,6 +225,15 @@ class _Parser:
             raise ParseError(f"expected {text!r}, got {t.text or 'end of input'!r}", t.line, t.col)
         self.pos += 1
         return t
+
+    @staticmethod
+    def build(head: Token, make: Callable[..., _T], *args) -> _T:
+        """make(*args); a FilterLabError it raises gains the position of head."""
+        try:
+            return make(*args)
+        except FilterLabError as e:
+            e.line, e.col = head.line, head.col
+            raise
 
     def fail(self, message: str) -> ParseError:
         t = self.peek()
@@ -429,11 +439,11 @@ class _Parser:
             entries = self.table(self.parse_nat, self.parse_filter, "filter", open_tok)
             self.expect(",")
         tail = self.parse_filter()
-        inner = filter_family(dict(entries), tail)
+        inner = self.build(t, filter_family, dict(entries), tail)
         if t.text == "family":
             self.expect(")")
             return inner
-        domain = fubini_domain(inner)
+        domain = self.build(t, fubini_domain, inner)
         if self.peek().text == ",":
             self.take()
             domain = self.parse_domain()
@@ -455,7 +465,7 @@ class _Parser:
             self.expect(",")
             pairs = self.items("{", "}", self.parse_nat, self.parse_nat)
             self.expect(")")
-            return TableBij(d, tuple(pairs))
+            return self.build(t, TableBij, d, tuple(pairs))
         self.expect(")")
         return IdentityBij(d) if t.text == "id" else CanonicalEnum(d)
 
@@ -485,19 +495,19 @@ class _Parser:
             self.expect(")")
             if head == "fubini" and not isinstance(right, FilterFamily):
                 raise ParseError("fubini takes a plain family", t.line, t.col)
-            return _BINARY[head](left, right)
+            return self.build(t, _BINARY[head], left, right)
         if head == "frechet":
             d = self.parse_domain()
             self.expect(")")
-            return Frechet(d)
+            return self.build(t, Frechet, d)
         if head == "principal":
             core = resolve_literal(self.parse_raw_set(), None)
             self.expect(")")
-            return Principal(core)
+            return self.build(t, Principal, core)
         if head == "katetov":
             n = self.parse_nat()
             self.expect(")")
-            return katetov(n)
+            return self.build(t, katetov, n)
         # cylinder(index, component filter[, domain])
         i = self.parse_nat()
         self.expect(",")
@@ -508,7 +518,7 @@ class _Parser:
         else:
             d = Prod(dom_of(comp))
         self.expect(")")
-        return SectionFilter(i, comp, d)
+        return self.build(t, SectionFilter, i, comp, d)
 
 
 # ---------------------------------------------------------------------------

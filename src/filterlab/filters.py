@@ -9,7 +9,6 @@ the base filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Mapping, Union
@@ -20,6 +19,7 @@ from .domains import (
     DomainExpr,
     ExceptionTable,
     FilterLabError,
+    Hidden,
     NAT,
     NatPt,
     Point,
@@ -35,6 +35,7 @@ from .domains import (
     is_indexed,
     keys_ascending,
     make_point,
+    node,
     point_index,
     point_key,
     sum_domain,
@@ -80,7 +81,7 @@ class FilterError(FilterLabError):
 # bijections (total, both directions)
 
 
-@dataclass(frozen=True)
+@node
 class IdentityBij:
     domain: DomainExpr
 
@@ -128,7 +129,7 @@ class _LeafEnumeration:
         )
 
 
-@dataclass(frozen=True)
+@node
 class CanonicalEnum(_LeafEnumeration):
     """The fixed pairing-function bijection from the naturals onto target."""
 
@@ -149,7 +150,7 @@ class CanonicalEnum(_LeafEnumeration):
         return NatPt(point_index(self.target, q))
 
 
-@dataclass(frozen=True)
+@node
 class TableBij(_LeafEnumeration):
     """CanonicalEnum pre-composed with a finite permutation of the naturals.
 
@@ -199,7 +200,7 @@ BijectionSpec = Union[IdentityBij, CanonicalEnum, TableBij]
 # maps (quasi-homomorphism witnesses; injective but not surjective in general)
 
 
-@dataclass(frozen=True)
+@node
 class IntoSectionMap:
     """The bijection of a component domain onto one section of target."""
 
@@ -223,21 +224,21 @@ class IntoSectionMap:
 # filter expressions
 
 
-@dataclass(frozen=True)
+@node
 class FilterExpr:
     __slots__ = ()
 
     # the domain is set when the node is built and the kernel on first use;
     # neither takes part in eq, hash or repr
-    _dom: DomainExpr = field(default=None, init=False, compare=False, repr=False)
+    _dom: DomainExpr = Hidden(None)
     # the kernel, or the UnsupportedPreimage that computing it raised
-    _kernel: object = field(default=None, init=False, compare=False, repr=False)
+    _kernel: object = Hidden(None)
 
     def _set_dom(self, d: DomainExpr) -> None:
         object.__setattr__(self, "_dom", d)
 
 
-@dataclass(frozen=True)
+@node
 class FilterFamily(ExceptionTable):
     """Eventually uniform family of filters: finitely many exceptions + tail."""
 
@@ -249,7 +250,7 @@ class FilterFamily(ExceptionTable):
             raise FilterError("family exception keys must be sorted distinct naturals")
 
 
-@dataclass(frozen=True)
+@node
 class SectionwiseFamily:
     """Family whose i-th member is the cylinder of inner's i-th filter.
 
@@ -261,7 +262,7 @@ class SectionwiseFamily:
     domain: DomainExpr
 
 
-@dataclass(frozen=True)
+@node
 class RepeatedSectionwiseFamily:
     """Sectionwise family in which every cylinder recurs infinitely often.
 
@@ -277,7 +278,7 @@ class RepeatedSectionwiseFamily:
 FamilyLike = Union[FilterFamily, SectionwiseFamily, RepeatedSectionwiseFamily]
 
 
-@dataclass(frozen=True)
+@node
 class Principal(FilterExpr):
     """All supersets of a fixed core set."""
 
@@ -287,7 +288,7 @@ class Principal(FilterExpr):
         self._set_dom(self.core.domain)
 
 
-@dataclass(frozen=True)
+@node
 class Frechet(FilterExpr):
     """All cofinite subsets of an infinite domain."""
 
@@ -299,7 +300,7 @@ class Frechet(FilterExpr):
         self._set_dom(self.domain)
 
 
-@dataclass(frozen=True)
+@node
 class Product(FilterExpr):
     """outer x inner: sets whose good-section index set lies in outer."""
 
@@ -312,7 +313,7 @@ class Product(FilterExpr):
         self._set_dom(Prod(dom_of(self.inner)))
 
 
-@dataclass(frozen=True)
+@node
 class FubiniSum(FilterExpr):
     """base-indexed sum of a family: {M : {i : M_i in F_i} in base}."""
 
@@ -325,7 +326,7 @@ class FubiniSum(FilterExpr):
         self._set_dom(fubini_domain(self.family))
 
 
-@dataclass(frozen=True)
+@node
 class Limit(FilterExpr):
     """{A : {i : A in F_i} in base}."""
 
@@ -353,7 +354,7 @@ class Limit(FilterExpr):
         self._set_dom(d)
 
 
-@dataclass(frozen=True)
+@node
 class Intersection(FilterExpr):
     left: FilterExpr
     right: FilterExpr
@@ -364,7 +365,7 @@ class Intersection(FilterExpr):
         self._set_dom(dom_of(self.left))
 
 
-@dataclass(frozen=True)
+@node
 class Pushforward(FilterExpr):
     """The image filter {A : preimage of A under sigma is in inner}."""
 
@@ -377,7 +378,7 @@ class Pushforward(FilterExpr):
         self._set_dom(self.sigma.target_domain())
 
 
-@dataclass(frozen=True)
+@node
 class SectionFilter(FilterExpr):
     """Cylinder filter {M : the index-th section of M is in comp}."""
 
@@ -693,7 +694,7 @@ def sum_parts(f: FilterExpr) -> tuple[FilterExpr, FilterFamily] | None:
 # sequences and filter convergence
 
 
-@dataclass(frozen=True)
+@node
 class LeafSeq:
     """Eventually constant rational values on a leaf domain."""
 
@@ -702,7 +703,7 @@ class LeafSeq:
     domain: DomainExpr
 
 
-@dataclass(frozen=True)
+@node
 class SectionSeq(ExceptionTable):
     exceptions: tuple[tuple[int, "SeqExpr"], ...]
     tail: "SeqExpr"
@@ -712,7 +713,7 @@ class SectionSeq(ExceptionTable):
 SeqExpr = Union[LeafSeq, SectionSeq]
 
 
-@dataclass(frozen=True)
+@node
 class Divergent:
     pass
 
@@ -773,13 +774,13 @@ def flim(s: SeqExpr, f: FilterExpr) -> Fraction | Divergent:
 # witness verification
 
 
-@dataclass(frozen=True)
+@node
 class SampleVerdict:
     index: int
     status: str  # "pass" | "fail" | "bad-sample"
 
 
-@dataclass(frozen=True)
+@node
 class WitnessReport:
     kind: str
     entries: tuple[SampleVerdict, ...]
@@ -833,17 +834,17 @@ def _verify_samples(
 # diagonalizability
 
 
-@dataclass(frozen=True)
+@node
 class DiagYes:
     witness: SetExpr
 
 
-@dataclass(frozen=True)
+@node
 class DiagNo:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class DiagUnknown:
     pass
 

@@ -12,7 +12,6 @@ round, in order, so a mover may build each move on the one before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -28,6 +27,7 @@ from .domains import (
     is_indexed,
     is_linear_domain,
     make_point,
+    node,
     point_in_domain,
     point_index,
     point_key,
@@ -80,13 +80,13 @@ class SearchExhausted(FilterLabError):
 # transcripts
 
 
-@dataclass(frozen=True)
+@node
 class Round:
     c: SetExpr
     f: tuple[Point, ...]
 
 
-@dataclass(eq=False)
+@node(frozen=False)
 class GameState:
     """The game so far, which play extends in place after every round.
 
@@ -103,7 +103,7 @@ class GameState:
         return len(self.rounds)
 
 
-@dataclass(frozen=True)
+@node
 class Transcript:
     filt: FilterExpr
     rounds: tuple[Round, ...]
@@ -132,7 +132,7 @@ def union_size(t: Transcript) -> int:
 # player I strategies
 
 
-@dataclass(frozen=True)
+@node
 class _Mover:
     """A strategy bound to one game; move(state) for player I, move(state, c) for II.
 
@@ -214,7 +214,7 @@ def tail_columns(domain: DomainExpr, n: int) -> SetExpr:
 # universal families
 
 
-@dataclass(frozen=True)
+@node
 class UniversalFamily:
     """Indexed families Z_n = {Z_n^k : k} of finite nonempty point sets."""
 
@@ -494,14 +494,14 @@ def copy_column_bound(t: Transcript, sigma=None) -> tuple[bool, list[str]]:
 # universality and diagonalization verification
 
 
-@dataclass(frozen=True)
+@node
 class SampleUniversality:
     index: int
     witnesses: tuple[tuple[int, int | None], ...]  # (n, least fitting k or None)
     diag: tuple[int, int] | None  # (n, exact threshold m)
 
 
-@dataclass(frozen=True)
+@node
 class UniversalityReport:
     entries: tuple[SampleUniversality, ...]
     passed: bool
@@ -581,18 +581,18 @@ def section_separators(fam: FilterFamily) -> FilterFamily:
     return fam
 
 
-@dataclass(frozen=True)
+@node
 class SepIn:
     n: int
     threshold: int
 
 
-@dataclass(frozen=True)
+@node
 class SepOut:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class SepUnknown:
     bound: int
 

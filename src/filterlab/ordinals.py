@@ -11,16 +11,15 @@ w^e, w*c, w^e*c or a natural, and parse_ordinal reads that one grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .domains import FilterLabError
+from .domains import FilterLabError, node
 
 
 class OrdinalError(FilterLabError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@node(order=True)
 class Ordinal:
     """terms = ((exponent, coefficient), ...), exponents strictly decreasing.
 

@@ -10,10 +10,9 @@ clamping.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .domains import DomainExpr, FilterLabError, NAT, NatPt, fresh_index
+from .domains import DomainExpr, FilterLabError, NAT, NatPt, fresh_index, node, replace
 from .filters import (
     BijectionSpec,
     FilterExpr,
@@ -65,7 +64,7 @@ class WitnessRejected(FilterLabError):
 # bounds
 
 
-@dataclass(frozen=True)
+@node
 class RankBounds:
     lo: Ordinal
     hi: Ordinal | None  # None: no upper bound derived
@@ -131,7 +130,7 @@ def intersect_bounds(a: RankBounds, b: RankBounds, where: str = "") -> RankBound
 # certificates
 
 
-@dataclass(frozen=True)
+@node
 class RuleApp:
     rule: str
     cite: str
@@ -140,7 +139,7 @@ class RuleApp:
     output: RankBounds
 
 
-@dataclass(frozen=True)
+@node
 class CertNode:
     label: str
     applied: tuple[RuleApp, ...]
@@ -148,7 +147,7 @@ class CertNode:
     children: tuple["CertNode", ...]
 
 
-@dataclass(frozen=True)
+@node
 class RankCertificate:
     root: CertNode
 
@@ -268,7 +267,7 @@ def _app(
 # certified oracle filters
 
 
-@dataclass(frozen=True)
+@node
 class CertifiedFilter:
     """A black-box membership oracle with externally certified rank bounds.
 
@@ -297,7 +296,7 @@ def holds_in(f: RankSubject, a: SetExpr) -> bool | None:
 # rank witnesses
 
 
-@dataclass(frozen=True)
+@node
 class CopyWitness:
     """sigma sends members of source into the target filter."""
 
@@ -306,7 +305,7 @@ class CopyWitness:
     samples: tuple[SetExpr, ...]
 
 
-@dataclass(frozen=True)
+@node
 class QHWitness:
     """Preimages under pi send members of the target back into source."""
 
@@ -593,7 +592,7 @@ def _replay_node(node: CertNode) -> RankBounds:
 # countable-type level
 
 
-@dataclass(frozen=True)
+@node
 class CtBound:
     level: int | None  # None: no level derived
 

@@ -12,10 +12,9 @@ boolean operations and keeps every query in this module exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import and_, attrgetter, or_
 from random import Random
-from typing import Callable, ClassVar, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .domains import (
     DSum,
@@ -23,6 +22,7 @@ from .domains import (
     DomainExpr,
     ExceptionTable,
     FilterLabError,
+    Hidden,
     Nat,
     NatPt,
     Point,
@@ -36,6 +36,7 @@ from .domains import (
     is_indexed,
     keys_ascending,
     make_point,
+    node,
     point_key,
     points_within,
     split_point,
@@ -47,13 +48,13 @@ class NotNormalForm(FilterLabError):
     """A SetExpr violates the eventually-uniform normal form."""
 
 
-@dataclass(frozen=True)
+@node
 class SetExpr:
     __slots__ = ()
 
     # set once the node passes validate_set or comes from a constructor of
     # this module; never part of eq, hash or repr
-    _valid: bool = field(default=False, init=False, compare=False, repr=False)
+    _valid: bool = Hidden(False)
 
 
 def _marked(a: SetExpr) -> SetExpr:
@@ -61,27 +62,27 @@ def _marked(a: SetExpr) -> SetExpr:
     return a
 
 
-@dataclass(frozen=True)
+@node
 class FinSet(SetExpr):
     """Finite leaf; elements sorted by canonical point order."""
 
     elements: tuple[Point, ...]
     domain: DomainExpr
-    tail_holds: ClassVar[bool] = False
+    tail_holds = False
     listed = property(attrgetter("elements"))
 
 
-@dataclass(frozen=True)
+@node
 class CofinSet(SetExpr):
     """Cofinite leaf over Nat; excluded points sorted."""
 
     excluded: tuple[Point, ...]
     domain: DomainExpr
-    tail_holds: ClassVar[bool] = True
+    tail_holds = True
     listed = property(attrgetter("excluded"))
 
 
-@dataclass(frozen=True)
+@node
 class SectionFamily(SetExpr, ExceptionTable):
     """Sectionwise set over an indexed domain.
 
@@ -94,10 +95,10 @@ class SectionFamily(SetExpr, ExceptionTable):
     domain: DomainExpr
     # the printed source of a marked table, kept by dsl.set_to_source; like
     # _valid, never part of eq, hash or repr
-    _source: str | None = field(default=None, init=False, compare=False, repr=False)
+    _source: str | None = Hidden(None)
 
 
-@dataclass(frozen=True)
+@node
 class ProgrammaticSet:
     """Escape hatch for sets with no eventually-uniform normal form.
 
@@ -389,12 +390,12 @@ def with_sections(a: SetExpr, sections: Mapping[int, SetExpr]) -> SetExpr:
     return _marked(SectionFamily(excs, a.tail, a.domain))
 
 
-@dataclass(frozen=True)
+@node
 class Finite:
     count: int
 
 
-@dataclass(frozen=True)
+@node
 class Cofinite:
     gap_count: int
 

@@ -3,7 +3,7 @@
 The acceptance suite compares the package's membership oracle against this
 module on thousands of random (filter, set) pairs.  To keep the comparison
 meaningful, this evaluator shares no algebra with the package: it imports
-only the frozen dataclass types and reads their fields directly.  Sets are
+only the frozen node types and reads their fields directly.  Sets are
 treated as characteristic functions, and every quantifier over an infinite
 index range is decided exactly on a finite grid.
 
@@ -44,7 +44,7 @@ class NaiveUnsupported(Exception):
 
 
 # ---------------------------------------------------------------------------
-# reading points and spans straight from the dataclass fields
+# reading points and spans straight from the node fields
 
 
 def _pt(p: Point) -> NaivePoint:
@@ -124,7 +124,7 @@ def span_filter(f: FilterExpr) -> int:
 
 
 def contains(a: SetExpr, np: NaivePoint) -> bool:
-    """Pointwise membership read off the dataclass fields."""
+    """Pointwise membership read off the node fields."""
     if isinstance(a, FinSet):
         return any(_pt(p) == np for p in a.elements)
     if isinstance(a, CofinSet):

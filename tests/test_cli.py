@@ -62,7 +62,9 @@ def test_a_family_member_off_its_section_is_refused_by_member_and_rank(capsys, h
     for argv in (["member", filt, "sections({}, cofin{})"], ["rank", filt]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "error: sectionwise family members must live on their sections\n"
+        assert err == (
+            "error: line 1, column 1: sectionwise family members must live on their sections\n"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +203,23 @@ def test_digit_that_is_not_decimal_is_a_parse_error(capsys, src, col):
     assert code == 2
     assert out == ""
     assert err == f"error: line 1, column {col}: unexpected character '²'\n"
+
+
+NO_COMPONENTS = "domain Nat() has no components"
+
+
+@pytest.mark.parametrize(
+    "src, at, message",
+    [
+        ("cylinder(0, frechet, nat)", "1, column 1", NO_COMPONENTS),
+        ("push(table(nat, {0: 1}), frechet)", "1, column 6", "table must be a finite permutation patch"),
+        ("meet(frechet, cylinder(0, frechet, nat))", "1, column 15", NO_COMPONENTS),
+        ("t = katetov(1)\nmeet(frechet, t)", "2, column 1", "intersection operands must share a domain"),
+    ],
+)
+def test_a_constructor_error_names_the_head_that_raised_it(capsys, src, at, message):
+    code, out, err = run(capsys, "member", src, "cofin{}")
+    assert (code, out, err) == (2, "", f"error: line {at}: {message}\n")
 
 
 def test_rank_of_malformed_filter(capsys):

@@ -108,6 +108,33 @@ def test_importing_dsl_loads_only_what_it_needs():
     assert fresh(f"import filterlab.dsl; {LOADED}") == f"{expected}\n"
 
 
+# Counts the exec calls that the import makes itself (the import system's
+# own module execs aside) and the node classes it defines.
+COUNT_CODE_GENERATION = """
+import builtins, sys
+calls = 0
+real_exec = builtins.exec
+def counting_exec(*args, **kwargs):
+    global calls
+    calls += not sys._getframe(1).f_code.co_filename.startswith("<frozen importlib")
+    return real_exec(*args, **kwargs)
+builtins.exec = counting_exec
+import filterlab.cli
+nodes = {
+    c for name, m in list(sys.modules.items()) if name.startswith("filterlab.")
+    for c in vars(m).values() if isinstance(c, type) and "__node_fields__" in vars(c)
+}
+print(calls, len(nodes), "dataclasses" in sys.modules, "inspect" in sys.modules)
+"""
+
+
+def test_importing_the_cli_compiles_one_block_per_node_class_and_no_dataclasses():
+    calls, nodes, dataclasses, inspect = fresh(COUNT_CODE_GENERATION).split()
+    assert int(nodes) >= 60
+    assert int(calls) <= int(nodes)
+    assert (dataclasses, inspect) == ("False", "False")
+
+
 def test_readme_library_block_runs():
     text = README.read_text()
     section = text[text.index("## Library") :]
