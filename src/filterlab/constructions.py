@@ -82,7 +82,6 @@ from .sets import (
     section,
     section_family,
     set_complement,
-    set_member,
 )
 
 
@@ -343,16 +342,11 @@ class InterleavedPair:
         self.ensure(trunc)
         return self._lines[side][:trunc]
 
-    def joint_count(self, i: int, j: int, trunc: int) -> int:
-        """How many naturals below trunc sit in both line preimages."""
-        pairs = zip(self.stage_lines(0, trunc), self.stage_lines(1, trunc))
-        return sum(1 for pair in pairs if pair == (i, j))
-
     def preimage_indices(self, side: int, i: int, trunc: int) -> list[int]:
         return [n for n, k in enumerate(self.stage_lines(side, trunc)) if k == i]
 
     def joint_count_table(self, trunc: int, lines: int) -> dict[tuple[int, int], int]:
-        """joint_count for every line pair below `lines`, in one pass."""
+        """(i, j) -> naturals below trunc on line i at side 0 and j at side 1, for i, j < lines."""
         counts: dict[tuple[int, int], int] = {}
         for i, j in zip(self.stage_lines(0, trunc), self.stage_lines(1, trunc)):
             if i < lines and j < lines:
@@ -368,7 +362,7 @@ class InterleavedPair:
         return r
 
     def fair_lower_bound(self, i: int, j: int, trunc: int) -> int:
-        """A guaranteed lower bound on joint_count(i, j, trunc).
+        """A guaranteed lower bound on the joint count of lines i, j below trunc.
 
         Pair (i, j) is served once per completed sweep from sweep max(i, j)
         on, and a served stage always lands in both preimages.
@@ -502,24 +496,6 @@ def collapse_pair(alpha: int) -> CollapsePair:
     return CollapsePair(alpha, pair, g0, g1, meet, push0, push1)
 
 
-def truncation_evidence(
-    pair: InterleavedPair, side: int, a: ProgrammaticSet | SetExpr, trunc: int, lines: int = 10
-) -> list[tuple[int, int]]:
-    """Per-line hit counts of the pushed-forward truncated set."""
-    line_of = pair.stage_lines(side, trunc)
-    counts = [0] * lines
-    for n in range(trunc):
-        p = NatPt(n)
-        inside = (
-            a.predicate(p) if isinstance(a, ProgrammaticSet) else set_member(p, a)
-        )
-        if not inside:
-            continue
-        if line_of[n] < lines:
-            counts[line_of[n]] += 1
-    return list(enumerate(counts))
-
-
 # ---------------------------------------------------------------------------
 # the selector shadow
 
@@ -614,9 +590,9 @@ def programmatic_complement(a: ProgrammaticSet) -> ProgrammaticSet:
     )
 
 
-def even_splitter(trunc: int = 10_000) -> ProgrammaticSet:
+def even_splitter() -> ProgrammaticSet:
     return ProgrammaticSet(
-        lambda p: point_key(p)[0] % 2 == 0, trunc, NAT, "neither", "evens"
+        lambda p: point_key(p)[0] % 2 == 0, 10_000, NAT, "neither", "evens"
     )
 
 

@@ -720,28 +720,36 @@ def set_to_source(a: SetExpr | SeqExpr) -> str:
     return body
 
 
-seq_to_source = set_to_source
-
-
 def _kept_source(a: SetExpr | SeqExpr) -> str:
     """The text a table keeps, printing it first where it has none."""
     return getattr(a, "_source", None) or set_to_source(a)
 
 
-def _shape_domain(a: SetExpr | SeqExpr) -> DomainExpr:
+def _shape_domain(a: SetExpr | SeqExpr) -> DomainExpr | None:
     """The domain the printer leaves to the parser's inference: a leaf's
     points show it, except a cofinite set's; an empty leaf names nat; a
-    table sums the domains of its entries, which their own tags fix."""
+    table sums the domains of its entries, which their own tags fix.
+    None where a leaf sequence's points show no one domain."""
     if isinstance(a, (FinSet, CofinSet)):
         return NAT if a.tail_holds or not a.listed else a.domain
     if isinstance(a, LeafSeq):
-        return a.domain if a.entries else NAT
+        # a set leaf lives on nat or unit, but a sequence leaf on any domain,
+        # and the parser reads each printed coordinate before the last as prod
+        shapes = {_point_shape(p) for p, _ in a.entries} or {NAT}
+        return shapes.pop() if len(shapes) == 1 else None
     if isinstance(a, SectionFamily) and a._valid:
         # validation gives each section the component at its index, so the
         # sections sum to the set's own domain, save a dsum that lists none
         d = a.domain
         return Prod(d.tail) if isinstance(d, DSum) and not d.exceptions else d
     return sum_domain({i: e.domain for i, e in a.exceptions}, a.tail.domain)
+
+
+def _point_shape(p: Point) -> DomainExpr:
+    """The domain _infer_point_domain reads off point_to_source(p)."""
+    if isinstance(p, (PairPt, SumPt)):
+        return Prod(_point_shape(p.rest))
+    return UNIT if isinstance(p, UnitPt) else NAT
 
 
 def bij_to_source(b) -> str:

@@ -31,7 +31,6 @@ from .domains import (
     component,
     enum_point,
     exception_table,
-    fresh_index,
     is_indexed,
     keys_ascending,
     make_point,
@@ -52,6 +51,7 @@ from .sets import (
     exception_keys,
     fin_set,
     finite_points,
+    first_point,
     full_set,
     gen_random_setexpr,
     is_cofinite,
@@ -64,6 +64,7 @@ from .sets import (
     set_intersect,
     set_member,
     set_union,
+    set_without,
     subset_check,
     validate_set,
 )
@@ -608,7 +609,6 @@ def _sectionwise_kernel(
     for i in sorted({point_key(p)[0] for p in base_kernel.listed} | set(family.keys)):
         g = family.at(i)
         excs[i] = kernel_set(g) if set_member(NatPt(i), base_kernel) else empty_set(dom_of(g))
-    _fill_dsum_empties(domain, excs)
     tail = kernel_set(family.tail) if base_kernel.tail_holds else empty_set(tail_component(domain))
     return section_family(excs, tail, domain)
 
@@ -897,9 +897,8 @@ def _diag_sum(base: FilterExpr, fam: FilterFamily, domain: DomainExpr) -> DiagRe
             candidates = [point_key(p)[0] for p in core_pts]
         else:
             candidates = [i for i in fam.keys if set_member(NatPt(i), base.core)]
-            tail_idx = _first_tail_index(base.core, fam.keys)
-            if tail_idx is not None:
-                candidates.append(tail_idx)
+            # the core is cofinite, so some index off the family keys is in it
+            candidates.append(first_point(set_without(base.core, map(NatPt, fam.keys))).n)
         answers = [is_diagonalizable(fam.at(i)) for i in candidates]
         for i, r in zip(candidates, answers):
             if isinstance(r, DiagYes):
@@ -921,18 +920,8 @@ def _diag_sum(base: FilterExpr, fam: FilterFamily, domain: DomainExpr) -> DiagRe
             # pack the tail cores into cofinitely many sections; the finitely
             # many bad sections of any member cost finitely many points
             excs = {i: empty_set(dom_of(fam.at(i))) for i in fam.keys}
-            _fill_dsum_empties(domain, excs)
             return DiagYes(section_family(excs, fam.tail.core, domain))
     return DiagUnknown()
-
-
-def _first_tail_index(core: SetExpr, keys: tuple[int, ...]) -> int | None:
-    i = 0
-    while i <= fresh_index(keys) + len(keys) + 1:
-        if i not in keys and set_member(NatPt(i), core):
-            return i
-        i += 1
-    return None
 
 
 # ---------------------------------------------------------------------------

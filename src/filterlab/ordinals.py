@@ -57,16 +57,6 @@ def omega_pow(e: int, c: int = 1) -> Ordinal:
     return Ordinal(((e, c),)) if c else ZERO
 
 
-def is_finite_ord(a: Ordinal) -> bool:
-    return all(e == 0 for e, _ in a.terms)
-
-
-def as_int(a: Ordinal) -> int:
-    if not is_finite_ord(a):
-        raise OrdinalError(f"{a} is infinite")
-    return a.terms[0][1] if a.terms else 0
-
-
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     if not b.terms:
         return a
@@ -81,22 +71,6 @@ def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
 
 def ord_cmp(a: Ordinal, b: Ordinal) -> int:
     return (a > b) - (a < b)
-
-
-def ord_le(a: Ordinal, b: Ordinal) -> bool:
-    return a <= b
-
-
-def ord_lt(a: Ordinal, b: Ordinal) -> bool:
-    return a < b
-
-
-def ord_max(a: Ordinal, b: Ordinal) -> Ordinal:
-    return max(a, b)
-
-
-def ord_min(a: Ordinal, b: Ordinal) -> Ordinal:
-    return min(a, b)
 
 
 def ord_succ(a: Ordinal) -> Ordinal:

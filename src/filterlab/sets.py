@@ -133,7 +133,7 @@ def cofin_set(excluded: Iterable[Point], domain: DomainExpr) -> SetExpr:
         return _marked(FinSet(() if pts else (UNIT_PT,), domain))
     if isinstance(domain, Nat):
         return _marked(CofinSet(_sorted_points(excluded, domain), domain))
-    return cofinite_set_expr(excluded, domain)
+    return set_complement(fin_set(excluded, domain))
 
 
 def leaf_set(points: Iterable[Point], tail_holds: bool, domain: DomainExpr) -> SetExpr:
@@ -197,14 +197,6 @@ def fin_set(points: Iterable[Point], domain: DomainExpr) -> SetExpr:
         excs.setdefault(i, empty_set(e))
     tail = empty_set(tail_component(domain))
     return section_family(excs, tail, domain)
-
-
-def cofinite_set_expr(excluded: Iterable[Point], domain: DomainExpr) -> SetExpr:
-    return set_complement(fin_set(excluded, domain))
-
-
-def co_singleton(p: Point, domain: DomainExpr) -> SetExpr:
-    return cofinite_set_expr([p], domain)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +435,6 @@ def _off_tail(a: SetExpr, holds: bool) -> tuple[Point, ...] | None:
 
 def is_empty_set(a: SetExpr) -> bool:
     return finite_points(a) == ()
-
-
-def is_full_set(a: SetExpr) -> bool:
-    return is_cofinite(a, full=True)
 
 
 def is_cofinite(a: SetExpr, full: bool = False) -> bool:

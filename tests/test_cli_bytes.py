@@ -72,3 +72,15 @@ def test_a_failing_command_writes_nothing_to_stdout(capsys):
         assert main(["--format", fmt, "member", "frechet", "fin{1,}"]) == 2
         assert main(["--format", fmt, "game", "frechet", "--rounds", "0"]) == 2
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "fmt, want",
+    [
+        ("text", "d69dc15cddb81100141e3ba34191441f74cc5977885aead5ed3ed9ad55c82b59"),
+        ("structured", "522444930dbcde6568d2fd200a34ccf009eb0da33db4a01d2493b49c65668308"),
+    ],
+)
+def test_check_all_prints_the_pinned_bytes(capsys, fmt, want):
+    assert main(["--format", fmt, "check", "all", "--seed", "0"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want

@@ -17,7 +17,6 @@ from filterlab.constructions import (
     random_tower_member,
     rank_type_gap_example,
     selector_shadow,
-    truncation_evidence,
     two_valued_limit,
     z_cover_witness,
     z_family_grid,
@@ -157,15 +156,16 @@ def test_joint_count_table_matches_pairwise_counts():
     table = pair.joint_count_table(400, 6)
     for i in range(6):
         for j in range(6):
-            assert table.get((i, j), 0) == pair.joint_count(i, j, 400)
+            assert table.get((i, j), 0) == scan_joint_count(pair, i, j, 400)
 
 
 def test_fair_lower_bound_is_sound_and_growing():
     pair = InterleavedPair(1)
     for trunc in (200, 400, 800):
+        table = pair.joint_count_table(trunc, 6)
         for i in range(6):
             for j in range(6):
-                assert pair.joint_count(i, j, trunc) >= pair.fair_lower_bound(i, j, trunc)
+                assert table.get((i, j), 0) >= pair.fair_lower_bound(i, j, trunc)
     assert pair.fair_lower_bound(0, 0, 800) > pair.fair_lower_bound(0, 0, 200)
 
 
@@ -177,14 +177,6 @@ def test_block_interleave_bijection():
         assert b0.apply(p) == NatPt(n)
     assert b0.source_domain() == pair.domain
     assert b0.target_domain() == NAT
-
-
-def test_truncation_evidence_counts_hits():
-    pair = InterleavedPair(1)
-    rows = truncation_evidence(pair, 0, cofin_set([], NAT), 300, lines=5)
-    assert [i for i, _ in rows] == list(range(5))
-    assert sum(c for _, c in rows) <= 300
-    assert all(c > 0 for _, c in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +312,6 @@ def scan_joint_count_table(pair, trunc, lines):
     return counts
 
 
-def scan_truncation_evidence(pair, side, a, trunc, lines=10):
-    pair.ensure(trunc)
-    counts = [0] * lines
-    for n in range(trunc):
-        p = NatPt(n)
-        inside = a.predicate(p) if isinstance(a, ProgrammaticSet) else set_member(p, a)
-        if not inside:
-            continue
-        i = pair.zfamily.line_index_of(pair.pi(side, n))
-        if i < lines:
-            counts[i] += 1
-    return list(enumerate(counts))
-
-
 def scan_selector_shadow(pair, trunc, i_max=20, j_max=20):
     pair.ensure(trunc)
     zf = pair.zfamily
@@ -367,16 +345,11 @@ def test_stage_lines_agree_with_per_line_scans(depth, trunc):
     pair = InterleavedPair(depth)
     shadow = selector_shadow(pair, trunc)
     table = pair.joint_count_table(trunc, 10)
-    joints = {(i, j): pair.joint_count(i, j, trunc) for i in range(3) for j in range(3)}
     preimages = {(s, i): pair.preimage_indices(s, i, trunc) for s in (0, 1) for i in range(6)}
-    sets = (even_splitter(trunc), cofin_set([], NAT), fin_set([NatPt(n) for n in range(0, trunc, 7)], NAT))
-    evidence = [truncation_evidence(pair, s, a, trunc) for s in (0, 1) for a in sets]
 
     assert shadow == scan_selector_shadow(pair, trunc)
     assert table == scan_joint_count_table(pair, trunc, 10)
-    assert joints == {(i, j): scan_joint_count(pair, i, j, trunc) for i, j in joints}
     assert preimages == {(s, i): scan_preimage_indices(pair, s, i, trunc) for s, i in preimages}
-    assert evidence == [scan_truncation_evidence(pair, s, a, trunc) for s in (0, 1) for a in sets]
     assert all(
         pair.zfamily.line_contains(i, p) == scan_line_contains(pair.zfamily, i, p)
         for n in range(0, trunc, 37)

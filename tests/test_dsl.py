@@ -11,8 +11,11 @@ from filterlab.domains import (
     FilterLabError,
     NAT,
     NatPt,
+    PairPt,
     Prod,
+    SumPt,
     UNIT,
+    UNIT_PT,
     component,
     is_indexed,
     points_within,
@@ -27,7 +30,6 @@ from filterlab.dsl import (
     parse_program,
     parse_seq,
     parse_set,
-    seq_to_source,
     set_to_source,
 )
 from filterlab.filters import (
@@ -86,7 +88,22 @@ def test_seq_round_trip():
     from fractions import Fraction
 
     s = seq_leaf({NatPt(0): Fraction(1, 2)}, 0, NAT)
-    assert parse_seq(seq_to_source(s), NAT) == s
+    assert parse_seq(set_to_source(s), NAT) == s
+
+
+def test_leaf_seq_over_a_sum_is_tagged():
+    s = seq_leaf({SumPt(0, PairPt(1, UNIT_PT)): 1}, 0, DSum((Prod(UNIT),), NAT))
+    assert set_to_source(s) == "seq({(0,1,()): 1},0)@dsum([prod(unit)],nat)"
+    assert parse_seq(set_to_source(s)) == s
+
+
+@pytest.mark.parametrize("src", ["dsum([prod(unit)],nat)", "dsum([nat],prod(nat))"])
+def test_seq_round_trips_without_context_over_a_sum(src):
+    d = parse_domain(src)
+    rng = Random(3)
+    for _ in range(200):
+        s = _random_seq(d, rng)
+        assert parse_seq(set_to_source(s)) == s
 
 
 def test_spellings_normalize():
@@ -290,8 +307,8 @@ def _outcome(src):
         return f"ParseError {e.message!r} {e.line} {e.col}"
     except FilterLabError as e:
         return f"{type(e).__name__} {e}"
-    printer = {"filter": filter_to_source, "set": set_to_source, "seq": seq_to_source}
-    return f"{kind} {printer[kind](value)}"
+    printer = filter_to_source if kind == "filter" else set_to_source
+    return f"{kind} {printer(value)}"
 
 
 def _random_seq(d, rng, depth=2):
@@ -329,7 +346,7 @@ def test_language_is_pinned():
             for value, src, parse in [
                 (f, filter_to_source(f), parse_filter),
                 (a, set_to_source(a), lambda src: parse_set(src, d)),
-                (s, seq_to_source(s), lambda src: parse_seq(src, d)),
+                (s, set_to_source(s), lambda src: parse_seq(src, d)),
             ]:
                 assert parse(src) == value
                 sources.append(src)
@@ -339,4 +356,4 @@ def test_language_is_pinned():
         lines += [_outcome(m) for m in _mutants(src)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert len(sources) == 1200
-    assert digest == "cbdf5f57f7abfb4d114df94261d16f433fc917564b90353c42ed3ebbb9e5fea3"
+    assert digest == "5c0c2aefd96af20e09752b7bf8e6d5a6a92c76d6411c26023d50ad556ffa9798"

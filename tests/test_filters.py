@@ -1,5 +1,7 @@
 """Filter constructors, membership, kernels, limits, and witnesses."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -347,6 +349,30 @@ def test_katetov2_is_not_diagonalizable():
 def test_principal_diagonalizable_iff_infinite_core():
     assert isinstance(is_diagonalizable(principal(cofin_set([], NAT))), DiagYes)
     assert isinstance(is_diagonalizable(principal(fin_set([NatPt(0)], NAT))), DiagNo)
+
+
+def test_a_cofinite_sum_base_finds_its_first_tail_column():
+    # column 0 is a key and columns 1-5 are outside the core: 6 is the first
+    # column that the tail, frechet, diagonalizes
+    core = cofin_set([NatPt(n) for n in range(1, 6)], NAT)
+    f = fubini_sum(principal(core), {0: principal(fin_set([NatPt(0)], NAT))}, frechet(NAT))
+    r = is_diagonalizable(f)
+    assert isinstance(r, DiagYes)
+    assert r.witness == section_family({6: full_set(NAT)}, empty_set(NAT), dom_of(f))
+
+
+def test_random_diagonalization_verdicts_are_pinned():
+    # one letter (Y, N or U) per generated filter; re-pin only after checking
+    # that no DiagYes or DiagNo became DiagUnknown
+    doms = [UNIT, NAT, Prod(NAT), Prod(UNIT), DSum((Prod(UNIT),), NAT)]
+    verdicts = "".join(
+        type(is_diagonalizable(gen_random_filter(d, 2, seed))).__name__[4]
+        for d in doms
+        for seed in range(400)
+    )
+    assert Counter(verdicts) == {"Y": 1039, "N": 421, "U": 540}
+    digest = hashlib.sha256(verdicts.encode()).hexdigest()
+    assert digest == "76ae47faa9a161859e9da01976f54fb1f80c382c14bf03dfdd1d4f5374881384"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from filterlab.dsl import parse_filter
 from filterlab.filters import dom_of, gen_random_filter, is_free, kernel_set
 from filterlab.ordinals import ZERO
 from filterlab.rank import rank_bounds
-from filterlab.sets import co_singleton, finite_points, set_member
+from filterlab.sets import cofin_set, finite_points, set_member
 
 DOMAINS = {
     "nat": NAT,
@@ -44,7 +44,7 @@ def _kernel_mismatches(f, points) -> list:
     bad = []
     for np in points:
         p = point_from_key(d, _coords(np))
-        if set_member(p, ker) == naive_member(f, co_singleton(p, d)):
+        if set_member(p, ker) == naive_member(f, cofin_set([p], d)):
             bad.append(np)
     return bad
 

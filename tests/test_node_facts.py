@@ -18,7 +18,7 @@ from filterlab.domains import (
     DomainError,
     sum_domain,
 )
-from filterlab.dsl import domain_to_source, parse_filter, point_to_source, set_to_source
+from filterlab.dsl import domain_to_source, parse_filter, parse_set, point_to_source, set_to_source
 from filterlab.filters import (
     Frechet,
     Intersection,
@@ -103,7 +103,8 @@ def test_domain_and_kernel_are_kept_on_the_node():
 def uncached_source(a) -> str:
     """The printer as it was before sets kept their text: every node is
     printed afresh, and a table's tag is decided by summing its entries'
-    domains."""
+    domains.  A leaf sequence is tagged unless the parser reads its domain
+    off every printed point alike."""
     if isinstance(a, FinSet):
         body = "fin{" + ",".join(point_to_source(p) for p in a.elements) + "}"
         shape = a.domain if a.elements else NAT
@@ -113,7 +114,9 @@ def uncached_source(a) -> str:
     elif isinstance(a, LeafSeq):
         entries = ",".join(f"{point_to_source(p)}: {v}" for p, v in a.entries)
         body = f"seq({{{entries}}},{a.tail})"
-        shape = a.domain if a.entries else NAT
+        shapes = {parse_set("fin{" + point_to_source(p) + "}").domain for p, _ in a.entries}
+        shapes = shapes or {NAT}
+        shape = shapes.pop() if len(shapes) == 1 else None
     elif isinstance(a, (SectionFamily, SectionSeq)):
         head = "sections" if isinstance(a, SectionFamily) else "seq"
         entries = ",".join(f"{i}: {uncached_source(e)}" for i, e in a.exceptions)

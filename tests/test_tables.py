@@ -13,7 +13,7 @@ from filterlab.domains import (
     fresh_index,
     sum_domain,
 )
-from filterlab.dsl import parse_seq, parse_set, seq_to_source, set_to_source
+from filterlab.dsl import parse_seq, parse_set, set_to_source
 from filterlab.filters import (
     FilterError,
     FilterFamily,
@@ -166,4 +166,4 @@ def test_nested_seq_round_trips_over_a_sum():
     d = DSum((Prod(NAT),), NAT)
     inner = seq_sections({0: seq_leaf({NatPt(2): 1}, 0, NAT)}, seq_leaf({}, 0, NAT), Prod(NAT))
     s = seq_sections({0: inner}, seq_leaf({NatPt(1): 3}, 0, NAT), d)
-    assert parse_seq(seq_to_source(s)) == s
+    assert parse_seq(set_to_source(s)) == s

@@ -59,7 +59,6 @@ from filterlab.sets import (
     gen_random_setexpr,
     is_cofinite,
     is_empty_set,
-    is_full_set,
     section,
     set_complement,
     set_intersect,
@@ -173,7 +172,7 @@ def test_set_walks_agree_on_random_sets(d):
         for x, y in [(a, b), (b, a), (a, a), (a, set_union(a, b)), (set_intersect(a, b), b)]:
             assert subset_check(x, y) == ref_subset_check(x, y), (x, y)
         assert is_cofinite(a) == (cofinite_excluded(a) is not None)
-        assert is_full_set(a) == (cofinite_excluded(a) == ())
+        assert is_cofinite(a, full=True) == (cofinite_excluded(a) == ())
         for leaf in leaves(a):
             if isinstance(leaf, FinSet):
                 assert set_complement(leaf) == cofin_set(leaf.elements, leaf.domain)
