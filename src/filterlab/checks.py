@@ -9,9 +9,10 @@ the code under test.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
-from typing import Callable
+from typing import Callable, Iterable
 
 from .constructions import (
     InterleavedPair,
@@ -133,6 +134,8 @@ SUM_LIMIT_SETS = 200
 SEPARATOR_SETS = 100
 ZFAMILY_SAMPLES = 100
 ORDINAL_TRIALS = 1000
+# the domains the law batteries and the round trips draw from
+LAW_DOMAINS = (NAT, Prod(NAT), Prod(Prod(UNIT)), DSum((Prod(UNIT),), NAT))
 
 
 @node
@@ -144,6 +147,20 @@ class CheckResult:
 
 def _res(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(ok), detail)
+
+
+def _batch(
+    name: str, problems: Iterable[str], summary: Callable[[int], str] | None = None
+) -> CheckResult:
+    """One result for a batch of cases, each "" on a pass or its failure.
+
+    The batch passes when every case does; the detail is the first failure,
+    or else summary(number of cases), "n/n" by default.
+    """
+    cases = list(problems)
+    first = next(filter(None, cases), "")
+    n = len(cases)
+    return CheckResult(name, not first, first or (summary(n) if summary else f"{n}/{n}"))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +230,6 @@ def check_rank(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
 # filter laws on random triples, one battery per public constructor
 
 
-def _law_domains() -> list[DomainExpr]:
-    return [NAT, Prod(NAT), Prod(Prod(UNIT)), DSum((Prod(UNIT),), NAT)]
-
-
 def _nonempty_set(d: DomainExpr, seed: int):
     a = gen_random_setexpr(d, 8, seed)
     return full_set(d) if is_empty_set(a) else a
@@ -224,9 +237,8 @@ def _nonempty_set(d: DomainExpr, seed: int):
 
 def _law_filter(kind: str, t: int, seed: int):
     rng = Random((seed << 8) ^ t)
-    doms = _law_domains()
+    d = LAW_DOMAINS[t % len(LAW_DOMAINS)]
     if kind == "principal":
-        d = doms[t % len(doms)]
         return principal(_nonempty_set(d, rng.randrange(1 << 30)))
     if kind == "frechet":
         return frechet([NAT, Prod(UNIT), Prod(NAT)][t % 3])
@@ -240,15 +252,13 @@ def _law_filter(kind: str, t: int, seed: int):
         return fubini_sum(_law_base(rng), excs, _law_member(rng))
     if kind == "limit":
         if t % 2:
-            d = Prod(NAT)
-            fam = SectionwiseFamily(filter_family({}, _law_member(rng)), d)
+            fam = SectionwiseFamily(filter_family({}, _law_member(rng)), Prod(NAT))
             return limit_of(_law_base(rng), fam)
         excs = {
             i: _law_member(rng) for i in sorted(rng.sample(range(5), rng.randrange(3)))
         }
         return limit_of(_law_base(rng), filter_family(excs, _law_member(rng)))
     if kind == "meet":
-        d = doms[t % len(doms)]
         return meet(
             gen_random_filter(d, 2, rng.randrange(1 << 30)),
             gen_random_filter(d, 2, rng.randrange(1 << 30)),
@@ -256,7 +266,6 @@ def _law_filter(kind: str, t: int, seed: int):
     if kind == "push":
         roll = t % 3
         if roll == 0:
-            d = doms[t % len(doms)]
             return pushforward(IdentityBij(d), gen_random_filter(d, 2, rng.randrange(1 << 30)))
         if roll == 1:
             return pushforward(CanonicalEnum(Prod(UNIT)), _law_member(rng))
@@ -301,9 +310,11 @@ LAW_CONSTRUCTORS = (
 def check_laws(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
     for kind in LAW_CONSTRUCTORS:
-        upward = inter = proper = in_count = 0
-        bad = ""
-        for t in range(LAW_TRIALS):
+        seen: Counter = Counter()
+
+        def trial(t: int) -> str:
+            # the filter is proper, and its member a stays one up to a | b
+            # and, where b is a member too, down to a & b
             f = _law_filter(kind, t, seed)
             d = dom_of(f)
             rng = Random((seed << 16) ^ (t * 7919 + 11))
@@ -311,27 +322,23 @@ def check_laws(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
             if rng.random() < 0.45:
                 a = set_complement(a)
             b = gen_random_setexpr(d, 8, rng.randrange(1 << 30))
-            if not member(f, empty_set(d)):
-                proper += 1
-            elif not bad:
-                bad = f"empty set accepted at trial {t}"
-            if member(f, a):
-                in_count += 1
-                if member(f, set_union(a, b)):
-                    upward += 1
-                elif not bad:
-                    bad = f"upward closure broke at trial {t}"
-                if member(f, b):
-                    if member(f, set_intersect(a, b)):
-                        inter += 1
-                    elif not bad:
-                        bad = f"intersection closure broke at trial {t}"
-        ok = proper == LAW_TRIALS and not bad
+            if member(f, empty_set(d)):
+                return f"empty set accepted at trial {t}"
+            in_a = member(f, a)
+            in_both = in_a and member(f, b)
+            seen.update(members=in_a, meets=in_both)
+            if in_a and not member(f, set_union(a, b)):
+                return f"upward closure broke at trial {t}"
+            if in_both and not member(f, set_intersect(a, b)):
+                return f"intersection closure broke at trial {t}"
+            return ""
+
         out.append(
-            _res(
+            _batch(
                 f"{kind}: laws on {LAW_TRIALS} random triples",
-                ok,
-                bad or f"{in_count} members seen, {upward} upward, {inter} meets",
+                map(trial, range(LAW_TRIALS)),
+                lambda n: f"{seen['members']} members seen, {seen['members']} upward, "
+                f"{seen['meets']} meets",
             )
         )
     return out
@@ -359,26 +366,22 @@ def check_fubini_limit(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
             ),
         ),
     ]
-    out: list[CheckResult] = []
-    for label, f in shapes:
-        lim = fubini_as_limit(f)
-        d = dom_of(f)
-        mismatch = ""
-        agree = 0
-        for i in range(SUM_LIMIT_SETS):
-            a = gen_random_setexpr(d, 8, (seed << 12) ^ (i * 131 + 7))
-            if member(f, a) == member(lim, a):
-                agree += 1
-            elif not mismatch:
-                mismatch = f"disagreement on sample {i}: {set_to_source(a)}"
-        out.append(
-            _res(
-                f"sum vs limit form, {label}: {SUM_LIMIT_SETS} random sets",
-                agree == SUM_LIMIT_SETS,
-                mismatch or f"{agree} agreements",
-            )
+    return [
+        _batch(
+            f"sum vs limit form, {label}: {SUM_LIMIT_SETS} random sets",
+            _disagreements(f, fubini_as_limit(f), seed),
+            lambda n: f"{n} agreements",
         )
-    return out
+        for label, f in shapes
+    ]
+
+
+def _disagreements(f, lim, seed: int):
+    """Per random set: "" where f and lim agree on it, else the set."""
+    for i in range(SUM_LIMIT_SETS):
+        a = gen_random_setexpr(dom_of(f), 8, (seed << 12) ^ (i * 131 + 7))
+        agree = member(f, a) == member(lim, a)
+        yield "" if agree else f"disagreement on sample {i}: {set_to_source(a)}"
 
 
 # ---------------------------------------------------------------------------
@@ -420,29 +423,19 @@ def check_games(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
 
     # the omega x omega copy of the depth-2 tower; identity embedding
     copy2 = product(frechet(NAT), frechet(NAT))
-    bad = ""
-    legal = budget = replayed = 0
-    for s in range(50):
+
+    def copy_game(s: int) -> str:
         t = play(copy2, CopyStrategyI(), RandomFiniteII(), 50, seed=(seed * 100 + s))
-        problems = validate_transcript(t)
-        if not problems:
-            legal += 1
-        elif not bad:
-            bad = f"seed {s}: {problems[0]}"
-        ok_b, probs = copy_column_bound(t)
-        if ok_b:
-            budget += 1
-        elif not bad:
-            bad = f"seed {s}: {probs[0]}"
-        if replay_transcript(t) == t:
-            replayed += 1
-        elif not bad:
-            bad = f"seed {s}: replay drifted"
+        problems = validate_transcript(t) or copy_column_bound(t)[1]
+        if problems:
+            return f"seed {s}: {problems[0]}"
+        return "" if replay_transcript(t) == t else f"seed {s}: replay drifted"
+
     out.append(
-        _res(
+        _batch(
             "50 copy-strategy games, 50 rounds each: legal, budgeted, replayable",
-            legal == budget == replayed == 50,
-            bad or "50/50 on all three counts",
+            map(copy_game, range(50)),
+            lambda n: f"{n}/{n} on all three counts",
         )
     )
 
@@ -452,15 +445,13 @@ def check_games(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
         (FullSetI(), FreshElementII()),
         (ExcludeUnionI(), UniversalII()),
     ]
-    drift = ""
-    for k in range(20):
+
+    def pair_game(k: int) -> str:
         s_i, s_ii = pairs[k % len(pairs)]
         t = play(frechet(NAT), s_i, s_ii, 8, seed=(seed * 31 + k))
-        if replay_transcript(t) != t and not drift:
-            drift = f"pair {k} drifted on replay"
-    out.append(
-        _res("20 seeded strategy pairs replay identically", not drift, drift or "20/20")
-    )
+        return "" if replay_transcript(t) == t else f"pair {k} drifted on replay"
+
+    out.append(_batch("20 seeded strategy pairs replay identically", map(pair_game, range(20))))
     return out
 
 
@@ -475,58 +466,36 @@ def check_separator(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     u = singleton_family(NAT)
     sep = section_separators(inner)
     rng = Random(seed * 97 + 5)
+    # per verdict: what, where, membership test, tail kind, point bound, count bound
+    sides = {
+        SepIn: ("member", "inside", member, cofin_set, 9, 4),
+        SepOut: ("dual member", "outside", dual_member, fin_set, 30, 5),
+    }
+    verdicts: list = []
 
-    def random_sections(n: int) -> dict:
-        return {
-            i: gen_random_setexpr(NAT, 8, rng.randrange(1 << 30))
-            for i in sorted(rng.sample(range(8), n))
+    def judged(want: type, i: int) -> str:
+        what, _, holds, tail, top, count = sides[want]
+        sections = {
+            j: gen_random_setexpr(NAT, 8, rng.randrange(1 << 30))
+            for j in sorted(rng.sample(range(8), rng.randrange(3)))
         }
+        pts = [NatPt(rng.randrange(top)) for _ in range(rng.randrange(count))]
+        s = section_family(sections, tail(pts, NAT), d)
+        if not holds(lim, s):
+            return f"{what} generator produced a non-{what.replace(' ', '-')} at {i}"
+        v = separator_verdict(lim, u, sep, s)
+        verdicts.append(v)
+        return "" if isinstance(v, want) else f"{what} {i} judged {type(v).__name__}"
 
-    ins = outs = unknowns = 0
-    bad = ""
-    for i in range(SEPARATOR_SETS):
-        m = section_family(
-            random_sections(rng.randrange(3)),
-            cofin_set([NatPt(rng.randrange(9)) for _ in range(rng.randrange(4))], NAT),
-            d,
-        )
-        if not member(lim, m):
-            bad = bad or f"member generator produced a non-member at {i}"
-            continue
-        v = separator_verdict(lim, u, sep, m)
-        if isinstance(v, SepIn):
-            ins += 1
-        else:
-            unknowns += not isinstance(v, SepOut)
-            bad = bad or f"member {i} judged {type(v).__name__}"
-    for i in range(SEPARATOR_SETS):
-        dset = section_family(
-            random_sections(rng.randrange(3)),
-            fin_set([NatPt(rng.randrange(30)) for _ in range(rng.randrange(5))], NAT),
-            d,
-        )
-        if not dual_member(lim, dset):
-            bad = bad or f"dual generator produced a non-dual-member at {i}"
-            continue
-        v = separator_verdict(lim, u, sep, dset)
-        if isinstance(v, SepOut):
-            outs += 1
-        else:
-            unknowns += not isinstance(v, SepIn)
-            bad = bad or f"dual member {i} judged {type(v).__name__}"
     out = [
-        _res(
-            f"{SEPARATOR_SETS} members all judged inside",
-            ins == SEPARATOR_SETS,
-            bad or f"{ins}/{SEPARATOR_SETS}",
-        ),
-        _res(
-            f"{SEPARATOR_SETS} dual members all judged outside",
-            outs == SEPARATOR_SETS,
-            bad or f"{outs}/{SEPARATOR_SETS}",
-        ),
-        _res("no unknown verdicts", unknowns == 0, f"{unknowns} unknown"),
+        _batch(
+            f"{SEPARATOR_SETS} {what}s all judged {where}",
+            (judged(want, i) for i in range(SEPARATOR_SETS)),
+        )
+        for want, (what, where, *_) in sides.items()
     ]
+    unknowns = sum(not isinstance(v, (SepIn, SepOut)) for v in verdicts)
+    out.append(_res("no unknown verdicts", unknowns == 0, f"{unknowns} unknown"))
     return out
 
 
@@ -538,9 +507,7 @@ def check_zfamily(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
     for gamma in (1, 2, 3):
         zf = ZFamily(gamma)
-        keysets = []
-        for i in range(6):
-            keysets.append({point_key(zf.line_point(i, j)) for j in range(50)})
+        keysets = [{point_key(zf.line_point(i, j)) for j in range(50)} for i in range(6)]
         disjoint = all(
             not (keysets[i] & keysets[j]) for i in range(6) for j in range(i + 1, 6)
         )
@@ -561,32 +528,25 @@ def check_zfamily(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
             )
         )
 
-        covered = 0
-        bad = ""
-        for s in range(ZFAMILY_SAMPLES):
+        def covered(s: int) -> str:
             m = random_tower_member(gamma, seed * 1009 + s)
             if not member(katetov(gamma), m):
-                bad = bad or f"sample {s} is not a tower member"
-                continue
+                return f"sample {s} is not a tower member"
             w = z_cover_witness(zf, m)
             if w is None:
-                bad = bad or f"sample {s} got no witness"
-                continue
+                return f"sample {s} got no witness"
             missing = {point_key(p) for p in w.missing}
             exact = all(
                 set_member(zf.line_point(w.index, j), m)
                 == (point_key(zf.line_point(w.index, j)) not in missing)
                 for j in range(60)
             )
-            if exact:
-                covered += 1
-            else:
-                bad = bad or f"sample {s}: witness misses the line trace"
+            return "" if exact else f"sample {s}: witness misses the line trace"
+
         out.append(
-            _res(
+            _batch(
                 f"depth {gamma}: {ZFAMILY_SAMPLES} random members carry exact cover witnesses",
-                covered == ZFAMILY_SAMPLES,
-                bad or f"{covered}/{ZFAMILY_SAMPLES}",
+                map(covered, range(ZFAMILY_SAMPLES)),
             )
         )
     return out
@@ -621,18 +581,14 @@ def check_shadows(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
         )
     )
 
+    # joint counts of the first 10x10 line pairs at each truncation
+    cells = [(i, j) for i in range(10) for j in range(10)]
     tables = {n: pair.joint_count_table(n, 10) for n in (lo, mid, hi)}
-    nonempty = all(tables[mid].get((i, j), 0) > 0 for i in range(10) for j in range(10))
-    fair = all(
-        tables[mid].get((i, j), 0) >= pair.fair_lower_bound(i, j, mid)
-        for i in range(10)
-        for j in range(10)
-    )
-    growth = all(
-        tables[lo].get(c, 0) < tables[mid].get(c, 0) < tables[hi].get(c, 0)
-        for c in ((i, j) for i in range(10) for j in range(10))
-    )
-    least_mid = min(tables[mid].get((i, j), 0) for i in range(10) for j in range(10))
+    counts = {n: [table.get(c, 0) for c in cells] for n, table in tables.items()}
+    nonempty = all(k > 0 for k in counts[mid])
+    fair = all(k >= pair.fair_lower_bound(i, j, mid) for (i, j), k in zip(cells, counts[mid]))
+    growth = all(a < b < c for a, b, c in zip(counts[lo], counts[mid], counts[hi]))
+    least_mid = min(counts[mid])
     out.append(
         _res(
             f"joint meets nonempty for the first 10x10 line pairs at {mid}",
@@ -651,7 +607,7 @@ def check_shadows(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
         _res(
             f"joint counts grow strictly from {lo} through {mid} to {hi}",
             growth,
-            f"(0,0): {tables[lo].get((0, 0), 0)} < {tables[mid].get((0, 0), 0)} < {tables[hi].get((0, 0), 0)}",
+            f"(0,0): {counts[lo][0]} < {counts[mid][0]} < {counts[hi][0]}",
         )
     )
 
@@ -730,11 +686,11 @@ def check_collapse(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
         (False, False, False),
         (True, None, None),
     ]
-    combos_ok = True
-    for u, v, expect in table:
-        tvl = two_valued_limit(frechet(NAT), cl.h, mock("u", u), mock("v", v))
-        if tvl.decide(object()) is not expect:
-            combos_ok = False
+    combos_ok = all(
+        two_valued_limit(frechet(NAT), cl.h, mock("u", u), mock("v", v)).decide(object())
+        is expect
+        for u, v, expect in table
+    )
     out.append(
         _res(
             "two-valued limit agrees with the meet on all four verdict pairs",
@@ -743,23 +699,19 @@ def check_collapse(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    failures = 0
-    try:
-        collapse_limit(1, base=principal(fin_set([NatPt(0), NatPt(2)], NAT)))
-    except PreconditionFailure as e:
-        failures += e.verdict is True
-    try:
-        tail3 = ProgrammaticSet(
-            lambda p: point_key(p)[0] >= 3, trunc, NAT, "cofinite", "tail from 3"
-        )
-        collapse_limit(1, h=tail3)
-    except PreconditionFailure as e:
-        failures += e.verdict is True
+    def rejected(**decided) -> str:
+        try:
+            collapse_limit(1, **decided)
+        except PreconditionFailure as e:
+            return "" if e.verdict is True else f"{', '.join(decided)}: {e}"
+        return f"{', '.join(decided)}: a limit was built"
+
+    tail3 = ProgrammaticSet(lambda p: point_key(p)[0] >= 3, trunc, NAT, "cofinite", "tail from 3")
     out.append(
-        _res(
+        _batch(
             "decided splitting sets are rejected before any limit is built",
-            failures == 2,
-            f"{failures}/2 rejections",
+            [rejected(base=principal(fin_set([NatPt(0), NatPt(2)], NAT))), rejected(h=tail3)],
+            lambda n: f"{n}/{n} rejections",
         )
     )
 
@@ -898,31 +850,23 @@ def _of_pair(x: tuple[int, int]) -> Ordinal:
 
 def check_ordinals(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     rng = Random(seed * 101 + 13)
-    out: list[CheckResult] = []
 
-    assoc = absorb = 0
-    for _ in range(ORDINAL_TRIALS):
+    def trial() -> tuple[str, str]:
         a, b, c = (_random_ordinal(rng) for _ in range(3))
-        if ord_add(ord_add(a, b), c) == ord_add(a, ord_add(b, c)):
-            assoc += 1
         n = ord_of_int(rng.randrange(50))
         infinite = ord_add(omega_pow(rng.randrange(1, 4)), _random_ordinal(rng))
-        if ord_add(n, infinite) == infinite:
-            absorb += 1
-    out.append(
-        _res(
-            f"{ORDINAL_TRIALS} random sums associate",
-            assoc == ORDINAL_TRIALS,
-            f"{assoc}/{ORDINAL_TRIALS}",
+        assoc = ord_add(ord_add(a, b), c) == ord_add(a, ord_add(b, c))
+        absorbed = ord_add(n, infinite) == infinite
+        return (
+            "" if assoc else f"({a} + {b}) + {c} differs from {a} + ({b} + {c})",
+            "" if absorbed else f"{n} + {infinite} differs from {infinite}",
         )
-    )
-    out.append(
-        _res(
-            f"{ORDINAL_TRIALS} finite heads absorbed by infinite tails",
-            absorb == ORDINAL_TRIALS,
-            f"{absorb}/{ORDINAL_TRIALS}",
-        )
-    )
+
+    assoc, absorb = zip(*(trial() for _ in range(ORDINAL_TRIALS)))
+    out = [
+        _batch(f"{ORDINAL_TRIALS} random sums associate", assoc),
+        _batch(f"{ORDINAL_TRIALS} finite heads absorbed by infinite tails", absorb),
+    ]
     out.append(
         _res(
             "1 + omega collapses to omega",
@@ -934,18 +878,17 @@ def check_ordinals(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     small = [ord_of_int(k) for k in range(5)]
     small += [ord_add(OMEGA, ord_of_int(k)) for k in range(5)]
     small.append(omega_pow(1, 2))
-    mids = 0
-    for xi in small:
-        for alpha in small:
-            got = ord_add(ord_add(xi, ONE), alpha)
-            want = _of_pair(_pair_add(_pair_add(_pair_of(xi), (0, 1)), _pair_of(alpha)))
-            if got == want:
-                mids += 1
+
+    def off_model(xi: Ordinal, alpha: Ordinal) -> str:
+        got = ord_add(ord_add(xi, ONE), alpha)
+        want = _of_pair(_pair_add(_pair_add(_pair_of(xi), (0, 1)), _pair_of(alpha)))
+        return "" if got == want else f"{xi} + 1 + {alpha} is {got}, the model gives {want}"
+
     out.append(
-        _res(
+        _batch(
             "xi + 1 + alpha matches the two-coordinate model up to omega*2",
-            mids == len(small) ** 2,
-            f"{mids}/{len(small) ** 2} pairs",
+            (off_model(xi, alpha) for xi in small for alpha in small),
+            lambda n: f"{n}/{n} pairs",
         )
     )
     out.append(
@@ -978,46 +921,34 @@ def _random_seq(d: DomainExpr, rng: Random):
     return leaf(d)
 
 
+def _round_trips(what: str, values: Iterable, show: Callable, parse: Callable):
+    """Per value: "" where parse reads its printed source back as the value,
+    else that source."""
+    for i, v in enumerate(values):
+        src = show(v)
+        yield "" if parse(src) == v else f"{what} {i}: {src}"
+
+
 def check_dsl(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    doms = _law_domains()
-
-    bad = ""
-    trips = 0
-    for i in range(120):
-        d = doms[i % len(doms)]
-        f = gen_random_filter(d, 2, seed * 131 + i)
-        src = filter_to_source(f)
-        if parse_filter(src) == f:
-            trips += 1
-        elif not bad:
-            bad = f"filter {i}: {src}"
-    out.append(_res("120 random filters survive print and reparse", trips == 120, bad or "120/120"))
-
-    bad = ""
-    trips = 0
-    for i in range(60):
-        d = doms[i % len(doms)]
-        a = gen_random_setexpr(d, 8, seed * 733 + i)
-        src = set_to_source(a)
-        if parse_set(src) == a:
-            trips += 1
-        elif not bad:
-            bad = f"set {i}: {src}"
-    out.append(_res("60 random sets survive print and reparse", trips == 60, bad or "60/60"))
-
-    bad = ""
-    trips = 0
+    doms = LAW_DOMAINS
+    filters = (gen_random_filter(doms[i % len(doms)], 2, seed * 131 + i) for i in range(120))
+    sets = (gen_random_setexpr(doms[i % len(doms)], 8, seed * 733 + i) for i in range(60))
     rng = Random(seed * 977 + 1)
-    for i in range(20):
-        d = [NAT, Prod(NAT)][i % 2]
-        s = _random_seq(d, rng)
-        src = set_to_source(s)
-        if parse_seq(src) == s:
-            trips += 1
-        elif not bad:
-            bad = f"sequence {i}: {src}"
-    out.append(_res("20 random sequences survive print and reparse", trips == 20, bad or "20/20"))
+    seqs = (_random_seq([NAT, Prod(NAT)][i % 2], rng) for i in range(20))
+    out = [
+        _batch(
+            "120 random filters survive print and reparse",
+            _round_trips("filter", filters, filter_to_source, parse_filter),
+        ),
+        _batch(
+            "60 random sets survive print and reparse",
+            _round_trips("set", sets, set_to_source, parse_set),
+        ),
+        _batch(
+            "20 random sequences survive print and reparse",
+            _round_trips("sequence", seqs, set_to_source, parse_seq),
+        ),
+    ]
 
     positioned = 0
     for src in ("fin{1,2,}", "cofin{", "sections({0: fin{1}}, )"):

@@ -10,6 +10,7 @@ clamping.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .domains import DomainExpr, FilterLabError, NAT, NatPt, fresh_index, node, replace
@@ -94,6 +95,8 @@ def bounds_text(b: RankBounds) -> str:
     return f"[{ord_str(b.lo)},{hi}]"
 
 
+# certificate text repeats a few (immutable) bounds on nearly every line
+@lru_cache(maxsize=256)
 def parse_bounds(text: str) -> RankBounds:
     m = re.fullmatch(r"\[([^,\]]+),([^,\]]+)\]", text.strip())
     if not m:
@@ -568,10 +571,75 @@ def replay_certificate(cert: RankCertificate) -> RankBounds:
     return _replay_node(cert.root)
 
 
+# the children's roles each rule with fixed inputs reads, in input order; a
+# cylinder reads the section its index parameter names
+_READS = {"R0": (), "RKat": (), "RCert": (), "RMono": ("left", "right"), "RIso": ("inner",)}
+_READS.update(RLimConst=("tail",), RSection=("section {index}",))
+# a sum or limit rule's parameters restating its inputs: (parameter, input, bound)
+_RESTATED = {
+    "RFubLo": (("xi", 0, "lo"), ("alpha", 1, "lo")),
+    "RFubHi": (("xi", 0, "hi"), ("alpha", 1, "hi")),
+    "RLimHi": (("beta", 0, "hi"), ("alpha", 1, "hi")),
+    "RFubFr": (("xi", 0, "hi"),),
+    "RLimHi1": (("alpha", 0, "hi"),),
+    "RFubExact": (("alpha", 0, "exact"),),
+    "RLimLo": (),
+}
+
+
+def _linked_inputs(rule: str, params: Mapping[str, str], roles: dict) -> tuple[RankBounds, ...]:
+    """A rule's inputs as its node's children give them, by role: for a sum
+    or limit rule, the bounds the members share on J, then the base's."""
+    reads = _READS.get(rule)
+    if reads == ():
+        return ()
+
+    def one(role: str) -> RankBounds:
+        found = roles.get(role, ())
+        if len(found) != 1:
+            raise CertificateError(f"rule {rule}: {len(found)} children with role {role!r}")
+        return found[0]
+
+    if rule in ("RCopy", "RQH"):  # the k-th witness rule reads the k-th witness source
+        if not roles.get("witness source"):
+            raise CertificateError(f"rule {rule}: no witness source child left")
+        return (roles["witness source"].pop(0),)
+    if reads or rule not in _RESTATED:  # an unknown rule reads nothing; eval_rule names it
+        return tuple(one(r.format(index=params.get("index"))) for r in reads or ())
+    j = params.get("J")
+    if j == "full":
+        members = [
+            b for r, bs in roles.items() if r.startswith(("summand", "member", "tail")) for b in bs
+        ]
+        if not members:
+            raise CertificateError(f"rule {rule}: no summand or member children")
+        his = [b.hi for b in members]
+        agg = RankBounds(min(b.lo for b in members), None if None in his else max(his))
+    elif j == "cofinite-beyond-exceptions":
+        agg = one("tail")
+    else:
+        raise CertificateError(f"rule {rule}: unknown index set J={j!r}")
+    inputs = (agg,) if rule == "RLimLo" else (agg, one("base"))
+    for key, k, end in _RESTATED[rule]:
+        if params.get(key) != str(getattr(inputs[k], end)):
+            raise CertificateError(f"rule {rule}: {key}={params.get(key)} restates no input bound")
+    return inputs
+
+
 def _replay_node(node: CertNode) -> RankBounds:
+    # the children's final bounds by role, the summand or member tail as "tail"
+    roles: dict[str, list[RankBounds]] = {}
+    for c in node.children:
+        role = c.label.partition(": ")[0]
+        roles.setdefault("tail" if role.endswith(" tail") else role, []).append(c.final)
     final = TOP
     for a in node.applied:
-        out = eval_rule(a.rule, dict(a.params), a.inputs)
+        params = dict(a.params)
+        if a.inputs != _linked_inputs(a.rule, params, roles):
+            raise CertificateError(
+                f"rule {a.rule} at {node.label!r}: inputs are not its children's bounds"
+            )
+        out = eval_rule(a.rule, params, a.inputs)
         if out != a.output:
             raise CertificateError(
                 f"rule {a.rule} at {node.label!r}: recorded {bounds_text(a.output)}, "

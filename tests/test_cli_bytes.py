@@ -74,13 +74,23 @@ def test_a_failing_command_writes_nothing_to_stdout(capsys):
         assert capsys.readouterr().out == ""
 
 
+# (seed, format, digest); the seed-0 cases keep the ids they had before
+# seed 1 was pinned
+CHECK_ALL = [
+    ("0", "text", "d69dc15cddb81100141e3ba34191441f74cc5977885aead5ed3ed9ad55c82b59"),
+    ("0", "structured", "522444930dbcde6568d2fd200a34ccf009eb0da33db4a01d2493b49c65668308"),
+    ("1", "text", "6d3f9761c5c948ef470ed53553d8ab761bd3b3b8b083747c1f29b6ef31ae78f4"),
+    ("1", "structured", "2241cd84eb02162d4af77e2b60b750f2a735092ef8eac1cac6ce857257500dc6"),
+]
+
+
 @pytest.mark.parametrize(
-    "fmt, want",
+    "seed, fmt, want",
     [
-        ("text", "d69dc15cddb81100141e3ba34191441f74cc5977885aead5ed3ed9ad55c82b59"),
-        ("structured", "522444930dbcde6568d2fd200a34ccf009eb0da33db4a01d2493b49c65668308"),
+        pytest.param(seed, fmt, want, id=f"{fmt}-{want}" + ("" if seed == "0" else f"-seed{seed}"))
+        for seed, fmt, want in CHECK_ALL
     ],
 )
-def test_check_all_prints_the_pinned_bytes(capsys, fmt, want):
-    assert main(["--format", fmt, "check", "all", "--seed", "0"]) == 0
+def test_check_all_prints_the_pinned_bytes(capsys, seed, fmt, want):
+    assert main(["--format", fmt, "check", "all", "--seed", seed]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from filterlab.constructions import collapse_pair
 from filterlab.domains import (
     DSum,
     DomainError,
@@ -20,6 +21,7 @@ from filterlab.filters import (
     DIVERGENT,
     CanonicalEnum,
     DiagNo,
+    DiagUnknown,
     DiagYes,
     FilterError,
     FilterFamily,
@@ -43,6 +45,7 @@ from filterlab.filters import (
     fubini_as_limit,
     fubini_sum,
     gen_random_filter,
+    is_borel_rank_one,
     is_diagonalizable,
     is_free,
     katetov,
@@ -359,6 +362,19 @@ def test_a_cofinite_sum_base_finds_its_first_tail_column():
     r = is_diagonalizable(f)
     assert isinstance(r, DiagYes)
     assert r.witness == section_family({6: full_set(NAT)}, empty_set(NAT), dom_of(f))
+
+
+def test_a_relabelled_cofinite_filter_is_diagonalized_by_the_full_set():
+    f = pushforward(CanonicalEnum(Prod(UNIT)), frechet(NAT))
+    assert is_diagonalizable(f) == DiagYes(full_set(Prod(UNIT)))
+
+
+def test_a_relabelled_tower_on_the_interleaved_pair_is_undecided():
+    assert is_diagonalizable(collapse_pair(1).push0) == DiagUnknown()
+
+
+def test_a_relabelled_cofinite_filter_is_a_rank_one_borel_base():
+    assert is_borel_rank_one(pushforward(CanonicalEnum(Prod(UNIT)), frechet(NAT))) is True
 
 
 def test_random_diagonalization_verdicts_are_pinned():

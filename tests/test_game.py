@@ -28,6 +28,7 @@ from filterlab.game import (
     RandomFiniteII,
     SepIn,
     SepOut,
+    SepUnknown,
     Transcript,
     UniversalFamily,
     UniversalII,
@@ -164,6 +165,24 @@ def test_validate_transcript_reports_corruption():
     )
     problems = validate_transcript(bad)
     assert any("round 2" in p for p in problems)
+
+
+def test_validate_transcript_reports_a_claim_outside_the_move():
+    t = play(frechet(NAT), FullSetI(), FreshElementII(), 1, seed=0)
+    from filterlab.game import Round
+
+    move = cofin_set([NatPt(5)], NAT)
+    bad = Transcript(t.filt, (Round(move, (NatPt(5),)),), t.seed, t.player_i, t.player_ii)
+    assert validate_transcript(bad) == ["round 0: claimed point 5 outside the move"]
+
+
+def test_validate_transcript_reports_unsorted_claims():
+    t = play(frechet(NAT), FullSetI(), FreshElementII(), 1, seed=0)
+    from filterlab.game import Round
+
+    claims = (NatPt(2), NatPt(1))
+    bad = Transcript(t.filt, (Round(full_set(NAT), claims),), t.seed, t.player_i, t.player_ii)
+    assert validate_transcript(bad) == ["round 0: claimed points not sorted and distinct"]
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +335,23 @@ def test_separator_splits_members_from_duals():
     dual_set = section_family({}, fin_set([NatPt(0)], NAT), d)
     assert isinstance(separator_verdict(lim, u, sep, member_set), SepIn)
     assert isinstance(separator_verdict(lim, u, sep, dual_set), SepOut)
+
+
+def _cofinite_sections_limit():
+    inner = filter_family({}, frechet(NAT))
+    return limit_of(frechet(NAT), SectionwiseFamily(inner, Prod(NAT))), section_separators(inner)
+
+
+def test_separator_without_a_stability_bound_is_unknown():
+    lim, sep = _cofinite_sections_limit()
+    u = UniversalFamily("singletons, no bound", NAT, lambda n, k: (NatPt(k),))
+    assert separator_verdict(lim, u, sep, full_set(Prod(NAT))) == SepUnknown(bound=0)
+
+
+def test_separator_on_column_segments_is_unknown_past_the_bound():
+    lim, sep = _cofinite_sections_limit()
+    u = column_segments_family(Prod(NAT))
+    assert separator_verdict(lim, u, sep, empty_set(Prod(NAT))) == SepUnknown(bound=8)
 
 
 # ---------------------------------------------------------------------------
