@@ -27,6 +27,12 @@ def test_member_false_exits_one(capsys):
     assert "false" in out
 
 
+@pytest.mark.parametrize("text, verdict, want", [("fin{3}", "false", 1), ("cofin{3}", "true", 0)])
+def test_a_bare_natural_names_an_enumeration_point(capsys, text, verdict, want):
+    code, out, _ = run(capsys, "member", "push(enum(prod(unit)), frechet)", text)
+    assert (code, out.strip()) == (want, verdict)
+
+
 def test_member_set_parses_against_filter_domain(capsys):
     code, out, _ = run(capsys, "member", "katetov(2)", "sections({}, cofin{})")
     assert code == 0

@@ -64,6 +64,7 @@ from filterlab.filters import (
     verify_quasi_homomorphism,
 )
 from filterlab.sets import (
+    CofinSet,
     cofin_set,
     empty_set,
     fin_set,
@@ -111,6 +112,13 @@ def test_meet_is_intersection_of_verdicts():
     assert member(f, full_set(NAT))
     assert not member(f, cofin_set([NatPt(0), NatPt(1)], NAT))
     assert not member(f, fin_set([NatPt(1)], NAT))
+
+
+def test_a_raw_cofinite_leaf_is_checked_then_marked_valid():
+    a = CofinSet((NatPt(1), NatPt(4)), NAT)
+    assert not a._valid
+    assert member(frechet(NAT), a)
+    assert a._valid
 
 
 def test_katetov_tower_shapes():
@@ -371,6 +379,22 @@ def test_a_relabelled_cofinite_filter_is_diagonalized_by_the_full_set():
 
 def test_a_relabelled_tower_on_the_interleaved_pair_is_undecided():
     assert is_diagonalizable(collapse_pair(1).push0) == DiagUnknown()
+
+
+def test_a_relabelled_finite_principal_filter_is_not_diagonalizable():
+    f = pushforward(CanonicalEnum(Prod(UNIT)), principal(fin_set([NatPt(0)], NAT)))
+    assert is_diagonalizable(f) == DiagNo()
+
+
+def test_a_sum_along_the_empty_principal_base_is_undecided():
+    f = fubini_sum(principal(fin_set([], NAT)), {}, frechet(NAT))
+    assert is_diagonalizable(f) == DiagUnknown()
+
+
+def test_a_sum_whose_member_kernel_is_unsupported_is_undecided():
+    # the interleaving has no closed form for set images, so the kernel raises
+    f = fubini_sum(frechet(NAT), {}, collapse_pair(1).push0)
+    assert is_diagonalizable(f) == DiagUnknown()
 
 
 def test_a_relabelled_cofinite_filter_is_a_rank_one_borel_base():

@@ -142,6 +142,12 @@ def test_illegal_player_i_move_names_round():
         play(frechet(NAT), bad, FreshElementII(), 1, seed=0)
 
 
+def test_a_player_i_move_over_the_wrong_domain_is_illegal():
+    bad = _StubI([full_set(Prod(NAT))])
+    with pytest.raises(IllegalMove, match=r"^player I, round 0: move over the wrong domain$"):
+        play(frechet(NAT), bad, FreshElementII(), 1, seed=0)
+
+
 def test_illegal_player_ii_point_names_round():
     good_i = FullSetI()
     bad_ii = _StubII([(NatPt(0),), (NatPt(1),)])

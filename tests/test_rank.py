@@ -3,6 +3,7 @@
 import pytest
 
 from filterlab.domains import DSum, NAT, NatPt
+from filterlab.dsl import parse_filter
 from filterlab.filters import (
     IdentityBij,
     dom_of,
@@ -232,3 +233,47 @@ def test_ct_bound_of_towers_matches_depth():
 def test_ct_bound_of_type_gap_filter_is_two():
     ct = ct_bound(_type_gap_filter())
     assert ct.level is not None and ct.level <= 2
+
+
+# principal(fin{}) is improper; its levels are pinned as they stand
+@pytest.mark.parametrize(
+    "text, level",
+    [
+        ("prod(principal(fin{}), frechet)", None),
+        ("limit(principal(fin{}), family({}, frechet))", 1),
+        ("limit(principal(fin{}), family({0: principal(fin{0})}, frechet))", None),
+        ("fubini(principal(fin{}), family({}, katetov(2)))", None),
+        ("limit(meet(frechet, principal(cofin{0})), family({}, frechet))", None),
+        ("push(enum(prod(unit)), meet(frechet, frechet))", 2),
+        ("limit(principal(fin{0,1}), family({0: principal(fin{0})}, frechet))", 2),
+    ],
+)
+def test_edge_case_levels_are_pinned(text, level):
+    assert ct_bound(parse_filter(text)).level == level
+
+
+def _tower_depth(f):
+    """The depth the root's RKat rule states, or None without one."""
+    _, cert = rank_bounds(f)
+    depths = [dict(a.params)["depth"] for a in cert.root.applied if a.rule == "RKat"]
+    assert len(depths) <= 1
+    return int(depths[0]) if depths else None
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_a_tower_has_its_depth(n):
+    assert _tower_depth(katetov(n)) == n
+
+
+@pytest.mark.parametrize(
+    "text, depth",
+    [
+        ("frechet", 1),
+        ("push(enum(prod(unit)), frechet)", 1),
+        ("fubini(frechet, family({}, katetov(2)))", 3),
+        ("principal(cofin{})", None),
+        ("limit(frechet, family({}, katetov(1)))", None),
+    ],
+)
+def test_tower_copies_have_their_depths(text, depth):
+    assert _tower_depth(parse_filter(text)) == depth
