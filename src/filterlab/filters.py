@@ -465,23 +465,6 @@ def katetov(n: int) -> FilterExpr:
     return f
 
 
-def katetov_depth(f: FilterExpr) -> int | None:
-    """Depth of f as a recognized tower copy, or None."""
-    if isinstance(f, Principal) and f.core == fin_set((UNIT_PT,), UNIT):
-        return 0
-    if isinstance(f, Frechet):
-        return 1
-    if isinstance(f, Product) and isinstance(f.outer, Frechet):
-        d = katetov_depth(f.inner)
-        return None if d is None else d + 1
-    if isinstance(f, FubiniSum) and isinstance(f.base, Frechet) and not f.family.exceptions:
-        d = katetov_depth(f.family.tail)
-        return None if d is None else d + 1
-    if isinstance(f, Pushforward):
-        return katetov_depth(f.inner)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # membership
 

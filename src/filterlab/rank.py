@@ -30,7 +30,7 @@ from .filters import (
     SectionFilter,
     UnsupportedPreimage,
     is_borel_rank_one,
-    katetov_depth,
+    katetov,
     kernel_set,
     member,
     sum_parts,
@@ -327,7 +327,7 @@ RankWitness = Union[CopyWitness, QHWitness]
 def rank_bounds(
     f: RankSubject, witnesses: Sequence[RankWitness] = ()
 ) -> tuple[RankBounds, "RankCertificate"]:
-    node = _derive(f)
+    node = _derive(f)[0]
     for w in witnesses:
         node = _attach_witness(node, f, w)
     return node.final, RankCertificate(node)
@@ -344,43 +344,57 @@ def _with_role(node: CertNode, role: str) -> CertNode:
     return replace(node, label=f"{role}: {node.label}")
 
 
-def _derive(f: RankSubject) -> CertNode:
+# the tower's one-point start
+_ONE_POINT = katetov(0).core
+
+def _derive(f: RankSubject) -> tuple[CertNode, int | None, int | None]:
+    """f's certificate node, its depth as a tower copy and its countable-type
+    level (None where there is none), the last two read off its children's."""
     if isinstance(f, CertifiedFilter):
         app = _app("RCert", {"bounds": bounds_text(f.bounds)})
-        return _finalize(f"certified {f.name} ({f.provenance})", [app], [])
-    label = type(f).__name__
+        return _finalize(f"certified {f.name} ({f.provenance})", [app], []), None, None
+    head: list[RuleApp] = []
     apps: list[RuleApp] = []
     children: list[CertNode] = []
+    pts = depth = level = None
     try:
-        free = is_empty_set(kernel_set(f))
-        apps.append(_app("R0", {"free": "yes" if free else "no"}))
+        pts = finite_points(kernel_set(f))
+        head.append(_app("R0", {"free": "yes" if pts == () else "no"}))
     except UnsupportedPreimage:
         pass
-    depth = katetov_depth(f)
-    if depth is not None:
-        apps.append(_app("RKat", {"depth": str(depth)}))
-    if isinstance(f, (Product, FubiniSum, Limit)):
-        _derive_table(f, apps, children)
+    if isinstance(f, Principal):
+        # pts is the core: one point has level 0, finitely many level 1
+        depth = 0 if f.core == _ONE_POINT else None
+        level = (0 if len(pts) == 1 else 1) if pts else None
+    elif isinstance(f, Frechet):
+        depth = level = 1
+    elif isinstance(f, (Product, FubiniSum, Limit)):
+        depth, level = _derive_table(f, apps, children)
     elif isinstance(f, Intersection):
-        left = _derive(f.left)
-        right = _derive(f.right)
+        left, _, left_level = _derive(f.left)
+        right, _, right_level = _derive(f.right)
         children += [_with_role(left, "left"), _with_role(right, "right")]
         apps.append(_app("RMono", (), [left.final, right.final]))
+        if left_level is not None and right_level is not None:
+            level = max(left_level, right_level) + 1
     elif isinstance(f, Pushforward):
-        inner = _derive(f.inner)
+        inner, depth, level = _derive(f.inner)
         children.append(_with_role(inner, "inner"))
         apps.append(_app("RIso", (), [inner.final]))
     elif isinstance(f, SectionFilter):
-        comp = _derive(f.comp)
+        comp, _, level = _derive(f.comp)
         children.append(_with_role(comp, f"section {f.index}"))
         apps.append(_app("RSection", {"index": str(f.index)}, [comp.final]))
-    return _finalize(label, apps, children)
+    if depth is not None:
+        head.append(_app("RKat", {"depth": str(depth)}))
+    return _finalize(type(f).__name__, head + apps, children), depth, level
 
 
 def _derive_table(
     f: Union[Product, FubiniSum, Limit], apps: list[RuleApp], children: list[CertNode]
-) -> None:
-    """Sum or limit rules over a base and the members of an indexed family.
+) -> tuple[int | None, int | None]:
+    """Sum or limit rules over a base and the members of an indexed family;
+    returns f's tower depth and countable-type level.
 
     A sum or product lists its summands (sum_parts) and a limit of a plain
     family its own table; a limit of a sectionwise family lists, at each
@@ -391,7 +405,7 @@ def _derive_table(
     """
     is_sum = not isinstance(f, Limit)
     base, fam = sum_parts(f) if is_sum else (f.base, f.family)
-    base_node = _derive(base)
+    base_node = _derive(base)[0]
     base_b = base_node.final
     if isinstance(fam, FilterFamily):
         keys, tail = fam.keys, fam.tail
@@ -402,9 +416,15 @@ def _derive_table(
         listed = ((i, SectionFilter(i, g, dom)) for i, g in inner.exceptions)
     repeated = isinstance(fam, RepeatedSectionwiseFamily)
     role = "summand" if is_sum else "member row" if repeated else "member"
-    nodes = [_with_role(_derive(g), f"{role} {i}") for i, g in listed]
-    tail_node = _with_role(_derive(tail), "summand tail" if is_sum else "member tail")
+    nodes, levels = [], []
+    for i, g in listed:
+        node, _, level = _derive(g)
+        nodes.append(_with_role(node, f"{role} {i}"))
+        levels.append(level)
+    tail_node, tail_depth, tail_level = _derive(tail)
+    tail_node = _with_role(tail_node, "summand tail" if is_sum else "member tail")
     children += [_with_role(base_node, "base"), *nodes, tail_node]
+    constant = not is_sum and isinstance(fam, FilterFamily) and not keys
 
     # the members' bounds on each admissible J
     finals = [tail_node.final] + [n.final for n in nodes]
@@ -419,7 +439,7 @@ def _derive_table(
         apps.append(
             _app("RFubLo", {"J": j, "xi": str(agg.lo), "alpha": str(base_b.lo)}, [agg, base_b])
         )
-    elif isinstance(fam, FilterFamily) and not keys:
+    elif constant:
         apps.append(_app("RLimConst", (), [tail_node.final]))
     bounded = [c for c in cands if c[1].hi is not None]
     if bounded:
@@ -445,9 +465,27 @@ def _derive_table(
                 apps.append(_app("RFubExact", {"J": j, "alpha": str(agg.exact)}, [agg, base_b]))
                 break
 
+    # a sum of one tower copy along the cofinite filter is a tower one deeper
+    depth = None
+    if is_sum and not keys and isinstance(base, Frechet) and tail_depth is not None:
+        depth = tail_depth + 1
+    # countable type: the limit of a constant family is the constant filter
+    # itself; a sum or limit along the cofinite filter is a plain sectionwise
+    # limit, and along a principal base, repeating each index infinitely often
+    # realizes the everywhere-quantified verdict as a cofinite one
+    level = None
+    if constant:
+        if isinstance(base, (Frechet, Principal)):
+            level = tail_level
+    elif isinstance(base, Frechet) or isinstance(base, Principal) and not is_empty_set(base.core):
+        levels.append(tail_level)
+        if None not in levels:
+            level = max(levels) + 1
+    return depth, level
+
 
 def _attach_witness(node: CertNode, f: RankSubject, w: RankWitness) -> CertNode:
-    src_node = _derive(w.source)
+    src_node = _derive(w.source)[0]
     _check_witness(w, f)
     rule, via = ("RCopy", w.sigma) if isinstance(w, CopyWitness) else ("RQH", w.pi)
     app = _app(rule, {"via": type(via).__name__}, [src_node.final])
@@ -666,67 +704,11 @@ class CtBound:
 
 
 def ct_bound(f: FilterExpr) -> CtBound:
-    lvl = _ct(f)
-    if lvl is not None:
-        b, _ = rank_bounds(f)
-        if b.lo > ord_of_int(lvl):
-            raise InconsistentBounds(f"construction level {lvl} below rank lower bound {b.lo}")
+    node, _, lvl = _derive(f)
+    lo = node.final.lo
+    if lvl is not None and lo > ord_of_int(lvl):
+        raise InconsistentBounds(f"construction level {lvl} below rank lower bound {lo}")
     return CtBound(lvl)
-
-
-def _ct_join(levels: Iterable[int | None]) -> int | None:
-    out = 0
-    for l in levels:
-        if l is None:
-            return None
-        out = max(out, l)
-    return out
-
-
-def _ct(f: FilterExpr) -> int | None:
-    if isinstance(f, Principal):
-        pts = finite_points(f.core)
-        if pts is None or not pts:
-            return None
-        return 0 if len(pts) == 1 else 1
-    if isinstance(f, Frechet):
-        return 1
-    if isinstance(f, SectionFilter):
-        return _ct(f.comp)
-    if isinstance(f, Pushforward):
-        return _ct(f.inner)
-    if isinstance(f, Intersection):
-        j = _ct_join([_ct(f.left), _ct(f.right)])
-        return None if j is None else j + 1
-    parts = sum_parts(f)
-    if parts is not None:
-        base, fam = parts
-        return _ct_over_base(base, [g for _, g in fam.exceptions] + [fam.tail])
-    if isinstance(f, Limit):
-        fam = f.family
-        if not fam.exceptions:
-            return _ct_of_constant(f.base, fam.tail)
-        return _ct_over_base(f.base, [g for _, g in fam.exceptions] + [fam.tail])
-    return None
-
-
-def _ct_of_constant(base: FilterExpr, tail: FilterExpr) -> int | None:
-    # the limit of a constant family is the constant filter itself
-    if isinstance(base, (Frechet, Principal)):
-        return _ct(tail)
-    return None
-
-
-def _ct_over_base(base: FilterExpr, members: list[FilterExpr]) -> int | None:
-    # a sum or limit along the cofinite filter is a plain sectionwise limit;
-    # along a principal base, repeating each index infinitely often realizes
-    # the everywhere-quantified verdict as a cofinite one
-    if not isinstance(base, (Frechet, Principal)):
-        return None
-    if isinstance(base, Principal) and finite_points(base.core) == ():
-        return None
-    j = _ct_join([_ct(g) for g in members])
-    return None if j is None else j + 1
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from filterlab.filters import (
     is_diagonalizable,
     is_free,
     katetov,
-    katetov_depth,
     kernel_set,
     limit_of,
     meet,
@@ -63,6 +62,7 @@ from filterlab.filters import (
     verify_embedding,
     verify_quasi_homomorphism,
 )
+from filterlab.rank import rank_bounds
 from filterlab.sets import (
     CofinSet,
     cofin_set,
@@ -122,11 +122,14 @@ def test_a_raw_cofinite_leaf_is_checked_then_marked_valid():
 
 
 def test_katetov_tower_shapes():
+    def depth(f):
+        root = rank_bounds(f)[1].root
+        return [dict(a.params)["depth"] for a in root.applied if a.rule == "RKat"]
+
     for n in range(5):
-        f = katetov(n)
-        assert katetov_depth(f) == n
-    assert katetov_depth(frechet(NAT)) == 1
-    assert katetov_depth(principal(full_set(NAT))) is None
+        assert depth(katetov(n)) == [str(n)]
+    assert depth(frechet(NAT)) == ["1"]
+    assert depth(principal(full_set(NAT))) == []
 
 
 def test_katetov2_membership():
