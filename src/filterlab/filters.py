@@ -908,22 +908,6 @@ def _diag_sum(base: FilterExpr, fam: FilterFamily, domain: DomainExpr) -> DiagRe
 
 
 # ---------------------------------------------------------------------------
-# side-condition tags
-
-
-def is_borel_rank_one(f: FilterExpr) -> bool:
-    """Syntactic tag for the bases accepted by the sharp limit bound."""
-    if isinstance(f, Frechet):
-        return True
-    if isinstance(f, Intersection):
-        pair = {type(f.left), type(f.right)}
-        return pair == {Principal, Frechet}
-    if isinstance(f, Pushforward):
-        return is_borel_rank_one(f.inner)
-    return False
-
-
-# ---------------------------------------------------------------------------
 # random generation for property tests
 
 

@@ -29,7 +29,6 @@ from .filters import (
     RepeatedSectionwiseFamily,
     SectionFilter,
     UnsupportedPreimage,
-    is_borel_rank_one,
     katetov,
     kernel_set,
     member,
@@ -449,9 +448,10 @@ def _derive_table(
             apps.append(
                 _app(name, {"J": j, key: str(agg.hi), "alpha": str(base_b.hi)}, [agg, base_b])
             )
-        # along the cofinite filter (or, for a limit, any rank-one Borel base)
-        # the base adds one, not 1 + its rank
-        if isinstance(base, Frechet) if is_sum else is_borel_rank_one(base):
+        # along the cofinite filter (or, for a limit, any base certified at
+        # [1,1]: every filter built here is Borel) the base adds one, not 1 +
+        # its rank
+        if isinstance(base, Frechet) if is_sum else base_b.exact == ONE:
             name, key = ("RFubFr", "xi") if is_sum else ("RLimHi1", "alpha")
             apps.append(_app(name, {"J": j, key: str(agg.hi)}, [agg, base_b]))
     if not is_sum:
@@ -459,7 +459,7 @@ def _derive_table(
             if ONE <= agg.lo:
                 apps.append(_app("RLimLo", {"J": j}, [agg]))
                 break
-    elif is_borel_rank_one(base) and ONE <= base_b.lo:
+    elif base_b.exact == ONE:  # the exact theorem needs a base of rank one
         for j, agg in cands:
             if agg.exact is not None:
                 apps.append(_app("RFubExact", {"J": j, "alpha": str(agg.exact)}, [agg, base_b]))

@@ -45,7 +45,6 @@ from filterlab.filters import (
     fubini_as_limit,
     fubini_sum,
     gen_random_filter,
-    is_borel_rank_one,
     is_diagonalizable,
     is_free,
     katetov,
@@ -62,6 +61,7 @@ from filterlab.filters import (
     verify_embedding,
     verify_quasi_homomorphism,
 )
+from filterlab.ordinals import ONE
 from filterlab.rank import rank_bounds
 from filterlab.sets import (
     CofinSet,
@@ -401,7 +401,10 @@ def test_a_sum_whose_member_kernel_is_unsupported_is_undecided():
 
 
 def test_a_relabelled_cofinite_filter_is_a_rank_one_borel_base():
-    assert is_borel_rank_one(pushforward(CanonicalEnum(Prod(UNIT)), frechet(NAT))) is True
+    # every filter built here is Borel, and the sharp limit rule reads "rank
+    # one" off the base's certified bounds
+    b, _ = rank_bounds(pushforward(CanonicalEnum(Prod(UNIT)), frechet(NAT)))
+    assert b.exact == ONE
 
 
 def test_random_diagonalization_verdicts_are_pinned():

@@ -235,6 +235,22 @@ def test_ct_bound_of_type_gap_filter_is_two():
     assert ct.level is not None and ct.level <= 2
 
 
+# the sharp limit rule reads its hypothesis off the base's certificate: the
+# relabelled cofinite filter is certified [1,1], the meet [0,0]
+@pytest.mark.parametrize(
+    "base, sharp",
+    [("push(table(nat, {0: 1, 1: 0}), frechet)", True), ("meet(principal(cofin{0}), frechet)", False)],
+)
+def test_the_sharp_limit_rule_needs_a_base_certified_at_rank_one(base, sharp):
+    family = "family({0: principal(cofin{}@prod(prod(unit)))}, katetov(2))"
+    b, cert = rank_bounds(parse_filter(f"limit({base}, {family})"))
+    outs = {a.rule: bounds_text(a.output) for a in cert.root.applied}
+    assert outs["RLimHi"] == ("[0,4]" if sharp else "[0,3]")
+    assert outs.get("RLimHi1") == ("[0,3]" if sharp else None)
+    assert b == bounds_of(1, 3)
+    assert replay_certificate(certificate_from_text(certificate_text(cert))) == b
+
+
 # principal(fin{}) is improper; its levels are pinned as they stand
 @pytest.mark.parametrize(
     "text, level",

@@ -31,11 +31,11 @@ def digest(texts) -> str:
 @pytest.mark.parametrize(
     "domain, want",
     [
-        (NAT, "7ea216ee70bd6b4ab04c53d2245f1a8798c3fd0ea97de89a3449bfb67ce987d5"),
-        (Prod(NAT), "45aa810dd01544d228a9a05faeeb31cbaae1351b936fbedcebb9bc5d81fc92a0"),
-        (Prod(Prod(UNIT)), "ec9c4402042df89aab87e34f91d3c5091f57432d32dc87e1a2604a10c28a2262"),
-        (DSum((Prod(UNIT),), NAT), "4f9b31eacc175cec835235aa5bb37cdd97d40f71fd08d4a16fbb4cf2cf17cea4"),
-        (Prod(UNIT), "0fafbd9275eec7158c4a9d10681ff52974b4c634693544871a40b5e0352a1010"),
+        (NAT, "956577abc51103c202a9fe8d3b6fbd11fba6c5f344380556a6e745717c66ac32"),
+        (Prod(NAT), "79268c06286d701ae4e686322ed4cd9b0e16d8d09fd92fd7fc1e7faf1a1c1ce6"),
+        (Prod(Prod(UNIT)), "7d0f9f6b34cc2eeee21342aff0d2c0a440ab2cd168369036b3f49bdcb73879df"),
+        (DSum((Prod(UNIT),), NAT), "c9be94ffaea88a51fd1e6d288ce1edba0af503eccc3435ab911e1e7cb07f2cf3"),
+        (Prod(UNIT), "b0184acd7d2babe1fd78b1ac6cf9e9ee982df3be6a0fbbc29a271190d8100404"),
     ],
 )
 def test_random_certificates_are_pinned(domain, want):
