@@ -346,6 +346,7 @@ def _with_role(node: CertNode, role: str) -> CertNode:
 # the tower's one-point start
 _ONE_POINT = katetov(0).core
 
+
 def _derive(f: RankSubject) -> tuple[CertNode, int | None, int | None]:
     """f's certificate node, its depth as a tower copy and its countable-type
     level (None where there is none), the last two read off its children's."""
@@ -474,9 +475,8 @@ def _derive_table(
     # limit, and along a principal base, repeating each index infinitely often
     # realizes the everywhere-quantified verdict as a cofinite one
     level = None
-    if constant:
-        if isinstance(base, (Frechet, Principal)):
-            level = tail_level
+    if constant and isinstance(base, (Frechet, Principal)):
+        level = tail_level
     elif isinstance(base, Frechet) or isinstance(base, Principal) and not is_empty_set(base.core):
         levels.append(tail_level)
         if None not in levels:
