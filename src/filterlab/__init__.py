@@ -104,8 +104,6 @@ _EXPORTS = {
         "section_filter",
         "seq_leaf",
         "seq_sections",
-        "verify_embedding",
-        "verify_quasi_homomorphism",
     ),
     "rank": (
         "CertificateError",
@@ -122,7 +120,6 @@ _EXPORTS = {
         "ct_bound",
         "parse_bounds",
         "rank_bounds",
-        "rank_report",
         "replay_certificate",
     ),
     "game": (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .domains import (
     DSum,
@@ -54,7 +54,6 @@ from .sets import (
     first_point,
     full_set,
     gen_random_setexpr,
-    is_cofinite,
     is_empty_set,
     leaf_set,
     listed_components,
@@ -494,7 +493,7 @@ def _member(f: FilterExpr, a: SetExpr) -> bool:
     if isinstance(f, Principal):
         return subset_check(f.core, a)
     if isinstance(f, Frechet):
-        return is_cofinite(a)
+        return cofinite_excluded(a) is not None
     parts = sum_parts(f)
     if parts is not None:
         base, fam = parts
@@ -751,66 +750,6 @@ def flim(s: SeqExpr, f: FilterExpr) -> Fraction | Divergent:
         if member(f, seq_level_set(s, v)):
             return v
     return DIVERGENT
-
-
-# ---------------------------------------------------------------------------
-# witness verification
-
-
-@node
-class SampleVerdict:
-    index: int
-    status: str  # "pass" | "fail" | "bad-sample"
-
-
-@node
-class WitnessReport:
-    kind: str
-    entries: tuple[SampleVerdict, ...]
-    passed: bool
-
-
-def verify_embedding(
-    sigma: BijectionSpec,
-    f_src: FilterExpr,
-    f_dst: FilterExpr,
-    samples: Iterable[SetExpr],
-) -> WitnessReport:
-    """Check that sigma sends each sampled member of f_src into f_dst."""
-    return _verify_samples("embedding", f_src, f_dst, sigma.image_set, samples)
-
-
-def verify_quasi_homomorphism(
-    pi: IntoSectionMap,
-    f_src: FilterExpr,
-    f_dst: FilterExpr,
-    samples: Iterable[SetExpr],
-) -> WitnessReport:
-    """Check that preimages under pi of sampled f_dst members lie in f_src."""
-    return _verify_samples("quasi-homomorphism", f_dst, f_src, pi.preimage_set, samples)
-
-
-def _verify_samples(
-    kind: str,
-    given: FilterExpr,
-    wanted: FilterExpr,
-    move: Callable[[SetExpr], SetExpr],
-    samples: Iterable[SetExpr],
-) -> WitnessReport:
-    """Check that move sends each sampled member of given into wanted; a
-    sample outside given is a bad sample."""
-    entries = []
-    ok = True
-    for n, a in enumerate(samples):
-        if not member(given, a):
-            entries.append(SampleVerdict(n, "bad-sample"))
-            continue
-        if member(wanted, move(a)):
-            entries.append(SampleVerdict(n, "pass"))
-        else:
-            entries.append(SampleVerdict(n, "fail"))
-            ok = False
-    return WitnessReport(kind, tuple(entries), ok)
 
 
 # ---------------------------------------------------------------------------

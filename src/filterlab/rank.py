@@ -498,7 +498,8 @@ def _check_witness(w: RankWitness, target: RankSubject) -> None:
     """Every sample in the first filter must map into the second.
 
     A copy witness maps source members into the target by the bijection; a
-    QH witness maps target members back into the source by preimages.
+    QH witness maps target members back into the source by preimages. A
+    sample whose verdict or move leaves the decidable language rejects it.
     """
     if isinstance(w, CopyWitness):
         first, move, second = w.source, w.sigma.image_set, target
@@ -508,11 +509,14 @@ def _check_witness(w: RankWitness, target: RankSubject) -> None:
         kind, escaped = "", "preimage of a target member escaped the source"
     used = 0
     for a in w.samples:
-        v = holds_in(first, a)
-        if v:
-            v = holds_in(second, move(a))
-            if v is False:
-                raise WitnessRejected(escaped)
+        try:
+            v = holds_in(first, a)
+            if v:
+                v = holds_in(second, move(a))
+                if v is False:
+                    raise WitnessRejected(escaped)
+        except UnsupportedPreimage:
+            v = None
         if v is None:
             raise WitnessRejected(f"{kind}witness sample outside the decidable language")
         used += v
@@ -709,22 +713,3 @@ def ct_bound(f: FilterExpr) -> CtBound:
     if lvl is not None and lo > ord_of_int(lvl):
         raise InconsistentBounds(f"construction level {lvl} below rank lower bound {lo}")
     return CtBound(lvl)
-
-
-# ---------------------------------------------------------------------------
-# reporting
-
-
-def rank_report(f: RankSubject, witnesses: Sequence[RankWitness] = ()) -> str:
-    b, cert = rank_bounds(f, witnesses)
-    lines = [f"bounds: {bounds_text(b)}"]
-    if b.exact is not None:
-        a = ord_str(b.exact)
-        lines.append(f"exact rank: {a}")
-        lines.append(
-            f"Baire note: limits of continuous functions along this filter "
-            f"form exactly Baire class B_{a} on zero-dimensional Polish spaces"
-        )
-    lines.append("certificate:")
-    lines.append(certificate_text(cert).rstrip("\n"))
-    return "\n".join(lines) + "\n"

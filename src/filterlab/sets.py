@@ -437,20 +437,6 @@ def is_empty_set(a: SetExpr) -> bool:
     return finite_points(a) == ()
 
 
-def is_cofinite(a: SetExpr, full: bool = False) -> bool:
-    """True when a has a finite complement (an empty one, if full).
-
-    Walks the normal form and builds nothing, unlike cofinite_excluded.
-    """
-    if isinstance(a, FinSet):
-        return isinstance(a.domain, Unit) and (bool(a.elements) or not full)
-    if isinstance(a, CofinSet):
-        return not (full and a.excluded)
-    if isinstance(a, SectionFamily):
-        return is_cofinite(a.tail, True) and all(is_cofinite(s, full) for _, s in a.exceptions)
-    raise DomainError(f"not a SetExpr: {a!r}")
-
-
 def first_point(a: SetExpr) -> Point | None:
     """Least member in canonical order, or None for the empty set.
 

@@ -29,7 +29,6 @@ from filterlab.filters import (
     FubiniSum,
     IdentityBij,
     Intersection,
-    IntoSectionMap,
     Limit,
     Principal,
     Product,
@@ -58,8 +57,6 @@ from filterlab.filters import (
     section_filter,
     seq_leaf,
     seq_sections,
-    verify_embedding,
-    verify_quasi_homomorphism,
 )
 from filterlab.ordinals import ONE
 from filterlab.rank import rank_bounds
@@ -303,47 +300,6 @@ def test_flim_divergent_under_principal_split():
     # a two-point core seeing two different values has no limit
     s = seq_leaf({NatPt(0): 1}, 0, NAT)
     assert flim(s, principal(fin_set([NatPt(0), NatPt(1)], NAT))) is DIVERGENT
-
-
-# ---------------------------------------------------------------------------
-# witness checks
-
-
-def test_verify_embedding_identity_passes():
-    f = frechet(NAT)
-    samples = [cofin_set([NatPt(k)], NAT) for k in range(5)]
-    rep = verify_embedding(IdentityBij(NAT), f, f, samples)
-    assert rep.passed
-    assert all(e.status == "pass" for e in rep.entries)
-
-
-def test_verify_embedding_flags_bad_samples():
-    f = frechet(NAT)
-    rep = verify_embedding(IdentityBij(NAT), f, f, [fin_set([NatPt(0)], NAT)])
-    assert rep.passed  # bad samples do not count as failures
-    assert rep.entries[0].status == "bad-sample"
-
-
-def test_verify_embedding_fails_into_stricter_filter():
-    f = frechet(NAT)
-    g = principal(full_set(NAT))  # only the full set is a member
-    rep = verify_embedding(IdentityBij(NAT), f, g, [cofin_set([NatPt(5)], NAT)])
-    assert not rep.passed
-    assert rep.entries[0].status == "fail"
-
-
-def test_verify_quasi_homomorphism_section_map():
-    # the 0th-section inclusion is a quasi-homomorphism from Frechet into
-    # the all-sections-cofinite filter
-    tgt = fubini_sum(principal(full_set(NAT)), {}, frechet(NAT))
-    d = dom_of(tgt)
-    pi = IntoSectionMap(d, 0)
-    samples = [
-        section_family({}, cofin_set([NatPt(1)], NAT), d),
-        full_set(d),
-    ]
-    rep = verify_quasi_homomorphism(pi, frechet(NAT), tgt, samples)
-    assert rep.passed
 
 
 # ---------------------------------------------------------------------------

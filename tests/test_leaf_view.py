@@ -33,7 +33,6 @@ from filterlab.sets import (
     finite_points,
     first_point,
     gen_random_setexpr,
-    is_cofinite,
     set_complement,
     set_intersect,
     set_member,
@@ -84,7 +83,7 @@ def _set_lines(name, d):
         yield f"{subset_check(a, b)} {subset_check(b, a)} {subset_check(a, a)}"
         yield "".join("1" if set_member(p, a) else "0" for p in probes)
         yield repr((finite_points(a), cofinite_excluded(a)))
-        yield repr((is_cofinite(a), is_cofinite(a, full=True), first_point(a)))
+        yield repr((cofinite_excluded(a) is not None, cofinite_excluded(a) == (), first_point(a)))
         yield _try(set_span, a)
         yield _try(classify_nat, a)
         yield _try(set_without, a, probes[k % 5 :: 7])

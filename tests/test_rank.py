@@ -34,7 +34,6 @@ from filterlab.rank import (
     eval_rule,
     parse_bounds,
     rank_bounds,
-    rank_report,
     replay_certificate,
 )
 from filterlab.sets import cofin_set, fin_set, full_set, section_family
@@ -161,11 +160,6 @@ def test_certificate_rejects_unknown_rule_text():
     txt = certificate_text(cert).replace("RKat", "RBogus")
     with pytest.raises(CertificateError):
         replay_certificate(certificate_from_text(txt))
-
-
-def test_rank_report_mentions_bounds():
-    rep = rank_report(katetov(2))
-    assert "[2,2]" in rep
 
 
 # ---------------------------------------------------------------------------

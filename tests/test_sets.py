@@ -33,7 +33,6 @@ from filterlab.sets import (
     first_point,
     full_set,
     gen_random_setexpr,
-    is_cofinite,
     is_empty_set,
     section,
     section_family,
@@ -84,13 +83,13 @@ def test_section_family_prunes_tail_copies():
     tail = cofin_set([], NAT)
     a = section_family({3: cofin_set([], NAT)}, tail, d)
     assert exception_keys(a) == ()
-    assert is_cofinite(a, full=True)
+    assert cofinite_excluded(a) == ()
 
 
 def test_empty_and_full():
     for d in DOMAINS:
         assert is_empty_set(empty_set(d))
-        assert is_cofinite(full_set(d), full=True)
+        assert cofinite_excluded(full_set(d)) == ()
         assert not is_empty_set(full_set(d))
         assert first_point(empty_set(d)) is None
         assert first_point(full_set(d)) is not None
@@ -185,7 +184,7 @@ def test_finite_and_cofinite_detection_are_exclusive(d):
     for a in random_sets(d, 40, 5):
         pts = finite_points(a)
         exc = cofinite_excluded(a)
-        assert pts is None or exc is None or is_cofinite(a, full=True) or d == UNIT
+        assert pts is None or exc is None or exc == () or d == UNIT
         if pts is not None:
             assert all(set_member(p, a) for p in pts)
             assert len(pts) == len(set(map(point_key, pts)))

@@ -39,13 +39,12 @@ PUBLIC = [
     "member", "member_extended", "omega_pow", "ord_add", "ord_cmp", "ord_of_int", "ord_str",
     "parse_bounds", "parse_filter", "parse_ordinal", "parse_program", "parse_seq",
     "parse_set", "play", "point_index", "point_key", "principal", "product", "pushforward",
-    "random_tower_member", "rank_bounds", "rank_report", "rank_type_gap_example",
+    "random_tower_member", "rank_bounds", "rank_type_gap_example",
     "replay_certificate", "replay_transcript", "run_suite", "section_family",
     "section_filter", "section_separators", "selector_shadow", "separator_verdict",
     "seq_leaf", "seq_sections", "set_complement", "set_intersect", "set_member",
     "set_to_source", "set_union", "singleton_family", "suite_names", "transcript_lines",
-    "two_valued_limit", "validate_transcript", "verify_embedding",
-    "verify_quasi_homomorphism", "verify_universal_family", "z_cover_witness",
+    "two_valued_limit", "validate_transcript", "verify_universal_family", "z_cover_witness",
 ]
 
 
@@ -63,7 +62,7 @@ LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith('filte
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 147
+    assert len(PUBLIC) == 144
     assert sorted(filterlab.__all__) == PUBLIC
 
 

@@ -8,6 +8,7 @@ two-branch form it replaced.
 
 import pytest
 
+from filterlab.constructions import BlockInterleaveBij, collapse_pair
 from filterlab.domains import DSum, NAT, NatPt, Prod, UNIT, point_key, tail_component
 from filterlab.dsl import filter_to_source, parse_filter
 from filterlab.filters import (
@@ -151,6 +152,23 @@ def _qh(target_verdict, sample=_SUM_SAMPLE):
     return _oracle(_SUM_DOM, target_verdict), w
 
 
+# a streaming interleaving has no closed form for set images or preimages,
+# so neither witness below can move its sample
+
+
+def _interleaved_copy():
+    cp = collapse_pair(1)
+    src = katetov(1)
+    return cp.push0, CopyWitness(src, BlockInterleaveBij(cp.pair, 0), (full_set(dom_of(src)),))
+
+
+def _interleaved_qh():
+    cp = collapse_pair(1)
+    f = fubini_sum(frechet(NAT), {}, cp.push0)
+    d = dom_of(f)
+    return f, QHWitness(cp.push0, IntoSectionMap(d, 0), (full_set(d),))
+
+
 @pytest.mark.parametrize("case, message", [
     (lambda: _copy(None, full_set(NAT)), "copy witness sample outside the decidable language"),
     (lambda: _copy(False, full_set(NAT)), "copy witness image escaped the target filter"),
@@ -158,6 +176,21 @@ def _qh(target_verdict, sample=_SUM_SAMPLE):
     (lambda: _qh(None), "witness sample outside the decidable language"),
     (lambda: _qh(True, _FINITE_SECTION), "preimage of a target member escaped the source"),
     (lambda: _qh(False), "witness verified against no valid sample"),
+    pytest.param(
+        _interleaved_copy, "copy witness sample outside the decidable language",
+        id="copy-through-a-streaming-interleaving",
+    ),
+    pytest.param(
+        _interleaved_qh, "witness sample outside the decidable language",
+        id="qh-through-a-streaming-interleaving",
+    ),
+    pytest.param(
+        lambda: (principal(full_set(NAT)), CopyWitness(
+            frechet(NAT), IdentityBij(NAT), (cofin_set([NatPt(5)], NAT),)
+        )),
+        "copy witness image escaped the target filter",
+        id="copy-into-a-stricter-filter",
+    ),
 ])
 def test_witness_rejections(case, message):
     target, w = case()

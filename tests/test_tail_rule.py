@@ -57,7 +57,6 @@ from filterlab.sets import (
     fin_set,
     first_point,
     gen_random_setexpr,
-    is_cofinite,
     is_empty_set,
     section,
     set_complement,
@@ -171,8 +170,6 @@ def test_set_walks_agree_on_random_sets(d):
         b = gen_random_setexpr(d, 8, seed + 1000)
         for x, y in [(a, b), (b, a), (a, a), (a, set_union(a, b)), (set_intersect(a, b), b)]:
             assert subset_check(x, y) == ref_subset_check(x, y), (x, y)
-        assert is_cofinite(a) == (cofinite_excluded(a) is not None)
-        assert is_cofinite(a, full=True) == (cofinite_excluded(a) == ())
         for leaf in leaves(a):
             if isinstance(leaf, FinSet):
                 assert set_complement(leaf) == cofin_set(leaf.elements, leaf.domain)
