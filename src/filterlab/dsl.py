@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 from .domains import (
     DSum,
@@ -88,46 +88,59 @@ class ParseError(Exception):
 # tokens
 
 
-class Token(NamedTuple):
-    kind: str  # "name" | "nat" | "punct" | "newline" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-# \d is exactly the decimal digits int() reads.  A name goes on with what
+# A token is its text: "" ends the input, "\n" stands for a run of newlines,
+# a decimal string is a natural, and any other text a name or a mark.  \d is
+# exactly the decimal digits int() reads.  A name goes on with what
 # str.isalnum() accepts (that is \w), but starts with a letter or "_", which
 # [^\W\d] admits together with the non-decimal digits and numerals that
-# tokenize then rejects.  Anything else is an unexpected character.
-_TOKEN = re.compile(
-    r"(?P<nat>\d+)|(?P<name>[^\W\d]\w*)|(?P<punct>[(){}\[\],:;=@/-])|(?P<newline>\n)"
-    r"|(?P<skip>[ \t\r]+|#[^\n]*)|(?P<bad>.)",
-    re.DOTALL,
-)
+# tokenize then rejects.  Blanks and comments are skipped at the start and
+# after each token.
+_SKIP = re.compile(r"(?:[ \t\r]+|#[^\n]*)*")
+_TOKEN = re.compile(r"(\d+|[^\W\d]\w*|[(){}\[\],:;=@/\n-])" + _SKIP.pattern)
+# the longest prefix that holds no unexpected character
+_CLEAN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*|\w+|[(){}\[\],:;=@/-])*")
 
 
-def tokenize(src: str) -> list[Token]:
-    """The tokens of src, ending with an "eof" token; a run of newlines,
-    with any blanks and comments between them, gives one "newline" token."""
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        text = m.group()
-        col = m.start() - line_start + 1
-        if kind == "newline":
-            if not toks or toks[-1].kind != "newline":
-                toks.append(Token("newline", "\n", line, col))
-            line += 1
-            line_start = m.end()
-        elif kind == "bad" or (kind == "name" and not (text[0].isalpha() or text[0] == "_")):
-            raise ParseError(f"unexpected character {text[0]!r}", line, col)
-        else:
-            toks.append(Token(kind, text, line, col))
-    toks.append(Token("eof", "", line, len(src) - line_start + 1))
+def tokenize(src: str) -> list[str]:
+    """The token texts of src, ending with "" for the end of input; a run of
+    newlines, with any blanks and comments between them, gives one "\n"."""
+    stop = _CLEAN.match(src).end()  # type: ignore[union-attr]
+    start = _SKIP.match(src).end()  # type: ignore[union-attr]
+    if not src.isascii():
+        # only non-ASCII text can start a name with a non-decimal digit
+        for m in _TOKEN.finditer(src, start, stop):
+            c = m[1][0]
+            if c.isnumeric() and not (c.isdecimal() or c.isalpha()):
+                stop = m.start()
+                break
+    if stop < len(src):
+        raise ParseError(f"unexpected character {src[stop]!r}", *line_col(src, stop))
+    toks = _TOKEN.findall(src, start)
+    if "\n" in src:
+        toks = [t for t, prev in zip(toks, ["", *toks]) if t != "\n" or prev != "\n"]
+    toks.append("")
     return toks
+
+
+def token_starts(src: str) -> list[int]:
+    """The offset in src of each token of tokenize(src), found by scanning
+    src again: positions are worked out only to report an error."""
+    starts, prev = [], ""
+    for m in _TOKEN.finditer(src, _SKIP.match(src).end()):  # type: ignore[union-attr]
+        if m[1] != "\n" or prev != "\n":
+            starts.append(m.start())
+        prev = m[1]
+    starts.append(len(src))
+    return starts
+
+
+def line_col(src: str, at: int) -> tuple[int, int]:
+    """The line and column of offset at in src, both from 1."""
+    return src.count("\n", 0, at) + 1, at - src.rfind("\n", 0, at)
+
+
+def _is_name(t: str) -> bool:
+    return t[:1].isalpha() or t[:1] == "_"
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +154,14 @@ class RawLiteral:
     head is "fin", "cofin", "sections" or "seq".  entries holds raw points
     for fin and cofin, and (key, value) pairs otherwise.  tail is None for
     fin and cofin, a Fraction for a leaf sequence, and the tail's literal
-    for sections and nested sequences.
+    for sections and nested sequences.  at is the index of its head token.
     """
 
     head: str
     entries: tuple
     tail: object
     tag: DomainExpr | None
-    line: int
-    col: int
+    at: int
 
 
 @node
@@ -157,8 +169,7 @@ class _ResolvedRaw:
     """A set binding spliced into a raw tree (already a normal form)."""
 
     value: SetExpr
-    line: int
-    col: int
+    at: int
 
 
 FILTER_HEADS = {
@@ -195,11 +206,13 @@ class _Parser:
     language has none), a reader method reads the expression, and end()
     checks that nothing but separators follows.  parse_filter calls itself
     for nested operands, so each nesting level of a filter costs one frame.
+    An error works out the line and column of the token it reports.
     """
 
     def __init__(
         self, src: str, env: Mapping[str, tuple[str, object]] | None = None, bindings: bool = True
     ) -> None:
+        self.src = src
         self.toks = tokenize(src)
         self.pos = 0
         self.env = dict(env or {})
@@ -210,48 +223,48 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def take(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def expect(self, text: str) -> Token:
-        t = self.toks[self.pos]
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, got {t.text or 'end of input'!r}", t.line, t.col)
+    def take(self) -> str:
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1]
 
-    @staticmethod
-    def build(head: Token, make: Callable[..., _T], *args) -> _T:
-        """make(*args); a FilterLabError it raises gains the position of head."""
+    def expect(self, text: str) -> None:
+        t = self.toks[self.pos]
+        if t != text:
+            raise self.fail(f"expected {text!r}, got {t or 'end of input'!r}")
+        self.pos += 1
+
+    def place(self, at: int) -> tuple[int, int]:
+        """The line and column of token at."""
+        return line_col(self.src, token_starts(self.src)[at])
+
+    def build(self, at: int, make: Callable[..., _T], *args) -> _T:
+        """make(*args); a FilterLabError it raises gains the place of token at."""
         try:
             return make(*args)
         except FilterLabError as e:
-            e.line, e.col = head.line, head.col
+            e.line, e.col = self.place(at)
             raise
 
-    def fail(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.line, t.col)
+    def fail(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at token at, by default the next token."""
+        return ParseError(message, *self.place(self.pos if at is None else at))
 
     def skip_newlines(self) -> None:
-        while self.peek().kind == "newline":
-            self.take()
+        while self.toks[self.pos] == "\n":
+            self.pos += 1
 
     def at_separator(self) -> bool:
-        return self.peek().kind in ("newline", "eof") or self.peek().text == ";"
+        return self.peek() in ("\n", "", ";")
 
     def items(self, open_: str, close: str, item, key=None) -> list:
         """Read `open_ item, ..., item close`, possibly empty.  With key,
         each item is written `key: item` and read as a (key, item) pair."""
         self.expect(open_)
         out = []
-        if self.peek().text != close:
+        if self.peek() != close:
             while True:
                 if key is None:
                     out.append(item())
@@ -259,17 +272,17 @@ class _Parser:
                     k = key()
                     self.expect(":")
                     out.append((k, item()))
-                if self.peek().text != ",":
+                if self.peek() != ",":
                     break
-                self.take()
+                self.pos += 1
         self.expect(close)
         return out
 
-    def table(self, key, value, what: str, at: Token) -> list:
-        """Read a `{key: value, ...}` table; a repeated key is an error at `at`."""
+    def table(self, key, value, what: str, at: int) -> list:
+        """Read a `{key: value, ...}` table; a repeated key is an error at token at."""
         entries = self.items("{", "}", value, key)
         if len({k for k, _ in entries}) != len(entries):
-            raise ParseError(f"repeated key in a {what} table", at.line, at.col)
+            raise self.fail(f"repeated key in a {what} table", at)
         return entries
 
     # -- program
@@ -277,61 +290,62 @@ class _Parser:
     def parse_bindings(self) -> None:
         self.skip_newlines()
         while (
-            self.peek().kind == "name"
-            and self.toks[self.pos + 1].text == "="
-            and self.peek().text not in _KEYWORDS
+            _is_name(self.peek())
+            and self.toks[self.pos + 1] == "="
+            and self.peek() not in _KEYWORDS
         ):
-            tok = self.take()
-            name = tok.text
+            name = self.peek()
             if name in self.env:
-                raise ParseError(f"{name!r} is already bound", tok.line, tok.col)
+                raise self.fail(f"{name!r} is already bound")
+            self.pos += 1
             self.expect("=")
             self.env[name] = self.parse_any()
             if not self.at_separator():
                 raise self.fail("expected end of statement after binding")
-            if self.peek().text == ";":
+            if self.peek() == ";":
                 self.take()
             self.skip_newlines()
 
     def end(self, value: _T) -> _T:
         self.skip_newlines()
-        if self.peek().text == ";":
+        if self.peek() == ";":
             self.take()
             self.skip_newlines()
         t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+        if t:
+            raise self.fail(f"unexpected trailing input {t!r}")
         return value
 
     def parse_any(self) -> tuple[str, object]:
         t = self.peek()
-        if t.kind != "name":
+        if not _is_name(t):
             raise self.fail("expected an expression")
-        if t.text in FILTER_HEADS:
+        if t in FILTER_HEADS:
             return ("filter", self.parse_filter())
-        if t.text in SET_HEADS:
-            return ("set", resolve_literal(self.parse_raw_set(), None))
-        if t.text == "seq":
-            return ("seq", resolve_literal(self.parse_raw_seq(), None))
-        if t.text in self.env:
-            return self.env[self.take().text]
-        raise self.fail(f"unknown name {t.text!r}")
+        if t in SET_HEADS:
+            return ("set", self.resolve(self.parse_raw_set(), None))
+        if t == "seq":
+            return ("seq", self.resolve(self.parse_raw_seq(), None))
+        if t in self.env:
+            return self.env[self.take()]
+        raise self.fail(f"unknown name {t!r}")
 
     # -- numbers and points
 
     def parse_nat(self) -> int:
-        t = self.peek()
-        if t.kind != "nat":
+        t = self.toks[self.pos]
+        if not t.isdecimal():
             raise self.fail("expected a natural number")
-        return int(self.take().text)
+        self.pos += 1
+        return int(t)
 
     def parse_rational(self) -> Fraction:
         sign = 1
-        if self.peek().text == "-":
+        if self.peek() == "-":
             self.take()
             sign = -1
         num = self.parse_nat()
-        if self.peek().text == "/":
+        if self.peek() == "/":
             self.take()
             den = self.parse_nat()
             if den == 0:
@@ -341,14 +355,13 @@ class _Parser:
 
     def parse_raw_point(self) -> object:
         t = self.peek()
-        if t.kind == "nat":
+        if t.isdecimal():
             return self.parse_nat()
-        if t.text == "(":
+        if t == "(":
+            at = self.pos
             coords = self.items("(", ")", self.parse_raw_point)
             if len(coords) == 1:
-                raise ParseError(
-                    "a point tuple needs at least two coordinates or ()", t.line, t.col
-                )
+                raise self.fail("a point tuple needs at least two coordinates or ()", at)
             return tuple(coords)
         raise self.fail("expected a point")
 
@@ -356,19 +369,16 @@ class _Parser:
 
     def parse_domain(self) -> DomainExpr:
         t = self.peek()
-        if t.text == "unit":
+        if t in ("unit", "nat"):
             self.take()
-            return UNIT
-        if t.text == "nat":
-            self.take()
-            return NAT
-        if t.text == "prod":
+            return UNIT if t == "unit" else NAT
+        if t == "prod":
             self.take()
             self.expect("(")
             inner = self.parse_domain()
             self.expect(")")
             return Prod(inner)
-        if t.text == "dsum":
+        if t == "dsum":
             self.take()
             self.expect("(")
             comps = self.items("[", "]", self.parse_domain)
@@ -379,7 +389,7 @@ class _Parser:
         raise self.fail("expected a domain")
 
     def parse_opt_tag(self) -> DomainExpr | None:
-        if self.peek().text == "@":
+        if self.peek() == "@":
             self.take()
             return self.parse_domain()
         return None
@@ -387,96 +397,95 @@ class _Parser:
     # -- sets and sequences
 
     def parse_raw_set(self) -> RawLiteral | _ResolvedRaw:
-        t = self.peek()
-        if t.text in ("fin", "cofin"):
+        at, t = self.pos, self.peek()
+        if t in ("fin", "cofin"):
             self.take()
             points = self.items("{", "}", self.parse_raw_point)
-            return RawLiteral(t.text, tuple(points), None, self.parse_opt_tag(), t.line, t.col)
-        if t.text == "sections":
+            return RawLiteral(t, tuple(points), None, self.parse_opt_tag(), at)
+        if t == "sections":
             self.take()
             self.expect("(")
-            entries = self.table(self.parse_nat, self.parse_raw_set, "section", t)
+            entries = self.table(self.parse_nat, self.parse_raw_set, "section", at)
             self.expect(",")
             tail = self.parse_raw_set()
             self.expect(")")
             tag = self.parse_opt_tag()
-            return RawLiteral("sections", tuple(entries), tail, tag, t.line, t.col)
-        if t.kind == "name" and t.text in self.env:
-            kind, value = self.env[t.text]
+            return RawLiteral("sections", tuple(entries), tail, tag, at)
+        if _is_name(t) and t in self.env:
+            kind, value = self.env[t]
             if kind != "set":
-                raise self.fail(f"{t.text!r} is bound to a {kind}, not a set")
+                raise self.fail(f"{t!r} is bound to a {kind}, not a set")
             self.take()
             # a resolved binding re-enters as an opaque leaf
-            return _ResolvedRaw(value, t.line, t.col)  # type: ignore[arg-type]
+            return _ResolvedRaw(value, at)  # type: ignore[arg-type]
         raise self.fail("expected a set")
 
     def parse_raw_seq(self) -> RawLiteral:
-        t = self.expect("seq")
+        at = self.pos
+        self.expect("seq")
         self.expect("(")
-        entries = self.table(self.parse_raw_point, self.parse_seq_value, "sequence", t)
+        entries = self.table(self.parse_raw_point, self.parse_seq_value, "sequence", at)
         self.expect(",")
         tail = self.parse_seq_value()
         self.expect(")")
-        return RawLiteral("seq", tuple(entries), tail, self.parse_opt_tag(), t.line, t.col)
+        return RawLiteral("seq", tuple(entries), tail, self.parse_opt_tag(), at)
 
     def parse_seq_value(self) -> RawLiteral | Fraction:
-        if self.peek().text == "seq":
+        if self.peek() == "seq":
             return self.parse_raw_seq()
         return self.parse_rational()
 
     # -- families
 
     def parse_family(self):
-        t = self.peek()
-        if t.text not in FAMILY_HEADS:
+        at, t = self.pos, self.peek()
+        if t not in FAMILY_HEADS:
             raise self.fail("expected a filter family")
         self.take()
         self.expect("(")
         entries = []
         # only repfamily may leave its table out
-        if t.text != "repfamily" or self.peek().text == "{":
-            open_tok = self.peek()
-            entries = self.table(self.parse_nat, self.parse_filter, "filter", open_tok)
+        if t != "repfamily" or self.peek() == "{":
+            entries = self.table(self.parse_nat, self.parse_filter, "filter", self.pos)
             self.expect(",")
         tail = self.parse_filter()
-        inner = self.build(t, filter_family, dict(entries), tail)
-        if t.text == "family":
+        inner = self.build(at, filter_family, dict(entries), tail)
+        if t == "family":
             self.expect(")")
             return inner
-        domain = self.build(t, fubini_domain, inner)
-        if self.peek().text == ",":
+        domain = self.build(at, fubini_domain, inner)
+        if self.peek() == ",":
             self.take()
             domain = self.parse_domain()
         self.expect(")")
-        if t.text == "secfamily":
+        if t == "secfamily":
             return SectionwiseFamily(inner, domain)
         return RepeatedSectionwiseFamily(inner, domain)
 
     # -- bijections
 
     def parse_bij(self):
-        t = self.peek()
-        if t.text not in ("id", "enum", "table"):
+        at, t = self.pos, self.peek()
+        if t not in ("id", "enum", "table"):
             raise self.fail("expected a bijection")
         self.take()
         self.expect("(")
         d = self.parse_domain()
-        if t.text == "table":
+        if t == "table":
             self.expect(",")
             pairs = self.items("{", "}", self.parse_nat, self.parse_nat)
             self.expect(")")
-            return self.build(t, TableBij, d, tuple(pairs))
+            return self.build(at, TableBij, d, tuple(pairs))
         self.expect(")")
-        return IdentityBij(d) if t.text == "id" else CanonicalEnum(d)
+        return IdentityBij(d) if t == "id" else CanonicalEnum(d)
 
     # -- filters
 
     def parse_filter(self) -> FilterExpr:
-        t = self.peek()
-        if t.kind != "name":
-            raise self.fail("expected a filter")
-        head = t.text
+        at, head = self.pos, self.peek()
         if head not in FILTER_HEADS:
+            if not _is_name(head):
+                raise self.fail("expected a filter")
             if head in self.env:
                 kind, value = self.env[head]
                 if kind != "filter":
@@ -484,8 +493,8 @@ class _Parser:
                 self.take()
                 return value  # type: ignore[return-value]
             raise self.fail(f"unknown filter head {head!r}")
-        self.take()
-        if head == "frechet" and self.peek().text != "(":
+        self.pos += 1
+        if head == "frechet" and self.peek() != "(":
             return Frechet(NAT)
         self.expect("(")
         if head in _BINARY:
@@ -494,35 +503,120 @@ class _Parser:
             right = self.parse_family() if head in ("fubini", "limit") else self.parse_filter()
             self.expect(")")
             if head == "fubini" and not isinstance(right, FilterFamily):
-                raise ParseError("fubini takes a plain family", t.line, t.col)
-            return self.build(t, _BINARY[head], left, right)
+                raise self.fail("fubini takes a plain family", at)
+            return self.build(at, _BINARY[head], left, right)
         if head == "frechet":
             d = self.parse_domain()
             self.expect(")")
-            return self.build(t, Frechet, d)
+            return self.build(at, Frechet, d)
         if head == "principal":
-            core = resolve_literal(self.parse_raw_set(), None)
+            core = self.resolve(self.parse_raw_set(), None)
             self.expect(")")
-            return self.build(t, Principal, core)
+            return self.build(at, Principal, core)
         if head == "katetov":
             n = self.parse_nat()
             self.expect(")")
-            return self.build(t, katetov, n)
+            return self.build(at, katetov, n)
         # cylinder(index, component filter[, domain])
         i = self.parse_nat()
         self.expect(",")
         comp = self.parse_filter()
-        if self.peek().text == ",":
+        if self.peek() == ",":
             self.take()
             d = self.parse_domain()
         else:
             d = Prod(dom_of(comp))
         self.expect(")")
-        return self.build(t, SectionFilter, i, comp, d)
+        return self.build(at, SectionFilter, i, comp, d)
 
+    # -- raw resolution
 
-# ---------------------------------------------------------------------------
-# raw resolution
+    def resolve_point(self, raw: object, d: DomainExpr, at: int) -> Point:
+        if isinstance(d, Unit):
+            if raw == ():
+                return UNIT_PT
+            raise self.fail("expected the unit point ()", at)
+        if isinstance(d, Nat):
+            if isinstance(raw, int):
+                return NatPt(raw)
+            raise self.fail("expected a bare natural", at)
+        if isinstance(raw, int):
+            if is_linear_domain(d):
+                return enum_point(d, raw)
+            raise self.fail("a bare natural cannot name a point of this domain", at)
+        if isinstance(raw, tuple) and len(raw) >= 2 and isinstance(raw[0], int):
+            i = raw[0]
+            rest = raw[1] if len(raw) == 2 else tuple(raw[1:])
+            return make_point(d, i, self.resolve_point(rest, component(d, i), at))
+        raise self.fail("point shape does not fit the domain", at)
+
+    def infer_domain(self, raw: RawLiteral | _ResolvedRaw) -> DomainExpr:
+        """The domain a literal names without context: its tag, else its shape."""
+        if isinstance(raw, _ResolvedRaw):
+            return raw.value.domain
+        if raw.tag is not None:
+            return raw.tag
+        is_seq = raw.head == "seq"
+        if _is_leaf(raw):
+            points = [p for p, _ in raw.entries] if is_seq else raw.entries
+            if not points:
+                return NAT
+            doms = {_infer_point_domain(p) for p in points}
+            if len(doms) != 1:
+                what = "sequence points" if is_seq else "points of one set"
+                raise self.fail(f"{what} must share a shape", raw.at)
+            return doms.pop()
+        tail_d = self.infer_domain(raw.tail)  # type: ignore[arg-type]
+        entry_ds = {}
+        for key, val in raw.entries:
+            if is_seq and not isinstance(key, int):
+                raise self.fail("nested sequence keys must be naturals", raw.at)
+            if is_seq and not isinstance(val, RawLiteral):
+                raise self.fail("nested sequence entries must be sequences", raw.at)
+            entry_ds[key] = self.infer_domain(val)
+        return sum_domain(entry_ds, tail_d)
+
+    def resolve(
+        self, raw: RawLiteral | _ResolvedRaw, domain: DomainExpr | None
+    ) -> SetExpr | SeqExpr:
+        """The set or sequence a literal names over domain (inferred if None)."""
+        if isinstance(raw, _ResolvedRaw):
+            if domain is not None and raw.value.domain != domain:
+                raise self.fail("bound set's domain does not match this context", raw.at)
+            return raw.value
+        d = domain if domain is not None else self.infer_domain(raw)
+        if raw.tag is not None and domain is not None and raw.tag != domain:
+            raise self.fail("domain tag does not match this context", raw.at)
+        is_seq = raw.head == "seq"
+        if _is_leaf(raw):
+            if not is_seq:
+                pts = [self.resolve_point(p, d, raw.at) for p in raw.entries]
+                make = fin_set if raw.head == "fin" else cofin_set
+                args = (pts, d)
+            else:
+                values = {}
+                for key, val in raw.entries:
+                    if isinstance(val, RawLiteral):
+                        raise self.fail("leaf sequences need rational values", raw.at)
+                    values[self.resolve_point(key, d, raw.at)] = val
+                make = seq_leaf
+                args = (values, raw.tail, d)
+        else:
+            if not is_indexed(d):
+                what = "nested sequences" if is_seq else "sections"
+                raise self.fail(f"{what} need an indexed domain", raw.at)
+            entries = {}
+            for key, val in raw.entries:
+                if is_seq and not (isinstance(key, int) and isinstance(val, RawLiteral)):
+                    raise self.fail("nested sequence entries must be `nat: seq`", raw.at)
+                entries[key] = self.resolve(val, component(d, key))
+            tail = self.resolve(raw.tail, tail_component(d))  # type: ignore[arg-type]
+            make = seq_sections if is_seq else section_family
+            args = (entries, tail, d)
+        try:
+            return make(*args)
+        except DomainError as e:
+            raise self.fail(str(e), raw.at) from e
 
 
 def _infer_point_domain(raw: object) -> DomainExpr:
@@ -533,100 +627,8 @@ def _infer_point_domain(raw: object) -> DomainExpr:
     return Prod(_infer_point_domain(raw[1] if len(raw) == 2 else raw[1:]))  # type: ignore[index]
 
 
-def _resolve_point(raw: object, d: DomainExpr, line: int, col: int) -> Point:
-    if isinstance(d, Unit):
-        if raw == ():
-            return UNIT_PT
-        raise ParseError("expected the unit point ()", line, col)
-    if isinstance(d, Nat):
-        if isinstance(raw, int):
-            return NatPt(raw)
-        raise ParseError("expected a bare natural", line, col)
-    if isinstance(raw, int):
-        if is_linear_domain(d):
-            return enum_point(d, raw)
-        raise ParseError("a bare natural cannot name a point of this domain", line, col)
-    if isinstance(raw, tuple) and len(raw) >= 2 and isinstance(raw[0], int):
-        i = raw[0]
-        rest = raw[1] if len(raw) == 2 else tuple(raw[1:])
-        return make_point(d, i, _resolve_point(rest, component(d, i), line, col))
-    raise ParseError("point shape does not fit the domain", line, col)
-
-
 def _is_leaf(raw: RawLiteral) -> bool:
     return raw.tail is None or isinstance(raw.tail, Fraction)
-
-
-def _infer_domain(raw: RawLiteral | _ResolvedRaw) -> DomainExpr:
-    """The domain a literal names without context: its tag, else its shape."""
-    if isinstance(raw, _ResolvedRaw):
-        return raw.value.domain
-    if raw.tag is not None:
-        return raw.tag
-    is_seq = raw.head == "seq"
-    if _is_leaf(raw):
-        points = [p for p, _ in raw.entries] if is_seq else raw.entries
-        if not points:
-            return NAT
-        doms = {_infer_point_domain(p) for p in points}
-        if len(doms) != 1:
-            what = "sequence points" if is_seq else "points of one set"
-            raise ParseError(f"{what} must share a shape", raw.line, raw.col)
-        return doms.pop()
-    tail_d = _infer_domain(raw.tail)  # type: ignore[arg-type]
-    entry_ds = {}
-    for key, val in raw.entries:
-        if is_seq and not isinstance(key, int):
-            raise ParseError("nested sequence keys must be naturals", raw.line, raw.col)
-        if is_seq and not isinstance(val, RawLiteral):
-            raise ParseError("nested sequence entries must be sequences", raw.line, raw.col)
-        entry_ds[key] = _infer_domain(val)
-    return sum_domain(entry_ds, tail_d)
-
-
-def resolve_literal(
-    raw: RawLiteral | _ResolvedRaw, domain: DomainExpr | None
-) -> SetExpr | SeqExpr:
-    """The set or sequence a literal names over domain (inferred if None)."""
-    if isinstance(raw, _ResolvedRaw):
-        if domain is not None and raw.value.domain != domain:
-            raise ParseError(
-                "bound set's domain does not match this context", raw.line, raw.col
-            )
-        return raw.value
-    d = domain if domain is not None else _infer_domain(raw)
-    if raw.tag is not None and domain is not None and raw.tag != domain:
-        raise ParseError("domain tag does not match this context", raw.line, raw.col)
-    is_seq = raw.head == "seq"
-    if _is_leaf(raw):
-        if not is_seq:
-            pts = [_resolve_point(p, d, raw.line, raw.col) for p in raw.entries]
-            make = fin_set if raw.head == "fin" else cofin_set
-            args = (pts, d)
-        else:
-            values = {}
-            for key, val in raw.entries:
-                if isinstance(val, RawLiteral):
-                    raise ParseError("leaf sequences need rational values", raw.line, raw.col)
-                values[_resolve_point(key, d, raw.line, raw.col)] = val
-            make = seq_leaf
-            args = (values, raw.tail, d)
-    else:
-        if not is_indexed(d):
-            what = "nested sequences" if is_seq else "sections"
-            raise ParseError(f"{what} need an indexed domain", raw.line, raw.col)
-        entries = {}
-        for key, val in raw.entries:
-            if is_seq and not (isinstance(key, int) and isinstance(val, RawLiteral)):
-                raise ParseError("nested sequence entries must be `nat: seq`", raw.line, raw.col)
-            entries[key] = resolve_literal(val, component(d, key))
-        tail = resolve_literal(raw.tail, tail_component(d))  # type: ignore[arg-type]
-        make = seq_sections if is_seq else section_family
-        args = (entries, tail, d)
-    try:
-        return make(*args)
-    except DomainError as e:
-        raise ParseError(str(e), raw.line, raw.col) from e
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +649,12 @@ def parse_filter(src: str) -> FilterExpr:
 
 def parse_set(src: str, domain: DomainExpr | None = None) -> SetExpr:
     p = _Parser(src)
-    return resolve_literal(p.end(p.parse_raw_set()), domain)  # type: ignore[return-value]
+    return p.resolve(p.end(p.parse_raw_set()), domain)  # type: ignore[return-value]
 
 
 def parse_seq(src: str, domain: DomainExpr | None = None) -> SeqExpr:
     p = _Parser(src)
-    return resolve_literal(p.end(p.parse_raw_seq()), domain)  # type: ignore[return-value]
+    return p.resolve(p.end(p.parse_raw_seq()), domain)  # type: ignore[return-value]
 
 
 def parse_domain(src: str) -> DomainExpr:

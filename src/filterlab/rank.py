@@ -29,6 +29,7 @@ from .filters import (
     RepeatedSectionwiseFamily,
     SectionFilter,
     UnsupportedPreimage,
+    dom_of,
     katetov,
     kernel_set,
     member,
@@ -294,6 +295,10 @@ def holds_in(f: RankSubject, a: SetExpr) -> bool | None:
     return member(f, a)
 
 
+def _domain(f: RankSubject) -> DomainExpr:
+    return f.domain if isinstance(f, CertifiedFilter) else dom_of(f)
+
+
 # ---------------------------------------------------------------------------
 # rank witnesses
 
@@ -498,15 +503,18 @@ def _check_witness(w: RankWitness, target: RankSubject) -> None:
     """Every sample in the first filter must map into the second.
 
     A copy witness maps source members into the target by the bijection; a
-    QH witness maps target members back into the source by preimages. A
-    sample whose verdict or move leaves the decidable language rejects it.
+    QH witness maps target members back into the source by preimages. The
+    map must go from the source's domain to the target's, and a sample
+    whose verdict or move leaves the decidable language rejects it.
     """
     if isinstance(w, CopyWitness):
-        first, move, second = w.source, w.sigma.image_set, target
+        via, first, move, second = w.sigma, w.source, w.sigma.image_set, target
         kind, escaped = "copy ", "copy witness image escaped the target filter"
     else:
-        first, move, second = target, w.pi.preimage_set, w.source
+        via, first, move, second = w.pi, target, w.pi.preimage_set, w.source
         kind, escaped = "", "preimage of a target member escaped the source"
+    if (via.source_domain(), via.target_domain()) != (_domain(w.source), _domain(target)):
+        raise WitnessRejected(f"{kind}witness maps between the wrong domains")
     used = 0
     for a in w.samples:
         try:

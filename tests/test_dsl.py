@@ -334,24 +334,28 @@ def _mutants(src):
     return out
 
 
-def test_language_is_pinned():
-    lines = [_outcome(src) for src in LANGUAGE_EXAMPLES]
-    sources = []
+def _pinned_cases():
+    """The printed filters, sets and sequences the language pin parses:
+    (value, source, parser) triples, 1,200 in all."""
     for d in DOMAINS:
         rng = Random(7)
         for seed in range(100):
             f = gen_random_filter(d, 2, seed)
             a = gen_random_setexpr(d, 8, seed)
             s = _random_seq(d, rng)
-            for value, src, parse in [
-                (f, filter_to_source(f), parse_filter),
-                (a, set_to_source(a), lambda src: parse_set(src, d)),
-                (s, set_to_source(s), lambda src: parse_seq(src, d)),
-            ]:
-                assert parse(src) == value
-                sources.append(src)
-                lines.append(src)
-                lines.append(_outcome(src))
+            yield f, filter_to_source(f), parse_filter
+            yield a, set_to_source(a), lambda src, d=d: parse_set(src, d)
+            yield s, set_to_source(s), lambda src, d=d: parse_seq(src, d)
+
+
+def test_language_is_pinned():
+    lines = [_outcome(src) for src in LANGUAGE_EXAMPLES]
+    sources = []
+    for value, src, parse in _pinned_cases():
+        assert parse(src) == value
+        sources.append(src)
+        lines.append(src)
+        lines.append(_outcome(src))
     for src in sources[::6]:
         lines += [_outcome(m) for m in _mutants(src)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -31,11 +31,29 @@ def digest(texts) -> str:
 @pytest.mark.parametrize(
     "domain, want",
     [
-        (NAT, "956577abc51103c202a9fe8d3b6fbd11fba6c5f344380556a6e745717c66ac32"),
-        (Prod(NAT), "79268c06286d701ae4e686322ed4cd9b0e16d8d09fd92fd7fc1e7faf1a1c1ce6"),
-        (Prod(Prod(UNIT)), "7d0f9f6b34cc2eeee21342aff0d2c0a440ab2cd168369036b3f49bdcb73879df"),
-        (DSum((Prod(UNIT),), NAT), "c9be94ffaea88a51fd1e6d288ce1edba0af503eccc3435ab911e1e7cb07f2cf3"),
-        (Prod(UNIT), "b0184acd7d2babe1fd78b1ac6cf9e9ee982df3be6a0fbbc29a271190d8100404"),
+        pytest.param(
+            NAT, "956577abc51103c202a9fe8d3b6fbd11fba6c5f344380556a6e745717c66ac32", id="nat"
+        ),
+        pytest.param(
+            Prod(NAT),
+            "79268c06286d701ae4e686322ed4cd9b0e16d8d09fd92fd7fc1e7faf1a1c1ce6",
+            id="prod-nat",
+        ),
+        pytest.param(
+            Prod(Prod(UNIT)),
+            "7d0f9f6b34cc2eeee21342aff0d2c0a440ab2cd168369036b3f49bdcb73879df",
+            id="prod-prod-unit",
+        ),
+        pytest.param(
+            DSum((Prod(UNIT),), NAT),
+            "c9be94ffaea88a51fd1e6d288ce1edba0af503eccc3435ab911e1e7cb07f2cf3",
+            id="dsum-prod-unit-nat",
+        ),
+        pytest.param(
+            Prod(UNIT),
+            "b0184acd7d2babe1fd78b1ac6cf9e9ee982df3be6a0fbbc29a271190d8100404",
+            id="prod-unit",
+        ),
     ],
 )
 def test_random_certificates_are_pinned(domain, want):

@@ -191,6 +191,20 @@ def _interleaved_qh():
         "copy witness image escaped the target filter",
         id="copy-into-a-stricter-filter",
     ),
+    pytest.param(
+        lambda: (frechet(NAT), CopyWitness(
+            katetov(1), IdentityBij(dom_of(katetov(1))), (full_set(dom_of(katetov(1))),)
+        )),
+        "copy witness maps between the wrong domains",
+        id="copy-onto-another-domain",
+    ),
+    pytest.param(
+        lambda: (frechet(NAT), QHWitness(
+            frechet(NAT), IntoSectionMap(_SUM_DOM, 0), (full_set(NAT),)
+        )),
+        "witness maps between the wrong domains",
+        id="qh-from-another-domain",
+    ),
 ])
 def test_witness_rejections(case, message):
     target, w = case()
