@@ -13,7 +13,7 @@ import re
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .domains import DomainExpr, FilterLabError, NAT, NatPt, fresh_index, node, replace
+from .domains import DomainExpr, FilterLabError, NAT, NatPt, fresh_index, node
 from .filters import (
     BijectionSpec,
     FilterExpr,
@@ -196,6 +196,31 @@ CITES = {
     "source's rank",
 }
 
+# each rule's links to its node's children: the roles of the children it
+# reads, in input order, and its parameters that restate those inputs, as
+# (parameter, input, bound).  "J" reads the bounds the summands or members
+# share on the index set the J parameter names; a cylinder reads the section
+# its index parameter names
+_J_BASE = ("J", "base")
+_LINKS = {
+    "R0": ((), ()),
+    "RKat": ((), ()),
+    "RMono": (("left", "right"), ()),
+    "RFubLo": (_J_BASE, (("xi", 0, "lo"), ("alpha", 1, "lo"))),
+    "RFubHi": (_J_BASE, (("xi", 0, "hi"), ("alpha", 1, "hi"))),
+    "RFubFr": (_J_BASE, (("xi", 0, "hi"),)),
+    "RFubExact": (_J_BASE, (("alpha", 0, "exact"),)),
+    "RLimHi": (_J_BASE, (("beta", 0, "hi"), ("alpha", 1, "hi"))),
+    "RLimHi1": (_J_BASE, (("alpha", 0, "hi"),)),
+    "RLimLo": (("J",), ()),
+    "RLimConst": (("tail",), ()),
+    "RSection": (("section {index}",), ()),
+    "RIso": (("inner",), ()),
+    "RCert": ((), ()),
+    "RQH": (("witness source",), ()),
+    "RCopy": (("witness source",), ()),
+}
+
 
 def eval_rule(
     name: str, params: Mapping[str, str], inputs: Sequence[RankBounds]
@@ -256,14 +281,16 @@ def eval_rule(
     raise CertificateError(f"unknown rule {name!r}")
 
 
-def _app(
-    name: str,
-    params: Mapping[str, str] | Iterable[tuple[str, str]] = (),
-    inputs: Sequence[RankBounds] = (),
-) -> RuleApp:
-    p = tuple(params.items()) if isinstance(params, Mapping) else tuple(params)
-    out = eval_rule(name, dict(p), inputs)
-    return RuleApp(name, CITES[name], p, tuple(inputs), out)
+def _app(name: str, inputs: Sequence[RankBounds] = (), **fixed: str) -> RuleApp:
+    """The rule applied: its fixed parameters, then those `_LINKS` says restate inputs."""
+    p = (*fixed.items(), *((k, str(getattr(inputs[i], end))) for k, i, end in _LINKS[name][1]))
+    return RuleApp(name, CITES[name], p, tuple(inputs), eval_rule(name, dict(p), inputs))
+
+
+def _shared(finals: Sequence[RankBounds]) -> RankBounds:
+    """The bounds that hold for every one of finals, a nonempty sequence."""
+    his = [b.hi for b in finals]
+    return RankBounds(min(b.lo for b in finals), None if None in his else max(his))
 
 
 # ---------------------------------------------------------------------------
@@ -337,34 +364,31 @@ def rank_bounds(
     return node.final, RankCertificate(node)
 
 
-def _finalize(label: str, apps: list[RuleApp], children: list[CertNode]) -> CertNode:
+def _finalize(label: str, apps: list[RuleApp], kids: list[CertNode], role: str = "") -> CertNode:
     final = TOP
     for a in apps:
         final = intersect_bounds(final, a.output, where=label)
-    return CertNode(label, tuple(apps), final, tuple(children))
-
-
-def _with_role(node: CertNode, role: str) -> CertNode:
-    return replace(node, label=f"{role}: {node.label}")
+    return CertNode(f"{role}: {label}" if role else label, tuple(apps), final, tuple(kids))
 
 
 # the tower's one-point start
 _ONE_POINT = katetov(0).core
 
 
-def _derive(f: RankSubject) -> tuple[CertNode, int | None, int | None]:
-    """f's certificate node, its depth as a tower copy and its countable-type
-    level (None where there is none), the last two read off its children's."""
+def _derive(f: RankSubject, role: str = "") -> tuple[CertNode, int | None, int | None]:
+    """f's certificate node, labelled with its role among its parent's
+    children, its depth as a tower copy and its countable-type level (None
+    where there is none), the last two read off its children's."""
     if isinstance(f, CertifiedFilter):
-        app = _app("RCert", {"bounds": bounds_text(f.bounds)})
-        return _finalize(f"certified {f.name} ({f.provenance})", [app], []), None, None
+        app = _app("RCert", bounds=bounds_text(f.bounds))
+        return _finalize(f"certified {f.name} ({f.provenance})", [app], [], role), None, None
     head: list[RuleApp] = []
     apps: list[RuleApp] = []
     children: list[CertNode] = []
     pts = depth = level = None
     try:
         pts = finite_points(kernel_set(f))
-        head.append(_app("R0", {"free": "yes" if pts == () else "no"}))
+        head.append(_app("R0", free="yes" if pts == () else "no"))
     except UnsupportedPreimage:
         pass
     if isinstance(f, Principal):
@@ -376,23 +400,23 @@ def _derive(f: RankSubject) -> tuple[CertNode, int | None, int | None]:
     elif isinstance(f, (Product, FubiniSum, Limit)):
         depth, level = _derive_table(f, apps, children)
     elif isinstance(f, Intersection):
-        left, _, left_level = _derive(f.left)
-        right, _, right_level = _derive(f.right)
-        children += [_with_role(left, "left"), _with_role(right, "right")]
-        apps.append(_app("RMono", (), [left.final, right.final]))
+        left, _, left_level = _derive(f.left, "left")
+        right, _, right_level = _derive(f.right, "right")
+        children += [left, right]
+        apps.append(_app("RMono", [left.final, right.final]))
         if left_level is not None and right_level is not None:
             level = max(left_level, right_level) + 1
     elif isinstance(f, Pushforward):
-        inner, depth, level = _derive(f.inner)
-        children.append(_with_role(inner, "inner"))
-        apps.append(_app("RIso", (), [inner.final]))
+        inner, depth, level = _derive(f.inner, "inner")
+        children.append(inner)
+        apps.append(_app("RIso", [inner.final]))
     elif isinstance(f, SectionFilter):
-        comp, _, level = _derive(f.comp)
-        children.append(_with_role(comp, f"section {f.index}"))
-        apps.append(_app("RSection", {"index": str(f.index)}, [comp.final]))
+        comp, _, level = _derive(f.comp, f"section {f.index}")
+        children.append(comp)
+        apps.append(_app("RSection", [comp.final], index=str(f.index)))
     if depth is not None:
-        head.append(_app("RKat", {"depth": str(depth)}))
-    return _finalize(type(f).__name__, head + apps, children), depth, level
+        head.append(_app("RKat", depth=str(depth)))
+    return _finalize(type(f).__name__, head + apps, children, role), depth, level
 
 
 def _derive_table(
@@ -410,7 +434,7 @@ def _derive_table(
     """
     is_sum = not isinstance(f, Limit)
     base, fam = sum_parts(f) if is_sum else (f.base, f.family)
-    base_node = _derive(base)[0]
+    base_node = _derive(base, "base")[0]
     base_b = base_node.final
     if isinstance(fam, FilterFamily):
         keys, tail = fam.keys, fam.tail
@@ -423,52 +447,43 @@ def _derive_table(
     role = "summand" if is_sum else "member row" if repeated else "member"
     nodes, levels = [], []
     for i, g in listed:
-        node, _, level = _derive(g)
-        nodes.append(_with_role(node, f"{role} {i}"))
+        node, _, level = _derive(g, f"{role} {i}")
+        nodes.append(node)
         levels.append(level)
-    tail_node, tail_depth, tail_level = _derive(tail)
-    tail_node = _with_role(tail_node, "summand tail" if is_sum else "member tail")
-    children += [_with_role(base_node, "base"), *nodes, tail_node]
+    tail_node, tail_depth, tail_level = _derive(tail, "summand tail" if is_sum else "member tail")
+    children += [base_node, *nodes, tail_node]
     constant = not is_sum and isinstance(fam, FilterFamily) and not keys
 
     # the members' bounds on each admissible J
-    finals = [tail_node.final] + [n.final for n in nodes]
-    his = [b.hi for b in finals]
-    cands = [("full", RankBounds(min(b.lo for b in finals), None if None in his else max(his)))]
+    cands = [("full", _shared([tail_node.final] + [n.final for n in nodes]))]
     if keys and not repeated and member(base, cofin_set([NatPt(i) for i in keys], NAT)):
         cands.append(("cofinite-beyond-exceptions", tail_node.final))
 
     # max and min keep the first best J, so "full" wins ties
     if is_sum:
         j, agg = max(cands, key=lambda c: ord_add(c[1].lo, base_b.lo))
-        apps.append(
-            _app("RFubLo", {"J": j, "xi": str(agg.lo), "alpha": str(base_b.lo)}, [agg, base_b])
-        )
+        apps.append(_app("RFubLo", [agg, base_b], J=j))
     elif constant:
-        apps.append(_app("RLimConst", (), [tail_node.final]))
+        apps.append(_app("RLimConst", [tail_node.final]))
     bounded = [c for c in cands if c[1].hi is not None]
     if bounded:
         j, agg = min(bounded, key=lambda c: c[1].hi)
         if base_b.hi is not None:
-            name, key = ("RFubHi", "xi") if is_sum else ("RLimHi", "beta")
-            apps.append(
-                _app(name, {"J": j, key: str(agg.hi), "alpha": str(base_b.hi)}, [agg, base_b])
-            )
+            apps.append(_app("RFubHi" if is_sum else "RLimHi", [agg, base_b], J=j))
         # along the cofinite filter (or, for a limit, any base certified at
         # [1,1]: every filter built here is Borel) the base adds one, not 1 +
         # its rank
         if isinstance(base, Frechet) if is_sum else base_b.exact == ONE:
-            name, key = ("RFubFr", "xi") if is_sum else ("RLimHi1", "alpha")
-            apps.append(_app(name, {"J": j, key: str(agg.hi)}, [agg, base_b]))
+            apps.append(_app("RFubFr" if is_sum else "RLimHi1", [agg, base_b], J=j))
     if not is_sum:
         for j, agg in cands:
             if ONE <= agg.lo:
-                apps.append(_app("RLimLo", {"J": j}, [agg]))
+                apps.append(_app("RLimLo", [agg], J=j))
                 break
     elif base_b.exact == ONE:  # the exact theorem needs a base of rank one
         for j, agg in cands:
             if agg.exact is not None:
-                apps.append(_app("RFubExact", {"J": j, "alpha": str(agg.exact)}, [agg, base_b]))
+                apps.append(_app("RFubExact", [agg, base_b], J=j))
                 break
 
     # a sum of one tower copy along the cofinite filter is a tower one deeper
@@ -490,13 +505,11 @@ def _derive_table(
 
 
 def _attach_witness(node: CertNode, f: RankSubject, w: RankWitness) -> CertNode:
-    src_node = _derive(w.source)[0]
+    src_node = _derive(w.source, "witness source")[0]
     _check_witness(w, f)
     rule, via = ("RCopy", w.sigma) if isinstance(w, CopyWitness) else ("RQH", w.pi)
-    app = _app(rule, {"via": type(via).__name__}, [src_node.final])
-    return _finalize(
-        node.label, [*node.applied, app], [*node.children, _with_role(src_node, "witness source")]
-    )
+    app = _app(rule, [src_node.final], via=type(via).__name__)
+    return _finalize(node.label, [*node.applied, app], [*node.children, src_node])
 
 
 def _check_witness(w: RankWitness, target: RankSubject) -> None:
@@ -601,10 +614,15 @@ def _parse_rule(name: str, rest: str) -> RuleApp:
     params: list[tuple[str, str]] = []
     inputs: list[RankBounds] = []
     output: RankBounds | None = None
+    # replay would read a repeated key's last copy, where the text shows its first
+    seen = {"cite"} if cm else set()
     for tok in rest.split():
         key, _, val = tok.partition("=")
         if not _:
             raise CertificateError(f"malformed rule token {tok!r}")
+        if key != "in" and key in seen:
+            raise CertificateError(f"rule {name} repeats {key}=")
+        seen.add(key)
         if key == "in":
             inputs.append(parse_bounds(val))
         elif key == "out":
@@ -621,59 +639,37 @@ def replay_certificate(cert: RankCertificate) -> RankBounds:
     return _replay_node(cert.root)
 
 
-# the children's roles each rule with fixed inputs reads, in input order; a
-# cylinder reads the section its index parameter names
-_READS = {"R0": (), "RKat": (), "RCert": (), "RMono": ("left", "right"), "RIso": ("inner",)}
-_READS.update(RLimConst=("tail",), RSection=("section {index}",))
-# a sum or limit rule's parameters restating its inputs: (parameter, input, bound)
-_RESTATED = {
-    "RFubLo": (("xi", 0, "lo"), ("alpha", 1, "lo")),
-    "RFubHi": (("xi", 0, "hi"), ("alpha", 1, "hi")),
-    "RLimHi": (("beta", 0, "hi"), ("alpha", 1, "hi")),
-    "RFubFr": (("xi", 0, "hi"),),
-    "RLimHi1": (("alpha", 0, "hi"),),
-    "RFubExact": (("alpha", 0, "exact"),),
-    "RLimLo": (),
-}
-
-
 def _linked_inputs(rule: str, params: Mapping[str, str], roles: dict) -> tuple[RankBounds, ...]:
-    """A rule's inputs as its node's children give them, by role: for a sum
-    or limit rule, the bounds the members share on J, then the base's."""
-    reads = _READS.get(rule)
-    if reads == ():
-        return ()
+    """A rule's inputs as its node's children give them, by the roles its
+    `_LINKS` entry names; an unknown rule reads nothing, and eval_rule names it."""
+    reads, restated = _LINKS.get(rule, ((), ()))
+    inputs = tuple(_linked(rule, role, params, roles) for role in reads)
+    for key, k, end in restated:
+        if params.get(key) != str(getattr(inputs[k], end)):
+            raise CertificateError(f"rule {rule}: {key}={params.get(key)} restates no input bound")
+    return inputs
 
-    def one(role: str) -> RankBounds:
-        found = roles.get(role, ())
-        if len(found) != 1:
-            raise CertificateError(f"rule {rule}: {len(found)} children with role {role!r}")
-        return found[0]
 
-    if rule in ("RCopy", "RQH"):  # the k-th witness rule reads the k-th witness source
-        if not roles.get("witness source"):
+def _linked(rule: str, role: str, params: Mapping[str, str], roles: dict) -> RankBounds:
+    if role == "witness source":  # the k-th witness rule reads the k-th witness source
+        if not roles.get(role):
             raise CertificateError(f"rule {rule}: no witness source child left")
-        return (roles["witness source"].pop(0),)
-    if reads or rule not in _RESTATED:  # an unknown rule reads nothing; eval_rule names it
-        return tuple(one(r.format(index=params.get("index"))) for r in reads or ())
-    j = params.get("J")
-    if j == "full":
+        return roles[role].pop(0)
+    j = params.get("J") if role == "J" else None
+    if j == "full":  # the bounds every summand or member shares
         members = [
             b for r, bs in roles.items() if r.startswith(("summand", "member", "tail")) for b in bs
         ]
         if not members:
             raise CertificateError(f"rule {rule}: no summand or member children")
-        his = [b.hi for b in members]
-        agg = RankBounds(min(b.lo for b in members), None if None in his else max(his))
-    elif j == "cofinite-beyond-exceptions":
-        agg = one("tail")
-    else:
+        return _shared(members)
+    if role == "J" and j != "cofinite-beyond-exceptions":
         raise CertificateError(f"rule {rule}: unknown index set J={j!r}")
-    inputs = (agg,) if rule == "RLimLo" else (agg, one("base"))
-    for key, k, end in _RESTATED[rule]:
-        if params.get(key) != str(getattr(inputs[k], end)):
-            raise CertificateError(f"rule {rule}: {key}={params.get(key)} restates no input bound")
-    return inputs
+    role = "tail" if role == "J" else role.format(index=params.get("index"))
+    found = roles.get(role, ())
+    if len(found) != 1:
+        raise CertificateError(f"rule {rule}: {len(found)} children with role {role!r}")
+    return found[0]
 
 
 def _replay_node(node: CertNode) -> RankBounds:

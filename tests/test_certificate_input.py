@@ -2,16 +2,20 @@
 
 Ordinals and rule parameters take ASCII decimal digits, and a missing or
 malformed parameter or bound is a CertificateError, not a raw ValueError,
-KeyError or OrdinalError.
+KeyError or OrdinalError.  A rule line names each key but `in` once.
 """
 
 import pytest
 
+from filterlab.dsl import parse_filter
 from filterlab.ordinals import OrdinalError, parse_ordinal
 from filterlab.rank import (
     CertificateError,
+    bounds_of,
     certificate_from_text,
+    certificate_text,
     eval_rule,
+    rank_bounds,
     replay_certificate,
 )
 
@@ -60,3 +64,21 @@ def test_replaying_a_bad_ordinal_in_certified_bounds_is_a_certificate_error():
     cert = certificate_from_text('NODE "x" final=[1,1]\n  RULE RCert bounds=[y,1] cite="c" out=[1,1]\n')
     with pytest.raises(CertificateError, match=r"malformed bounds '\[y,1\]'"):
         replay_certificate(cert)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param("RULE RKat depth=3", "RULE RKat depth=9 depth=3", id="parameter"),
+        pytest.param("J=full xi=2 alpha=1", "J=full xi=9 alpha=9 xi=2 alpha=1", id="restated"),
+        pytest.param(" out=[3,3]", " out=[9,9] out=[3,3]", id="out"),
+        pytest.param("RULE RKat depth=3", 'RULE RKat cite="c" depth=3', id="cite"),
+    ],
+)
+def test_a_rule_line_that_repeats_a_key_is_a_certificate_error(old, new):
+    text = certificate_text(rank_bounds(parse_filter("fubini(frechet, family({}, katetov(2)))"))[1])
+    assert replay_certificate(certificate_from_text(text)) == bounds_of(3, 3)
+    edited = text.replace(old, new, 1)
+    assert edited != text
+    with pytest.raises(CertificateError, match="repeats"):
+        certificate_from_text(edited)

@@ -62,6 +62,7 @@ def digest(games) -> str:
         (2, "f0788d417025d4acab1b5c78a44908ab4b671e165b8b1bb53ec9048cd7b17153"),
         (3, "49a78babfdf83eb32503678107a8501f9a08b8f0d7d39b10eb0a1017d9c24904"),
     ],
+    ids=["seed1", "seed2", "seed3"],
 )
 def test_benchmark_games_print_the_pinned_bytes(seed, want):
     games = benchmark_games(seed)

@@ -1,11 +1,11 @@
 """Source hygiene of `src/filterlab/`: no orphans, no unused imports, no dataclasses.
 
-A module-level function, class or name bound by assignment must be spelled
-somewhere besides its definition: in `src/`, `tests/`, `benchmarks/` or
-`README.md` (dunder names aside).  A module other than the package root
-must name every module-level import it makes.  No module imports
-`dataclasses`: node classes come from `domains.node`, and importing
-`dataclasses` costs every CLI run.
+A module-level function, class or name bound by assignment, and a function
+defined in any class body, must be spelled somewhere besides its
+definition: in `src/`, `tests/`, `benchmarks/` or `README.md` (dunder names
+aside).  A module other than the package root must name every module-level
+import it makes.  No module imports `dataclasses`: node classes come from
+`domains.node`, and importing `dataclasses` costs every CLI run.
 """
 
 import ast
@@ -35,10 +35,21 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse((ROOT / path).read_text())
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def orphans(path: Path, words: Counter) -> list[str]:
+    tree = _tree(path)
+    methods = [
+        item
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, FUNCTIONS)
+    ]
     bad = []
-    for node in _tree(path).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    for node in [*tree.body, *methods]:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]

@@ -21,6 +21,8 @@ from filterlab.filters import (
     section_filter,
 )
 from filterlab.rank import (
+    _LINKS,
+    CITES,
     TOP,
     CertificateError,
     CopyWitness,
@@ -127,6 +129,19 @@ def test_each_witness_rule_reads_its_own_source():
     swapped = RankCertificate(replace(root, children=(*rest, second, first)))
     with pytest.raises(CertificateError, match="rule RCopy at .*: inputs are not its children"):
         replay_certificate(swapped)
+
+
+def test_the_cited_rules_are_the_linked_rules():
+    assert sorted(CITES) == sorted(_LINKS)
+
+
+@pytest.mark.parametrize("rule", list(_LINKS))
+def test_eval_rule_knows_every_linked_rule(rule):
+    reads, restated = _LINKS[rule]
+    try:
+        eval_rule(rule, {key: "1" for key, _, _ in restated}, [bounds_of(1, 1)] * len(reads))
+    except CertificateError as e:  # RKat and RCert also need a fixed parameter
+        assert "unknown rule" not in str(e)
 
 
 def test_every_random_certificate_replays_from_its_text():
