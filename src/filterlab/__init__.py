@@ -64,7 +64,6 @@ _EXPORTS = {
         "parse_ordinal",
     ),
     "filters": (
-        "CanonicalEnum",
         "DIVERGENT",
         "DiagNo",
         "DiagUnknown",
@@ -139,7 +138,6 @@ _EXPORTS = {
         "copy_column_bound",
         "play",
         "replay_transcript",
-        "section_separators",
         "separator_verdict",
         "singleton_family",
         "transcript_lines",

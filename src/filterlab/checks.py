@@ -51,7 +51,6 @@ from .dsl import (
     set_to_source,
 )
 from .filters import (
-    CanonicalEnum,
     DiagYes,
     FilterError,
     IdentityBij,
@@ -87,7 +86,6 @@ from .game import (
     copy_column_bound,
     play,
     replay_transcript,
-    section_separators,
     separator_verdict,
     singleton_family,
     union_size,
@@ -268,7 +266,7 @@ def _law_filter(kind: str, t: int, seed: int):
         if roll == 0:
             return pushforward(IdentityBij(d), gen_random_filter(d, 2, rng.randrange(1 << 30)))
         if roll == 1:
-            return pushforward(CanonicalEnum(Prod(UNIT)), _law_member(rng))
+            return pushforward(TableBij(Prod(UNIT), ()), _law_member(rng))
         return pushforward(TableBij(Prod(UNIT), ((0, 1), (1, 0))), _law_member(rng))
     if kind == "cylinder":
         comp = [NAT, Prod(UNIT)][t % 2]
@@ -464,7 +462,6 @@ def check_separator(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
     inner = filter_family({}, frechet(NAT))
     lim = limit_of(frechet(NAT), SectionwiseFamily(inner, d))
     u = singleton_family(NAT)
-    sep = section_separators(inner)
     rng = Random(seed * 97 + 5)
     # per verdict: what, where, membership test, tail kind, point bound, count bound
     sides = {
@@ -483,7 +480,7 @@ def check_separator(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
         s = section_family(sections, tail(pts, NAT), d)
         if not holds(lim, s):
             return f"{what} generator produced a non-{what.replace(' ', '-')} at {i}"
-        v = separator_verdict(lim, u, sep, s)
+        v = separator_verdict(lim, u, inner, s)
         verdicts.append(v)
         return "" if isinstance(v, want) else f"{what} {i} judged {type(v).__name__}"
 

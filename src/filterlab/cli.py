@@ -101,23 +101,16 @@ class _Output:
             os.close(devnull)
 
 
-def _trunc_value(text: str, source: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise FilterLabError(f"{source} must be an integer, got {text!r}") from None
-    if value < 10:
-        raise FilterLabError(f"{source} must be at least 10")
-    return value
-
-
 def _trunc_from(args: argparse.Namespace) -> int:
-    if args.trunc is not None:
-        return _trunc_value(args.trunc, "--trunc")
-    env = os.environ.get("FILTERLAB_TRUNC")
-    if env is not None:
-        return _trunc_value(env, "FILTERLAB_TRUNC")
-    return DEFAULT_TRUNC
+    if args.trunc is None:
+        return DEFAULT_TRUNC
+    try:
+        value = int(args.trunc)
+    except ValueError:
+        raise FilterLabError(f"--trunc must be an integer, got {args.trunc!r}") from None
+    if value < 10:
+        raise FilterLabError("--trunc must be at least 10")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--trunc",
         default=argparse.SUPPRESS,
-        help="truncation bound for shadows and grids "
-        "(default: FILTERLAB_TRUNC or 10000)",
+        help="truncation bound for shadows and grids (default: 10000)",
     )
 
     parser = argparse.ArgumentParser(

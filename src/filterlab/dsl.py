@@ -40,7 +40,6 @@ from .domains import (
     tail_component,
 )
 from .filters import (
-    CanonicalEnum,
     FilterExpr,
     FilterFamily,
     Frechet,
@@ -477,7 +476,7 @@ class _Parser:
             self.expect(")")
             return self.build(at, TableBij, d, tuple(pairs))
         self.expect(")")
-        return IdentityBij(d) if t == "id" else CanonicalEnum(d)
+        return IdentityBij(d) if t == "id" else TableBij(d, ())
 
     # -- filters
 
@@ -757,10 +756,9 @@ def _point_shape(p: Point) -> DomainExpr:
 def bij_to_source(b) -> str:
     if isinstance(b, IdentityBij):
         return f"id({domain_to_source(b.domain)})"
-    if isinstance(b, CanonicalEnum):
-        return f"enum({domain_to_source(b.target)})"
     if isinstance(b, TableBij):
-        return f"table({domain_to_source(b.target)},{_table(b.table)})"
+        target = domain_to_source(b.target)
+        return f"table({target},{_table(b.table)})" if b.table else f"enum({target})"
     raise DomainError(f"not a printable bijection: {b!r}")
 
 

@@ -33,7 +33,6 @@ from .domains import (
     exception_table,
     is_indexed,
     keys_ascending,
-    make_point,
     node,
     point_index,
     point_key,
@@ -91,9 +90,6 @@ class IdentityBij:
     def target_domain(self) -> DomainExpr:
         return self.domain
 
-    def apply(self, p: Point) -> Point:
-        return p
-
     def unapply(self, q: Point) -> Point:
         return q
 
@@ -104,57 +100,14 @@ class IdentityBij:
         return a
 
 
-class _LeafEnumeration:
-    """Leaf-set images and preimages for bijections from the naturals.
-
-    A finite or cofinite set maps point by point through the subclass's own
-    apply and unapply; target is the subclass's target domain.
-    """
-
-    __slots__ = ()
-
-    def image_set(self, a: SetExpr) -> SetExpr:
-        if isinstance(a, (FinSet, CofinSet)):
-            return leaf_set([self.apply(p) for p in a.listed], a.tail_holds, self.target)
-        raise UnsupportedPreimage("image of a non-leaf set under an enumeration")
-
-    def preimage_set(self, a: SetExpr) -> SetExpr:
-        for tail_holds, off_tail in ((False, finite_points), (True, cofinite_excluded)):
-            pts = off_tail(a)
-            if pts is not None:
-                return leaf_set([self.unapply(q) for q in pts], tail_holds, NAT)
-        raise UnsupportedPreimage(
-            "preimage under an enumeration is only a normal form for finite or "
-            f"cofinite sets, got {type(a).__name__}"
-        )
-
-
 @node
-class CanonicalEnum(_LeafEnumeration):
-    """The fixed pairing-function bijection from the naturals onto target."""
+class TableBij:
+    """The fixed pairing-function bijection from the naturals onto target,
+    pre-composed with a finite permutation of the naturals.
 
-    target: DomainExpr
-
-    def source_domain(self) -> DomainExpr:
-        return NAT
-
-    def target_domain(self) -> DomainExpr:
-        return self.target
-
-    def apply(self, p: Point) -> Point:
-        if not isinstance(p, NatPt):
-            raise DomainError("CanonicalEnum is defined on naturals")
-        return enum_point(self.target, p.n)
-
-    def unapply(self, q: Point) -> Point:
-        return NatPt(point_index(self.target, q))
-
-
-@node
-class TableBij(_LeafEnumeration):
-    """CanonicalEnum pre-composed with a finite permutation of the naturals.
-
-    table lists the moved values as (n, perm(n)) pairs.
+    table lists the moved values as (n, perm(n)) pairs; with none it is the
+    canonical enumeration enum(target).  A finite or cofinite set maps point
+    by point.
     """
 
     target: DomainExpr
@@ -192,8 +145,23 @@ class TableBij(_LeafEnumeration):
     def unapply(self, q: Point) -> Point:
         return NatPt(self._perm_inv(point_index(self.target, q)))
 
+    def image_set(self, a: SetExpr) -> SetExpr:
+        if isinstance(a, (FinSet, CofinSet)):
+            return leaf_set([self.apply(p) for p in a.listed], a.tail_holds, self.target)
+        raise UnsupportedPreimage("image of a non-leaf set under an enumeration")
 
-BijectionSpec = Union[IdentityBij, CanonicalEnum, TableBij]
+    def preimage_set(self, a: SetExpr) -> SetExpr:
+        for tail_holds, off_tail in ((False, finite_points), (True, cofinite_excluded)):
+            pts = off_tail(a)
+            if pts is not None:
+                return leaf_set([self.unapply(q) for q in pts], tail_holds, NAT)
+        raise UnsupportedPreimage(
+            "preimage under an enumeration is only a normal form for finite or "
+            f"cofinite sets, got {type(a).__name__}"
+        )
+
+
+BijectionSpec = Union[IdentityBij, TableBij]
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +180,6 @@ class IntoSectionMap:
 
     def target_domain(self) -> DomainExpr:
         return self.target
-
-    def apply(self, p: Point) -> Point:
-        return make_point(self.target, self.index, p)
 
     def preimage_set(self, a: SetExpr) -> SetExpr:
         return section(a, self.index)
@@ -285,6 +250,10 @@ class Principal(FilterExpr):
     core: SetExpr
 
     def __post_init__(self) -> None:
+        # the one source of an improper filter: every other constructor keeps
+        # the empty set out when its operands do
+        if self.core._valid and is_empty_set(self.core):
+            raise FilterError("a principal filter needs a nonempty core")
         self._set_dom(self.core.domain)
 
 
@@ -812,8 +781,6 @@ def is_diagonalizable(f: FilterExpr) -> DiagResult:
 def _diag_sum(base: FilterExpr, fam: FilterFamily, domain: DomainExpr) -> DiagResult:
     if isinstance(base, Principal):
         core_pts = finite_points(base.core)
-        if core_pts == ():
-            return DiagUnknown()
         candidates: list[int] = []
         if core_pts is not None:
             candidates = [point_key(p)[0] for p in core_pts]

@@ -572,15 +572,6 @@ def _stable_threshold(
 # separator verdicts
 
 
-def section_separators(fam: FilterFamily) -> FilterFamily:
-    """Separators S_i for the members of a sectionwise limit.
-
-    S_i judges the i-th section of a set; the family's own i-th filter
-    separates the i-th member from its dual.
-    """
-    return fam
-
-
 @node
 class SepIn:
     n: int
@@ -610,9 +601,10 @@ def separator_verdict(
     """Place a in or out of the union-of-intersections separator set.
 
     The set is: some n and m such that for every k past m, some index i in
-    Z_n^k has a in S_i.  With an n-independent generator and eventually
-    uniform separators the for-all-k tail stabilizes, making the verdict
-    exact in both directions.
+    Z_n^k has a in S_i, sep's i-th filter (for a sectionwise limit, its own
+    family).  With an n-independent generator and eventually uniform
+    separators the for-all-k tail stabilizes, making the verdict exact in
+    both directions.
     """
 
     def holds(i: int) -> bool:

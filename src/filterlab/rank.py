@@ -46,7 +46,7 @@ from .ordinals import (
     ord_succ,
     parse_ordinal,
 )
-from .sets import SetExpr, cofin_set, finite_points, is_empty_set
+from .sets import SetExpr, cofin_set, finite_points
 
 
 class InconsistentBounds(FilterLabError):
@@ -136,7 +136,6 @@ def intersect_bounds(a: RankBounds, b: RankBounds, where: str = "") -> RankBound
 @node
 class RuleApp:
     rule: str
-    cite: str
     params: tuple[tuple[str, str], ...]
     inputs: tuple[RankBounds, ...]
     output: RankBounds
@@ -284,7 +283,7 @@ def eval_rule(
 def _app(name: str, inputs: Sequence[RankBounds] = (), **fixed: str) -> RuleApp:
     """The rule applied: its fixed parameters, then those `_LINKS` says restate inputs."""
     p = (*fixed.items(), *((k, str(getattr(inputs[i], end))) for k, i, end in _LINKS[name][1]))
-    return RuleApp(name, CITES[name], p, tuple(inputs), eval_rule(name, dict(p), inputs))
+    return RuleApp(name, p, tuple(inputs), eval_rule(name, dict(p), inputs))
 
 
 def _shared(finals: Sequence[RankBounds]) -> RankBounds:
@@ -495,11 +494,11 @@ def _derive_table(
     # limit, and along a principal base, repeating each index infinitely often
     # realizes the everywhere-quantified verdict as a cofinite one
     level = None
-    if constant and isinstance(base, (Frechet, Principal)):
-        level = tail_level
-    elif isinstance(base, Frechet) or isinstance(base, Principal) and not is_empty_set(base.core):
+    if isinstance(base, (Frechet, Principal)):
         levels.append(tail_level)
-        if None not in levels:
+        if constant:
+            level = tail_level
+        elif None not in levels:
             level = max(levels) + 1
     return depth, level
 
@@ -561,7 +560,7 @@ def _render(node: CertNode, depth: int, lines: list[str]) -> None:
     for a in node.applied:
         parts = [f"{pad}  RULE {a.rule}"]
         parts += [f"{k}={v}" for k, v in a.params]
-        parts.append(f'cite="{a.cite}"')
+        parts.append(f'cite="{CITES[a.rule]}"')
         parts += [f"in={bounds_text(b)}" for b in a.inputs]
         parts.append(f"out={bounds_text(a.output)}")
         lines.append(" ".join(parts))
@@ -631,7 +630,11 @@ def _parse_rule(name: str, rest: str) -> RuleApp:
             params.append((key, val))
     if output is None:
         raise CertificateError(f"rule {name} missing output")
-    return RuleApp(name, cite, tuple(params), tuple(inputs), output)
+    if name not in CITES:
+        raise CertificateError(f"unknown rule {name!r}")
+    if cite != CITES[name]:
+        raise CertificateError(f"rule {name} cites {cite!r}, not its own claim")
+    return RuleApp(name, tuple(params), tuple(inputs), output)
 
 
 def replay_certificate(cert: RankCertificate) -> RankBounds:

@@ -382,23 +382,6 @@ def with_sections(a: SetExpr, sections: Mapping[int, SetExpr]) -> SetExpr:
     return _marked(SectionFamily(excs, a.tail, a.domain))
 
 
-@node
-class Finite:
-    count: int
-
-
-@node
-class Cofinite:
-    gap_count: int
-
-
-def classify_nat(a: SetExpr) -> Finite | Cofinite:
-    """Exact finite/cofinite verdict for a leaf set over Nat or Unit."""
-    if isinstance(a, (FinSet, CofinSet)):
-        return (Cofinite if a.tail_holds else Finite)(len(a.listed))
-    raise DomainError("classify_nat expects a leaf set")
-
-
 def finite_points(a: SetExpr) -> tuple[Point, ...] | None:
     """All points of a if a is finite, else None."""
     return _off_tail(a, False)

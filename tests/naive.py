@@ -14,6 +14,11 @@ the filter, the set, and the domain.  Then any point with a coordinate at or
 beyond B behaves exactly like the point with that coordinate clamped to B,
 so the grid {0..B} at each level, with B standing in for the whole tail
 region, decides membership exactly.
+
+A pushforward along a table bijection onto a linear target (the naturals,
+prod(unit), or a sum whose components are all unit) moves only the indices
+its table lists, so a bound past those entries keeps the clamp exact.  A
+pushforward along any other bijection raises NaiveUnsupported.
 """
 
 from __future__ import annotations
@@ -26,12 +31,16 @@ from filterlab.filters import (
     FilterFamily,
     Frechet,
     FubiniSum,
+    IdentityBij,
     Intersection,
     Limit,
     Principal,
     Product,
+    Pushforward,
+    RepeatedSectionwiseFamily,
     SectionFilter,
     SectionwiseFamily,
+    TableBij,
 )
 from filterlab.sets import CofinSet, FinSet, SectionFamily, SetExpr
 
@@ -109,9 +118,12 @@ def span_filter(f: FilterExpr) -> int:
         fam = f.family
         if isinstance(fam, FilterFamily):
             return max(span_filter(f.base), _span_family(fam))
-        if isinstance(fam, SectionwiseFamily):
+        if isinstance(fam, (SectionwiseFamily, RepeatedSectionwiseFamily)):
             return max(span_filter(f.base), _span_family(fam.inner))
         raise NaiveUnsupported(f"unsupported family: {fam!r}")
+    if isinstance(f, Pushforward):
+        table = f.sigma.table if isinstance(f.sigma, TableBij) else ()
+        return max([span_filter(f.inner), *(max(n, m) + 1 for n, m in table)])
     if isinstance(f, Intersection):
         return max(span_filter(f.left), span_filter(f.right))
     if isinstance(f, SectionFilter):
@@ -179,6 +191,17 @@ def _fam_at(fam: FilterFamily, i: int) -> FilterExpr:
     return fam.tail
 
 
+def _linear_pt(d: DomainExpr, n: int) -> NaivePoint:
+    """The n-th point of a linear domain, in the order the naturals count it."""
+    if isinstance(d, Nat):
+        return n
+    if isinstance(d, Prod) and isinstance(d.inner, Unit):
+        return (n, ())
+    if isinstance(d, DSum) and all(isinstance(c, Unit) for c in (*d.exceptions, d.tail)):
+        return (n, ())
+    raise NaiveUnsupported(f"not a linear domain: {d!r}")
+
+
 def _eval(f: FilterExpr, chi: Chi, d: DomainExpr, bound: int) -> bool:
     if isinstance(f, Principal):
         return all(chi(np) for np in grid(d, bound) if contains(f.core, np))
@@ -206,14 +229,29 @@ def _eval(f: FilterExpr, chi: Chi, d: DomainExpr, bound: int) -> bool:
         fam = f.family
         if isinstance(fam, FilterFamily):
             bits = [_eval(_fam_at(fam, i), chi, d, bound) for i in range(bound + 1)]
-        elif isinstance(fam, SectionwiseFamily):
+        elif isinstance(fam, (SectionwiseFamily, RepeatedSectionwiseFamily)):
             bits = [
                 _eval(_fam_at(fam.inner, i), lambda r, i=i: chi((i, r)), _comp(d, i), bound)
                 for i in range(bound + 1)
             ]
+            if isinstance(fam, RepeatedSectionwiseFamily):
+                # each section recurs infinitely often along the cofinite base
+                if not isinstance(f.base, Frechet):
+                    raise NaiveUnsupported(f"repeated family over {f.base!r}")
+                return all(bits)
         else:
             raise NaiveUnsupported(f"unsupported family: {fam!r}")
         return _eval(f.base, lambda n: bits[n], Nat(), bound)
+    if isinstance(f, Pushforward):
+        # A is in the pushforward when its preimage is in the inner filter
+        sigma = f.sigma
+        if isinstance(sigma, IdentityBij):
+            return _eval(f.inner, chi, d, bound)
+        if isinstance(sigma, TableBij):
+            perm = dict(sigma.table)
+            pts = [_linear_pt(d, n) for n in range(bound + 1)]
+            return _eval(f.inner, lambda n: chi(pts[perm.get(n, n)]), Nat(), bound)
+        raise NaiveUnsupported(f"unsupported bijection: {sigma!r}")
     raise NaiveUnsupported(f"unsupported filter shape: {f!r}")
 
 

@@ -48,7 +48,6 @@ from filterlab.game import (
     copy_column_bound,
     play,
     replay_transcript,
-    section_separators,
     separator_verdict,
     singleton_family,
     validate_transcript,
@@ -212,7 +211,6 @@ def test_criterion_08_separator_verdicts():
     d = Prod(NAT)
     inner = filter_family({}, frechet(NAT))
     lim = limit_of(frechet(NAT), SectionwiseFamily(inner, d))
-    sep = section_separators(inner)
     u = singleton_family(NAT)
     rng = Random(41)
 
@@ -231,7 +229,7 @@ def test_criterion_08_separator_verdicts():
             cofin_set([NatPt(rng.randrange(6))], NAT),
             d,
         )
-        v = separator_verdict(lim, u, sep, m)
+        v = separator_verdict(lim, u, inner, m)
         ins += isinstance(v, SepIn)
         unknowns += not isinstance(v, (SepIn, SepOut))
     for _ in range(100):
@@ -240,7 +238,7 @@ def test_criterion_08_separator_verdicts():
             fin_set([NatPt(rng.randrange(6))], NAT),
             d,
         )
-        v = separator_verdict(lim, u, sep, a)
+        v = separator_verdict(lim, u, inner, a)
         outs += isinstance(v, SepOut)
         unknowns += not isinstance(v, (SepIn, SepOut))
     ok = ins == 100 and outs == 100 and unknowns == 0

@@ -2,7 +2,8 @@
 
 Ordinals and rule parameters take ASCII decimal digits, and a missing or
 malformed parameter or bound is a CertificateError, not a raw ValueError,
-KeyError or OrdinalError.  A rule line names each key but `in` once.
+KeyError or OrdinalError.  A rule line names each key but `in` once, and
+cites its rule's own claim.
 """
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from filterlab.dsl import parse_filter
 from filterlab.ordinals import OrdinalError, parse_ordinal
 from filterlab.rank import (
+    CITES,
     CertificateError,
     bounds_of,
     certificate_from_text,
@@ -19,7 +21,7 @@ from filterlab.rank import (
     replay_certificate,
 )
 
-KAT = 'NODE "x" final=[{out}]\n  RULE RKat {params} cite="c" out=[{out}]\n'
+KAT = 'NODE "x" final=[{out}]\n  RULE RKat {params} cite="%s" out=[{out}]\n' % CITES["RKat"]
 
 
 @pytest.mark.parametrize("text", ["w^٣", "٣", "w*٣", "w^2+١"])
@@ -61,7 +63,8 @@ def test_a_bad_ordinal_in_node_bounds_is_a_certificate_error():
 
 
 def test_replaying_a_bad_ordinal_in_certified_bounds_is_a_certificate_error():
-    cert = certificate_from_text('NODE "x" final=[1,1]\n  RULE RCert bounds=[y,1] cite="c" out=[1,1]\n')
+    rule = f'RULE RCert bounds=[y,1] cite="{CITES["RCert"]}" out=[1,1]'
+    cert = certificate_from_text(f'NODE "x" final=[1,1]\n  {rule}\n')
     with pytest.raises(CertificateError, match=r"malformed bounds '\[y,1\]'"):
         replay_certificate(cert)
 
@@ -81,4 +84,21 @@ def test_a_rule_line_that_repeats_a_key_is_a_certificate_error(old, new):
     edited = text.replace(old, new, 1)
     assert edited != text
     with pytest.raises(CertificateError, match="repeats"):
+        certificate_from_text(edited)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (f'cite="{CITES["RKat"]}"', 'cite="any text at all"', "cites 'any text at all'"),
+        (f' cite="{CITES["RKat"]}"', "", "cites ''"),
+        ("RULE RKat", "RULE RTower", "unknown rule 'RTower'"),
+    ],
+    ids=["other text", "no cite", "unknown rule"],
+)
+def test_a_rule_line_cites_its_rules_own_claim(old, new, message):
+    text = certificate_text(rank_bounds(parse_filter("fubini(frechet, family({}, katetov(2)))"))[1])
+    edited = text.replace(old, new, 1)
+    assert edited != text
+    with pytest.raises(CertificateError, match=message):
         certificate_from_text(edited)

@@ -161,16 +161,6 @@ def test_construct_trunc_flag_position_is_flexible(capsys):
     assert before[1] == after[1]
 
 
-def test_trunc_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("FILTERLAB_TRUNC", "250")
-    code, out, _ = run(capsys, "construct", "zfamily")
-    assert code == 0
-    monkeypatch.setenv("FILTERLAB_TRUNC", "not-a-number")
-    code, _, err = run(capsys, "construct", "zfamily")
-    assert code == 2
-    assert "FILTERLAB_TRUNC" in err
-
-
 # ---------------------------------------------------------------------------
 # check
 
@@ -228,6 +218,19 @@ def test_a_constructor_error_names_the_head_that_raised_it(capsys, src, at, mess
     assert (code, out, err) == (2, "", f"error: line {at}: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, at",
+    [
+        (("member", "principal(fin{})", "fin{}"), "1, column 1"),
+        (("rank", "limit(principal(fin{}), family({}, frechet))"), "1, column 7"),
+    ],
+    ids=["member", "rank"],
+)
+def test_an_improper_filter_is_refused(capsys, argv, at):
+    message = "a principal filter needs a nonempty core"
+    assert run(capsys, *argv) == (2, "", f"error: line {at}: {message}\n")
+
+
 def test_rank_of_malformed_filter(capsys):
     code, _, err = run(capsys, "rank", "meet(frechet)")
     assert code == 2
@@ -242,7 +245,7 @@ def test_deep_input_is_an_internal_error_not_a_verdict(capsys):
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "9", "ten"])
-def test_trunc_flag_is_validated_like_the_env_variable(capsys, value):
+def test_trunc_flag_is_validated(capsys, value):
     code, out, err = run(capsys, "--trunc", value, "construct", "zfamily")
     assert code == 2
     assert out == ""

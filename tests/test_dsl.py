@@ -360,4 +360,4 @@ def test_language_is_pinned():
         lines += [_outcome(m) for m in _mutants(src)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert len(sources) == 1200
-    assert digest == "5c0c2aefd96af20e09752b7bf8e6d5a6a92c76d6411c26023d50ad556ffa9798"
+    assert digest == "2bb6122a1825cb6e6011ead79b913eb971800cb6d75266c8871b716cdb1fb6f5"

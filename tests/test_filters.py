@@ -19,7 +19,6 @@ from filterlab.domains import (
 )
 from filterlab.filters import (
     DIVERGENT,
-    CanonicalEnum,
     DiagNo,
     DiagUnknown,
     DiagYes,
@@ -36,6 +35,7 @@ from filterlab.filters import (
     RepeatedSectionwiseFamily,
     SectionFilter,
     SectionwiseFamily,
+    TableBij,
     dom_of,
     dual_member,
     filter_family,
@@ -168,7 +168,7 @@ def test_section_filter_reads_one_section():
 def test_pushforward_relabels_membership():
     f = pushforward(IdentityBij(NAT), frechet(NAT))
     assert member(f, cofin_set([NatPt(5)], NAT))
-    g = pushforward(CanonicalEnum(Prod(UNIT)), frechet(NAT))
+    g = pushforward(TableBij(Prod(UNIT), ()), frechet(NAT))
     assert dom_of(g) == Prod(UNIT)
     assert member(g, full_set(Prod(UNIT)))
 
@@ -209,11 +209,12 @@ def test_sectionwise_limit_members_must_live_on_their_sections(kind):
 
 
 def test_limit_finite_base_reads_finitely_many_members():
-    # base principal on {0,1}: membership means membership in both members
+    # base principal on {0,1}: membership means membership in both members,
+    # and the tail, which holds only the full set, is never read
     base = principal(fin_set([NatPt(0), NatPt(1)], NAT))
     fam = filter_family(
         {0: principal(cofin_set([NatPt(0)], NAT)), 1: frechet(NAT)},
-        principal(empty_set(NAT)),
+        principal(full_set(NAT)),
     )
     lim = limit_of(base, fam)
     assert member(lim, cofin_set([NatPt(0)], NAT))
@@ -252,7 +253,8 @@ def test_kernel_of_principal_is_core():
     core = cofin_set([NatPt(1)], NAT)
     assert kernel_set(principal(core)) == core
     assert not is_free(principal(core))
-    assert is_free(principal(empty_set(NAT))) is False or True  # defined either way
+    with pytest.raises(FilterError, match="nonempty core"):
+        principal(empty_set(NAT))
 
 
 def test_kernel_of_katetov_towers_empty():
@@ -332,7 +334,7 @@ def test_a_cofinite_sum_base_finds_its_first_tail_column():
 
 
 def test_a_relabelled_cofinite_filter_is_diagonalized_by_the_full_set():
-    f = pushforward(CanonicalEnum(Prod(UNIT)), frechet(NAT))
+    f = pushforward(TableBij(Prod(UNIT), ()), frechet(NAT))
     assert is_diagonalizable(f) == DiagYes(full_set(Prod(UNIT)))
 
 
@@ -341,13 +343,13 @@ def test_a_relabelled_tower_on_the_interleaved_pair_is_undecided():
 
 
 def test_a_relabelled_finite_principal_filter_is_not_diagonalizable():
-    f = pushforward(CanonicalEnum(Prod(UNIT)), principal(fin_set([NatPt(0)], NAT)))
+    f = pushforward(TableBij(Prod(UNIT), ()), principal(fin_set([NatPt(0)], NAT)))
     assert is_diagonalizable(f) == DiagNo()
 
 
-def test_a_sum_along_the_empty_principal_base_is_undecided():
-    f = fubini_sum(principal(fin_set([], NAT)), {}, frechet(NAT))
-    assert is_diagonalizable(f) == DiagUnknown()
+def test_a_sum_along_the_empty_principal_base_is_refused():
+    with pytest.raises(FilterError, match="a principal filter needs a nonempty core"):
+        fubini_sum(principal(fin_set([], NAT)), {}, frechet(NAT))
 
 
 def test_a_sum_whose_member_kernel_is_unsupported_is_undecided():
@@ -359,7 +361,7 @@ def test_a_sum_whose_member_kernel_is_unsupported_is_undecided():
 def test_a_relabelled_cofinite_filter_is_a_rank_one_borel_base():
     # every filter built here is Borel, and the sharp limit rule reads "rank
     # one" off the base's certified bounds
-    b, _ = rank_bounds(pushforward(CanonicalEnum(Prod(UNIT)), frechet(NAT)))
+    b, _ = rank_bounds(pushforward(TableBij(Prod(UNIT), ()), frechet(NAT)))
     assert b.exact == ONE
 
 

@@ -38,7 +38,6 @@ from filterlab.game import (
     make_player_ii,
     play,
     replay_transcript,
-    section_separators,
     separator_verdict,
     singleton_family,
     tail_columns,
@@ -325,27 +324,25 @@ def test_universal_ii_raises_without_witness():
 def test_separator_full_set_is_in():
     inner = filter_family({}, frechet(NAT))
     d = Prod(NAT)
-    sep = section_separators(inner)
     u = singleton_family(NAT)
     lim = limit_of(frechet(NAT), SectionwiseFamily(inner, d))
-    assert isinstance(separator_verdict(lim, u, sep, full_set(d)), SepIn)
+    assert isinstance(separator_verdict(lim, u, inner, full_set(d)), SepIn)
 
 
 def test_separator_splits_members_from_duals():
     inner = filter_family({}, frechet(NAT))
     d = Prod(NAT)
-    sep = section_separators(inner)
     u = singleton_family(NAT)
     lim = limit_of(frechet(NAT), SectionwiseFamily(inner, d))
     member_set = section_family({1: empty_set(NAT)}, cofin_set([NatPt(0)], NAT), d)
     dual_set = section_family({}, fin_set([NatPt(0)], NAT), d)
-    assert isinstance(separator_verdict(lim, u, sep, member_set), SepIn)
-    assert isinstance(separator_verdict(lim, u, sep, dual_set), SepOut)
+    assert isinstance(separator_verdict(lim, u, inner, member_set), SepIn)
+    assert isinstance(separator_verdict(lim, u, inner, dual_set), SepOut)
 
 
 def _cofinite_sections_limit():
     inner = filter_family({}, frechet(NAT))
-    return limit_of(frechet(NAT), SectionwiseFamily(inner, Prod(NAT))), section_separators(inner)
+    return limit_of(frechet(NAT), SectionwiseFamily(inner, Prod(NAT))), inner
 
 
 def test_separator_without_a_stability_bound_is_unknown():

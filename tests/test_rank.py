@@ -5,6 +5,7 @@ import pytest
 from filterlab.domains import DSum, NAT, NatPt
 from filterlab.dsl import parse_filter
 from filterlab.filters import (
+    FilterError,
     IdentityBij,
     dom_of,
     IntoSectionMap,
@@ -245,14 +246,9 @@ def test_the_sharp_limit_rule_needs_a_base_certified_at_rank_one(base, sharp):
     assert replay_certificate(certificate_from_text(certificate_text(cert))) == b
 
 
-# principal(fin{}) is improper; its levels are pinned as they stand
 @pytest.mark.parametrize(
     "text, level",
     [
-        ("prod(principal(fin{}), frechet)", None),
-        ("limit(principal(fin{}), family({}, frechet))", 1),
-        ("limit(principal(fin{}), family({0: principal(fin{0})}, frechet))", None),
-        ("fubini(principal(fin{}), family({}, katetov(2)))", None),
         ("limit(meet(frechet, principal(cofin{0})), family({}, frechet))", None),
         ("push(enum(prod(unit)), meet(frechet, frechet))", 2),
         ("limit(principal(fin{0,1}), family({0: principal(fin{0})}, frechet))", 2),
@@ -260,6 +256,22 @@ def test_the_sharp_limit_rule_needs_a_base_certified_at_rank_one(base, sharp):
 )
 def test_edge_case_levels_are_pinned(text, level):
     assert ct_bound(parse_filter(text)).level == level
+
+
+# principal(fin{}) would be improper: it holds the empty set
+@pytest.mark.parametrize(
+    "text",
+    [
+        "prod(principal(fin{}), frechet)",
+        "limit(principal(fin{}), family({}, frechet))",
+        "limit(principal(fin{}), family({0: principal(fin{0})}, frechet))",
+        "fubini(principal(fin{}), family({}, katetov(2)))",
+    ],
+    ids=["product", "limit", "limit with an exception", "sum"],
+)
+def test_an_empty_principal_core_is_refused(text):
+    with pytest.raises(FilterError, match="a principal filter needs a nonempty core"):
+        parse_filter(text)
 
 
 def _tower_depth(f):

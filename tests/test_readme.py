@@ -53,8 +53,7 @@ def test_readme_lists_the_examples():
 @pytest.mark.parametrize(
     "cmd, expected, code", EXAMPLES, ids=[f"{i}-{cmd.split()[0]}" for i, (cmd, _, _) in enumerate(EXAMPLES)]
 )
-def test_readme_example(cmd, expected, code, capsys, monkeypatch):
-    monkeypatch.delenv("FILTERLAB_TRUNC", raising=False)
+def test_readme_example(cmd, expected, code, capsys):
     assert cli.main(shlex.split(cmd)) == code
     out = capsys.readouterr().out.rstrip("\n")
     assert matches(expected, out), out

@@ -17,13 +17,10 @@ from filterlab.domains import (
 )
 from filterlab.sets import (
     CofinSet,
-    Cofinite,
     FinSet,
-    Finite,
     NotNormalForm,
     ProgrammaticSet,
     SectionFamily,
-    classify_nat,
     cofin_set,
     cofinite_excluded,
     empty_set,
@@ -172,11 +169,6 @@ def test_section_lookup():
     a = section_family({1: fin_set([NatPt(0)], NAT)}, cofin_set([NatPt(2)], NAT), d)
     assert section(a, 1) == fin_set([NatPt(0)], NAT)
     assert section(a, 5) == cofin_set([NatPt(2)], NAT)
-
-
-def test_classify_nat():
-    assert classify_nat(fin_set([NatPt(1)], NAT)) == Finite(1)
-    assert classify_nat(cofin_set([NatPt(1), NatPt(2)], NAT)) == Cofinite(2)
 
 
 @pytest.mark.parametrize("d", DOMAINS)
