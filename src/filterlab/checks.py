@@ -407,10 +407,7 @@ def check_games(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    tower1 = katetov(1)
-    grow30 = play(
-        tower1, ExcludeUnionI(), UniversalII(singleton_family(dom_of(tower1))), 30, seed
-    )
+    grow30 = play(katetov(1), ExcludeUnionI(), UniversalII(), 30, seed)
     out.append(
         _res(
             "30 rounds on the depth-1 tower: union grows one point per round",

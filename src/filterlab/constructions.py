@@ -422,7 +422,6 @@ class PullbackSet:
 
     side: int
     inner: SetExpr
-    label: str = ""
 
 
 @node
@@ -512,7 +511,6 @@ class SelectorShadow:
     trunc: int
     selectors: tuple[tuple[int, tuple[int, ...]], ...]
     e_hits: tuple[tuple[int, int], ...]
-    available: tuple[tuple[int, int], ...]
     bound_ok: bool
     problems: tuple[str, ...]
 
@@ -528,12 +526,10 @@ def selector_shadow(
             if j > i:
                 cells[i].setdefault(j, n)
     selectors: list[tuple[int, tuple[int, ...]]] = []
-    available: list[tuple[int, int]] = []
     union: set[int] = set()
     for i, row in enumerate(cells):
         picks = tuple(sorted(row.values()))
         selectors.append((i, picks))
-        available.append((i, len(row)))
         union.update(picks)
     classes = Counter(cantor_unpair(n)[0] for n in union)
     e_hits: list[tuple[int, int]] = []
@@ -543,14 +539,7 @@ def selector_shadow(
         e_hits.append((j, hits))
         if hits > j:
             problems.append(f"class E{j} meets the selector union {hits} > {j} times")
-    return SelectorShadow(
-        trunc,
-        tuple(selectors),
-        tuple(e_hits),
-        tuple(available),
-        not problems,
-        tuple(problems),
-    )
+    return SelectorShadow(trunc, tuple(selectors), tuple(e_hits), not problems, tuple(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +709,11 @@ def z_family_grid(zf: ZFamily, lines: int, per_line: int) -> list[str]:
     return rows
 
 
-def preimage_grid(
-    pair: InterleavedPair, side: int, lines: int, trunc: int, limit: int = 12
-) -> list[str]:
+def preimage_grid(pair: InterleavedPair, side: int, lines: int, trunc: int) -> list[str]:
+    """One line per index: the first 12 naturals below trunc in its preimage."""
     rows = []
     for i in range(lines):
-        ns = pair.preimage_indices(side, i, trunc)[:limit]
+        ns = pair.preimage_indices(side, i, trunc)[:12]
         rows.append(f"Z{i}: {' '.join(str(n) for n in ns)}")
     return rows
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, TypeVar
 
 from .domains import (
     DSum,
@@ -208,13 +208,11 @@ class _Parser:
     An error works out the line and column of the token it reports.
     """
 
-    def __init__(
-        self, src: str, env: Mapping[str, tuple[str, object]] | None = None, bindings: bool = True
-    ) -> None:
+    def __init__(self, src: str, bindings: bool = True) -> None:
         self.src = src
         self.toks = tokenize(src)
         self.pos = 0
-        self.env = dict(env or {})
+        self.env: dict[str, tuple[str, object]] = {}
         if bindings:
             self.parse_bindings()
         else:
@@ -634,10 +632,8 @@ def _is_leaf(raw: RawLiteral) -> bool:
 # entry points
 
 
-def parse_program(
-    src: str, env: Mapping[str, tuple[str, object]] | None = None
-) -> tuple[str, object]:
-    p = _Parser(src, env)
+def parse_program(src: str) -> tuple[str, object]:
+    p = _Parser(src)
     return p.end(p.parse_any())
 
 

@@ -252,7 +252,8 @@ class Principal(FilterExpr):
     def __post_init__(self) -> None:
         # the one source of an improper filter: every other constructor keeps
         # the empty set out when its operands do
-        if self.core._valid and is_empty_set(self.core):
+        validate_set(self.core)
+        if is_empty_set(self.core):
             raise FilterError("a principal filter needs a nonempty core")
         self._set_dom(self.core.domain)
 
@@ -384,7 +385,6 @@ def frechet(domain: DomainExpr = NAT) -> Frechet:
 
 
 def principal(core: SetExpr) -> Principal:
-    validate_set(core)
     return Principal(core)
 
 

@@ -5,9 +5,11 @@ subset F_n of C_n.  Whether the accumulated union lands in the dual is a
 property of infinite play, so the engine only records legal finite
 transcripts and checks per-round invariants; no winner is ever declared.
 
-play holds one GameState and extends it in place after every round.  start
-binds a strategy to one game, and play calls the mover it returns once per
-round, in order, so a mover may build each move on the one before.
+A strategy is a name with no settings, so a transcript's filter, strategy
+names, round count and seed replay it.  start binds a strategy to one game
+and returns its move; play holds one GameState, extends it in place after
+every round and calls each move once per round, in order, so a move may be
+built on the one before.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .domains import (
 from .filters import (
     FilterExpr,
     FilterFamily,
-    IdentityBij,
     dom_of,
     member,
 )
@@ -132,26 +133,15 @@ def union_size(t: Transcript) -> int:
 # player I strategies
 
 
-@node
-class _Mover:
-    """A strategy bound to one game; move(state) for player I, move(state, c) for II.
-
-    play calls each mover once per round, in order, with the one state it
-    extends, so a mover may build each move on the one before.
-    """
-
-    move: Callable
-
-
 class FullSetI:
     """Plays the full set every round."""
 
     name = "full"
 
-    def start(self, f: FilterExpr, seed: int) -> _Mover:
-        """Bind the strategy to one game of f; play calls the mover once per round."""
+    def start(self, f: FilterExpr, seed: int) -> Callable[[GameState], SetExpr]:
+        """Bind the strategy to one game of f; play calls the move once per round."""
         full = full_set(dom_of(f))
-        return _Mover(lambda state: full)
+        return lambda state: full
 
 
 class ExcludeUnionI:
@@ -159,7 +149,7 @@ class ExcludeUnionI:
 
     name = "exclude-union"
 
-    def start(self, f: FilterExpr, seed: int) -> _Mover:
+    def start(self, f: FilterExpr, seed: int) -> Callable[[GameState], SetExpr]:
         c = full_set(dom_of(f))  # the last move; each round removes only its new claims
 
         def move(state: GameState) -> SetExpr:
@@ -168,38 +158,33 @@ class ExcludeUnionI:
                 c = set_without(c, state.rounds[-1].f)
             return c
 
-        return _Mover(move)
+        return move
 
 
 class CopyStrategyI:
-    """Plays images of the tail-columns sets under an embedding.
+    """Plays the tail-columns sets.
 
-    Move n is the image of the set of all points in columns n and beyond of
-    the source domain, so player II's answers pull back into ever later
-    columns.
+    Move n is the set of all points in columns n and beyond, so player II's
+    answers land in ever later columns.
     """
 
     name = "copy"
 
-    def __init__(self, sigma=None) -> None:
-        self.sigma = sigma
-
-    def start(self, f: FilterExpr, seed: int) -> _Mover:
-        sigma = self.sigma if self.sigma is not None else IdentityBij(dom_of(f))
-        source = sigma.source_domain()
-        if not is_indexed(source):
+    def start(self, f: FilterExpr, seed: int) -> Callable[[GameState], SetExpr]:
+        domain = dom_of(f)
+        if not is_indexed(domain):
             raise DomainError(
-                f"copy strategy needs an indexed source domain, not {domain_to_source(source)}"
+                f"copy strategy needs an indexed source domain, not {domain_to_source(domain)}"
             )
-        cols = tail_columns(source, 0)  # each round empties one more column
+        cols = tail_columns(domain, 0)  # each round empties one more column
 
         def move(state: GameState) -> SetExpr:
             nonlocal cols
             if n := state.round_number:
-                cols = with_sections(cols, {n - 1: empty_set(component(source, n - 1))})
-            return sigma.image_set(cols)
+                cols = with_sections(cols, {n - 1: empty_set(component(domain, n - 1))})
+            return cols
 
-        return _Mover(move)
+        return move
 
 
 def tail_columns(domain: DomainExpr, n: int) -> SetExpr:
@@ -262,17 +247,13 @@ def column_segments_family(domain: DomainExpr) -> UniversalFamily:
 
 
 class UniversalII:
-    """Answers C_n with the first generated set contained in it."""
+    """Answers C_n with the first singleton, by enumeration index, inside it."""
 
     name = "universal"
+    bound = 10**4
 
-    def __init__(self, family: UniversalFamily | None = None, bound: int = 10**4) -> None:
-        self.family = family
-        self.bound = bound
-
-    def start(self, f: FilterExpr, seed: int) -> _Mover:
-        fam = self.family if self.family is not None else singleton_family(dom_of(f))
-        bound = self.bound
+    def start(self, f: FilterExpr, seed: int) -> Callable[[GameState, SetExpr], tuple[Point, ...]]:
+        fam, bound = singleton_family(dom_of(f)), self.bound
 
         def move(state: GameState, c: SetExpr) -> tuple[Point, ...]:
             n = state.round_number
@@ -283,18 +264,16 @@ class UniversalII:
                 )
             return fam.generator(n, k)
 
-        return _Mover(move)
+        return move
 
 
 class FreshElementII:
     """Claims the first point of C_n not yet in the union."""
 
     name = "fresh"
+    bound = 10**5
 
-    def __init__(self, bound: int = 10**5) -> None:
-        self.bound = bound
-
-    def start(self, f: FilterExpr, seed: int) -> _Mover:
+    def start(self, f: FilterExpr, seed: int) -> Callable[[GameState, SetExpr], tuple[Point, ...]]:
         domain, bound = dom_of(f), self.bound
         # enumeration indices below low are all claimed, and claims only grow
         low = 0
@@ -310,7 +289,7 @@ class FreshElementII:
                     return (p,)
             raise SearchExhausted(f"no fresh point of the move found below {bound}")
 
-        return _Mover(move)
+        return move
 
 
 class RandomFiniteII:
@@ -323,18 +302,16 @@ class RandomFiniteII:
     """
 
     name = "random"
+    window = 25
 
-    def __init__(self, window: int = 25) -> None:
-        self.window = window
-
-    def start(self, f: FilterExpr, seed: int) -> _Mover:
+    def start(self, f: FilterExpr, seed: int) -> Callable[[GameState, SetExpr], tuple[Point, ...]]:
         rng, window = Random(2 * seed + 1), self.window
 
         def move(state: GameState, c: SetExpr) -> tuple[Point, ...]:
             lead = first_point(c)
             return tuple(_random_member(c, rng, window, lead) for _ in range(1 + rng.randrange(3)))
 
-        return _Mover(move)
+        return move
 
 
 def _random_member(a: SetExpr, rng: Random, window: int, lead: Point | None = None) -> Point:
@@ -394,17 +371,17 @@ def make_player_ii(name: str):
 def play(f: FilterExpr, s_i, s_ii, rounds: int, seed: int) -> Transcript:
     if rounds < 1:
         raise DomainError("a game needs at least one round")
-    mover_i = s_i.start(f, seed)
-    mover_ii = s_ii.start(f, seed)
+    move_i = s_i.start(f, seed)
+    move_ii = s_ii.start(f, seed)
     dom = dom_of(f)
     state = GameState(f, [], {})
     for n in range(rounds):
-        c = mover_i.move(state)
+        c = move_i(state)
         if c.domain != dom:
             raise IllegalMove(f"player I, round {n}: move over the wrong domain")
         if not member(f, c):
             raise IllegalMove(f"player I, round {n}: move is not a member of the filter")
-        pts = mover_ii.move(state, c)
+        pts = move_ii(state, c)
         uniq = {point_key(p): p for p in pts}
         pts = tuple(uniq[k] for k in sorted(uniq))
         for p in pts:
@@ -418,10 +395,9 @@ def play(f: FilterExpr, s_i, s_ii, rounds: int, seed: int) -> Transcript:
     return Transcript(f, tuple(state.rounds), seed, s_i.name, s_ii.name)
 
 
-def replay_transcript(t: Transcript, s_i=None, s_ii=None) -> Transcript:
+def replay_transcript(t: Transcript) -> Transcript:
     """Re-run the recorded strategies and seed; equality means determinism."""
-    s_i = s_i if s_i is not None else make_player_i(t.player_i)
-    s_ii = s_ii if s_ii is not None else make_player_ii(t.player_ii)
+    s_i, s_ii = make_player_i(t.player_i), make_player_ii(t.player_ii)
     return play(t.filt, s_i, s_ii, len(t.rounds), t.seed)
 
 
@@ -455,14 +431,13 @@ def transcript_lines(t: Transcript) -> list[str]:
     return lines
 
 
-def copy_column_bound(t: Transcript, sigma=None) -> tuple[bool, list[str]]:
+def copy_column_bound(t: Transcript) -> tuple[bool, list[str]]:
     """Check the per-column budget of a copy-strategy transcript.
 
-    Pulled back through the embedding, round m only ever touches columns at
-    index m and beyond, so at every round the column-i trace of the union
-    has at most sum of |F_m| for m <= i points.
+    Round m only ever touches columns at index m and beyond, so at every
+    round the column-i trace of the union has at most sum of |F_m| for
+    m <= i points.
     """
-    sigma = sigma if sigma is not None else IdentityBij(dom_of(t.filt))
     problems = []
     union: dict[tuple[int, ...], Point] = {}
     counts: dict[int, int] = {}
@@ -474,7 +449,7 @@ def copy_column_bound(t: Transcript, sigma=None) -> tuple[bool, list[str]]:
     for r, rnd in enumerate(t.rounds):
         spent.append(spent[-1] + len(rnd.f))
         for k in _claim(union, rnd.f):
-            col = point_key(sigma.unapply(union[k]))[0]
+            col = k[0]
             counts[col] = counts.get(col, 0) + 1
             least[col] = min(least.get(col, k), k)
             over.add(col)
@@ -508,21 +483,18 @@ class UniversalityReport:
 
 
 def verify_universal_family(
-    u: UniversalFamily,
-    f: FilterExpr,
-    samples: Sequence[SetExpr],
-    k_bound: int = 10**4,
-    n_check: int = 3,
-    diag_n_bound: int = 8,
+    u: UniversalFamily, f: FilterExpr, samples: Sequence[SetExpr]
 ) -> UniversalityReport:
+    """For each sample member m: the least k <= 10**4 with Z_n^k inside m for
+    each n < 3, and a diagonal threshold at some n < 8."""
     entries = []
     passed = True
     for idx, m in enumerate(samples):
         if not member(f, m):
             raise BadSample(f"sample {idx} is not a member of the filter")
-        wits = [(n, _least_fit(u, m, n, k_bound)) for n in range(n_check)]
+        wits = [(n, _least_fit(u, m, n, 10**4)) for n in range(3)]
         passed = passed and all(least is not None for _, least in wits)
-        diag = _diag_threshold(u, m, diag_n_bound)
+        diag = _diag_threshold(u, m, 8)
         if diag is None:
             passed = False
         entries.append(SampleUniversality(idx, tuple(wits), diag))
@@ -592,11 +564,7 @@ SepVerdict = SepIn | SepOut | SepUnknown
 
 
 def separator_verdict(
-    lim: FilterExpr,
-    u: UniversalFamily,
-    sep: FilterFamily,
-    a: SetExpr,
-    n_bound: int = 8,
+    lim: FilterExpr, u: UniversalFamily, sep: FilterFamily, a: SetExpr
 ) -> SepVerdict:
     """Place a in or out of the union-of-intersections separator set.
 
@@ -604,7 +572,7 @@ def separator_verdict(
     Z_n^k has a in S_i, sep's i-th filter (for a sectionwise limit, its own
     family).  With an n-independent generator and eventually uniform
     separators the for-all-k tail stabilizes, making the verdict exact in
-    both directions.
+    both directions.  Otherwise it searches n < 8.
     """
 
     def holds(i: int) -> bool:
@@ -616,7 +584,7 @@ def separator_verdict(
     if u.stability_bound is None:
         return SepUnknown(0)
     hit = _stable_threshold(
-        [0] if u.n_independent else range(n_bound),
+        [0] if u.n_independent else range(8),
         lambda n: max(u.stability_bound(a, n), fresh_index(sep.keys, exception_keys(a)), 0),
         clause,
     )
@@ -624,4 +592,4 @@ def separator_verdict(
         return SepIn(*hit)
     if u.n_independent:
         return SepOut()
-    return SepUnknown(n_bound)
+    return SepUnknown(8)

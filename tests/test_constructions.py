@@ -315,7 +315,7 @@ def scan_joint_count_table(pair, trunc, lines):
 def scan_selector_shadow(pair, trunc, i_max=20, j_max=20):
     pair.ensure(trunc)
     zf = pair.zfamily
-    selectors, available, union = [], [], set()
+    selectors, union = [], set()
     for i in range(i_max):
         cells = {}
         for n in range(trunc):
@@ -326,7 +326,6 @@ def scan_selector_shadow(pair, trunc, i_max=20, j_max=20):
                 cells[j] = n
         picks = tuple(sorted(cells.values()))
         selectors.append((i, picks))
-        available.append((i, len(cells)))
         union.update(picks)
     e_hits, problems = [], []
     for j in range(j_max):
@@ -334,9 +333,7 @@ def scan_selector_shadow(pair, trunc, i_max=20, j_max=20):
         e_hits.append((j, hits))
         if hits > j:
             problems.append(f"class E{j} meets the selector union {hits} > {j} times")
-    return SelectorShadow(
-        trunc, tuple(selectors), tuple(e_hits), tuple(available), not problems, tuple(problems)
-    )
+    return SelectorShadow(trunc, tuple(selectors), tuple(e_hits), not problems, tuple(problems))
 
 
 @pytest.mark.parametrize("trunc", [100, 1_000, 5_000])

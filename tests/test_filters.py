@@ -62,6 +62,9 @@ from filterlab.ordinals import ONE
 from filterlab.rank import rank_bounds
 from filterlab.sets import (
     CofinSet,
+    FinSet,
+    NotNormalForm,
+    SectionFamily,
     cofin_set,
     empty_set,
     fin_set,
@@ -255,6 +258,22 @@ def test_kernel_of_principal_is_core():
     assert not is_free(principal(core))
     with pytest.raises(FilterError, match="nonempty core"):
         principal(empty_set(NAT))
+
+
+@pytest.mark.parametrize(
+    "core",
+    [FinSet((), NAT), FinSet((), UNIT), SectionFamily((), FinSet((), NAT), Prod(NAT))],
+    ids=["nat", "unit", "sections"],
+)
+def test_a_raw_empty_core_is_refused(core):
+    # built without the set constructors, so nothing has marked it valid yet
+    with pytest.raises(FilterError, match="nonempty core"):
+        Principal(core)
+
+
+def test_a_raw_core_is_validated_when_the_filter_is_built():
+    with pytest.raises(NotNormalForm):
+        Principal(FinSet((NatPt(2), NatPt(1)), NAT))
 
 
 def test_kernel_of_katetov_towers_empty():

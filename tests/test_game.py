@@ -26,6 +26,8 @@ from filterlab.game import (
     IllegalMove,
     NoUniversalWitness,
     RandomFiniteII,
+    STRATEGIES_I,
+    STRATEGIES_II,
     SepIn,
     SepOut,
     SepUnknown,
@@ -79,7 +81,7 @@ def test_exclude_union_forces_fresh_points():
 
 def test_universal_self_play_on_tower_grows_linearly():
     f = katetov(1)
-    t = play(f, ExcludeUnionI(), UniversalII(singleton_family(dom_of(f))), 30, seed=3)
+    t = play(f, ExcludeUnionI(), UniversalII(), 30, seed=3)
     assert union_size(t) == 30
 
 
@@ -92,6 +94,37 @@ def test_replay_reproduces_transcripts():
     for seed in range(20):
         t = play(frechet(NAT), FullSetI(), RandomFiniteII(), 8, seed=seed)
         assert replay_transcript(t) == t
+
+
+PAIR_FILTERS = {
+    "product": product(frechet(NAT), frechet(NAT)),
+    "katetov(2)": katetov(2),
+    "frechet": frechet(NAT),
+}
+
+
+@pytest.mark.parametrize(
+    "fname, p1, p2",
+    [
+        (fname, p1, p2)
+        for fname in PAIR_FILTERS
+        for p1 in STRATEGIES_I
+        for p2 in STRATEGIES_II
+        if not (fname == "frechet" and p1 == "copy")  # copy needs an indexed domain
+    ],
+)
+def test_every_strategy_pair_replays_from_its_names_and_seed(fname, p1, p2):
+    t = play(PAIR_FILTERS[fname], make_player_i(p1), make_player_ii(p2), 12, seed=7)
+    assert (t.player_i, t.player_ii) == (p1, p2)
+    assert replay_transcript(t) == t
+    assert validate_transcript(t) == []
+    if p1 == "copy":
+        assert copy_column_bound(t)[0]
+
+
+def test_strategies_have_no_settings():
+    for cls in [*STRATEGIES_I.values(), *STRATEGIES_II.values()]:
+        assert "__init__" not in vars(cls), cls.__name__
 
 
 def test_strategy_registry_round_trip():
@@ -116,7 +149,7 @@ class _StubI:
         self.moves = list(moves)
 
     def start(self, f, seed):
-        return self
+        return self.move
 
     def move(self, state):
         return self.moves[state.round_number if hasattr(state, "round_number") else len(state.rounds)]
@@ -129,7 +162,7 @@ class _StubII:
         self.answers = list(answers)
 
     def start(self, f, seed):
-        return self
+        return self.move
 
     def move(self, state, c):
         return self.answers[len(state.rounds)]
@@ -291,7 +324,7 @@ def test_corrupted_family_fails_on_late_member():
         lambda n, k: (NatPt((n + k) % 10),),
     )
     member_set = cofin_set([NatPt(i) for i in range(10)], NAT)
-    rep = verify_universal_family(u, frechet(NAT), [member_set], k_bound=200)
+    rep = verify_universal_family(u, frechet(NAT), [member_set])
     assert not rep.passed
 
 
@@ -305,16 +338,12 @@ def test_column_segments_family_on_tower_members():
     assert rep.passed
 
 
-def test_universal_ii_raises_without_witness():
-    u = UniversalFamily("only ever offers {0}", NAT, lambda n, k: (NatPt(0),))
-    with pytest.raises(NoUniversalWitness):
-        play(
-            frechet(NAT),
-            _StubI([cofin_set([NatPt(0)], NAT)]),
-            UniversalII(u, bound=50),
-            1,
-            seed=0,
-        )
+def test_universal_ii_raises_without_witness(monkeypatch):
+    # the move leaves out every singleton within the bound
+    monkeypatch.setattr(UniversalII, "bound", 50)
+    move = cofin_set([NatPt(i) for i in range(51)], NAT)
+    with pytest.raises(NoUniversalWitness, match=r"round-0 move within k <= 50$"):
+        play(frechet(NAT), _StubI([move]), UniversalII(), 1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +423,11 @@ def test_earlier_states_never_see_later_claims():
         def start(self, f, seed):
             inner = FullSetI().start(f, seed)
 
-            class Mover:
-                def move(self, state):
-                    seen.append((state.round_number, list(state.claimed)))
-                    return inner.move(state)
+            def move(state):
+                seen.append((state.round_number, list(state.claimed)))
+                return inner(state)
 
-            return Mover()
+            return move
 
     t = play(frechet(NAT), Keeping(), RandomFiniteII(), 12, seed=5)
     assert [n for n, _ in seen] == list(range(12))

@@ -1,6 +1,6 @@
 """Moves built from the last move agree with the moves built from scratch.
 
-play extends one state and calls each mover once per round, in order.  The
+play extends one state and calls each move once per round, in order.  The
 exclude-union player keeps its last move and removes only the newest
 round's claims (set_without).  The copy player keeps its columns and
 empties only the newest one (with_sections).  Every incremental move here
@@ -10,7 +10,6 @@ random player's draws with the draw loop that built a set of the excluded
 points, both copied below.
 """
 
-from dataclasses import dataclass
 from random import Random
 
 import pytest
@@ -18,7 +17,6 @@ import pytest
 from filterlab.domains import (
     DSum,
     DomainError,
-    DomainExpr,
     NAT,
     NatPt,
     PairPt,
@@ -31,7 +29,7 @@ from filterlab.domains import (
     point_key,
     points_within,
 )
-from filterlab.filters import IdentityBij, dom_of, frechet, katetov, product
+from filterlab.filters import dom_of, frechet, katetov, product
 from filterlab.game import (
     CopyStrategyI,
     ExcludeUnionI,
@@ -74,42 +72,12 @@ DOMAINS = [NAT, Prod(NAT), Prod(Prod(UNIT)), DSum((Prod(UNIT),), NAT)]
 PLAYERS_II = {"universal": UniversalII, "fresh": FreshElementII, "random": RandomFiniteII}
 
 
-@dataclass(frozen=True)
-class ColumnSwap:
-    """The bijection of an indexed domain that swaps columns i and j."""
-
-    domain: DomainExpr
-    i: int
-    j: int
-
-    def source_domain(self):
-        return self.domain
-
-    def _swap(self, k):
-        return self.j if k == self.i else self.i if k == self.j else k
-
-    def unapply(self, q):
-        return make_point(self.domain, self._swap(q.i), q.rest)
-
-    def image_set(self, a):
-        excs = {k: sec for k, sec in a.exceptions}
-        for k in (self.i, self.j):
-            excs[self._swap(k)] = a.at(k)
-        return section_family(excs, a.tail, a.domain)
-
-
-def sigmas(f):
-    d = dom_of(f)
-    return [None, ColumnSwap(d, 0, 2), ColumnSwap(d, 1, 5)]
-
-
 def scratch_exclude_union(f):
     return lambda state: set_complement(fin_set(state.claimed.values(), dom_of(f)))
 
 
-def scratch_copy(f, sigma):
-    sigma = sigma if sigma is not None else IdentityBij(dom_of(f))
-    return lambda state: sigma.image_set(tail_columns(dom_of(f), state.round_number))
+def scratch_copy(f):
+    return lambda state: tail_columns(dom_of(f), state.round_number)
 
 
 class Checked:
@@ -120,16 +88,15 @@ class Checked:
         self.moves = 0
 
     def start(self, f, seed):
-        mover = self.inner.start(f, seed)
+        inner = self.inner.start(f, seed)
 
-        class Mover:
-            def move(_, state):
-                c = mover.move(state)
-                assert c == self.scratch(state), state.round_number
-                self.moves += 1
-                return c
+        def move(state):
+            c = inner(state)
+            assert c == self.scratch(state), state.round_number
+            self.moves += 1
+            return c
 
-        return Mover()
+        return move
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +117,10 @@ def test_exclude_union_moves_match_the_scratch_move(fname, p2):
 @pytest.mark.parametrize("p2", PLAYERS_II)
 def test_copy_moves_match_the_scratch_move(fname, p2):
     f = FILTERS[fname]
-    for sigma in sigmas(f):
-        player = Checked(CopyStrategyI(sigma), scratch_copy(f, sigma))
-        t = play(f, player, PLAYERS_II[p2](), 20, seed=3)
-        assert player.moves == 20 and validate_transcript(t) == []
-        assert copy_column_bound(t, sigma)[0]
+    player = Checked(CopyStrategyI(), scratch_copy(f))
+    t = play(f, player, PLAYERS_II[p2](), 20, seed=3)
+    assert player.moves == 20 and validate_transcript(t) == []
+    assert copy_column_bound(t)[0]
 
 
 def test_out_of_domain_claim_is_refused_on_both_paths():
@@ -163,9 +129,9 @@ def test_out_of_domain_claim_is_refused_on_both_paths():
     bad = GameState(f, [Round(full_set(NAT), (stray,))], {point_key(stray): stray})
     with pytest.raises(DomainError):
         scratch_exclude_union(f)(bad)
-    mover = ExcludeUnionI().start(f, 0)
+    move = ExcludeUnionI().start(f, 0)
     with pytest.raises(DomainError):
-        mover.move(bad)
+        move(bad)
 
 
 # ---------------------------------------------------------------------------

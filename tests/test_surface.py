@@ -1,6 +1,7 @@
-"""The package root: its pinned public names, lazy resolution and the README's Python code."""
+"""The package root: its pinned public names and their defaulted parameters, lazy resolution and the README's Python code."""
 
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -48,6 +49,18 @@ PUBLIC = [
 ]
 
 
+# every parameter with a default on a public callable, as "name.parameter":
+# each is a setting some caller may change, so a new one shows up here
+DEFAULTED = [
+    "CheckResult.detail", "Frechet.domain", "ProgrammaticSet.frechet_class",
+    "ProgrammaticSet.label", "UniversalFamily._least", "UniversalFamily.n_independent",
+    "UniversalFamily.stability_bound", "collapse_limit.base", "collapse_limit.h",
+    "frechet.domain", "omega_pow.c", "parse_seq.domain", "parse_set.domain",
+    "rank_bounds.witnesses", "run_suite.seed", "run_suite.trunc", "selector_shadow.i_max",
+    "selector_shadow.j_max", "two_valued_limit.bounds",
+]
+
+
 def fresh(code: str) -> str:
     """Run code in a new interpreter that imports filterlab from this checkout."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -64,6 +77,19 @@ LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith('filte
 def test_public_names_are_pinned():
     assert len(PUBLIC) == 142
     assert sorted(filterlab.__all__) == PUBLIC
+
+
+def test_defaulted_parameters_are_pinned():
+    found = []
+    for name in PUBLIC:
+        value = getattr(filterlab, name)
+        if not callable(value) or isinstance(value, type) and issubclass(value, Exception):
+            continue
+        for p in inspect.signature(value).parameters.values():
+            if p.default is not p.empty:
+                found.append(f"{name}.{p.name}")
+    assert len(DEFAULTED) == 19
+    assert sorted(found) == DEFAULTED
 
 
 def test_root_names_are_their_defining_module_bindings():
