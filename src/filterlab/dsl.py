@@ -4,8 +4,8 @@ The grammar is keyword-headed and round-trips with the printers: parsing the
 printed source of any supported expression reproduces it exactly.  Set and
 sequence literals infer their domain from point shapes; an explicit
 `@domain` suffix overrides inference, and literals supplied to a typed
-context (such as a membership query) are resolved against that context's
-domain instead.
+context (such as a membership query) are read over that context's domain
+instead.  Each literal is read once, straight into its normal form.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ from .domains import (
     UnitPt,
     component,
     enum_point,
+    exception_table,
     is_indexed,
     is_linear_domain,
     make_point,
-    node,
+    point_key,
     sum_domain,
     tail_component,
 )
@@ -61,7 +62,6 @@ from .filters import (
     filter_family,
     fubini_domain,
     katetov,
-    seq_leaf,
     seq_sections,
 )
 from .sets import (
@@ -69,8 +69,8 @@ from .sets import (
     FinSet,
     SectionFamily,
     SetExpr,
-    cofin_set,
-    fin_set,
+    leaf_set,
+    nat_leaf,
     section_family,
 )
 
@@ -98,12 +98,14 @@ _SKIP = re.compile(r"(?:[ \t\r]+|#[^\n]*)*")
 _TOKEN = re.compile(r"(\d+|[^\W\d]\w*|[(){}\[\],:;=@/\n-])" + _SKIP.pattern)
 # the longest prefix that holds no unexpected character
 _CLEAN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*|\w+|[(){}\[\],:;=@/-])*")
+# any character but an ASCII blank, "#" or ASCII token character: only texts with one need _CLEAN
+_ODD = re.compile(r"[^ \t\r\n0-9A-Za-z_(){}\[\],:;=@/#-]")
 
 
 def tokenize(src: str) -> list[str]:
     """The token texts of src, ending with "" for the end of input; a run of
     newlines, with any blanks and comments between them, gives one "\n"."""
-    stop = _CLEAN.match(src).end()  # type: ignore[union-attr]
+    stop = _CLEAN.match(src).end() if _ODD.search(src) else len(src)  # type: ignore[union-attr]
     start = _SKIP.match(src).end()  # type: ignore[union-attr]
     if not src.isascii():
         # only non-ASCII text can start a name with a non-decimal digit
@@ -142,33 +144,18 @@ def _is_name(t: str) -> bool:
     return t[:1].isalpha() or t[:1] == "_"
 
 
-# ---------------------------------------------------------------------------
-# raw literal trees (resolved against a domain after parsing)
+_TAGGED = re.compile(r"\)[ \t\r]*@")  # a tag after a parenthesized body
 
 
-@node
-class RawLiteral:
-    """A set or sequence literal whose domain is not fixed yet.
-
-    head is "fin", "cofin", "sections" or "seq".  entries holds raw points
-    for fin and cofin, and (key, value) pairs otherwise.  tail is None for
-    fin and cofin, a Fraction for a leaf sequence, and the tail's literal
-    for sections and nested sequences.  at is the index of its head token.
-    """
-
-    head: str
-    entries: tuple
-    tail: object
-    tag: DomainExpr | None
-    at: int
-
-
-@node
-class _ResolvedRaw:
-    """A set binding spliced into a raw tree (already a normal form)."""
-
-    value: SetExpr
-    at: int
+def _closers(toks: list[str]) -> dict[int, int]:
+    """The index of the ")" that closes each "(" of toks."""
+    out, stack = {}, []
+    for i, t in enumerate(toks):
+        if t == "(":
+            stack.append(i)
+        elif t == ")" and stack:
+            out[stack.pop()] = i
+    return out
 
 
 FILTER_HEADS = {
@@ -213,6 +200,7 @@ class _Parser:
         self.toks = tokenize(src)
         self.pos = 0
         self.env: dict[str, tuple[str, object]] = {}
+        self.closers = _closers(self.toks) if _TAGGED.search(src) else {}  # read by domain_of
         if bindings:
             self.parse_bindings()
         else:
@@ -245,6 +233,13 @@ class _Parser:
             e.line, e.col = self.place(at)
             raise
 
+    def made(self, at: int, make: Callable[..., _T], *args) -> _T:
+        """make(*args); a FilterLabError it raises is a ParseError at token at."""
+        try:
+            return make(*args)
+        except FilterLabError as e:
+            raise self.fail(str(e), at) from e
+
     def fail(self, message: str, at: int | None = None) -> ParseError:
         """A ParseError at token at, by default the next token."""
         return ParseError(message, *self.place(self.pos if at is None else at))
@@ -257,19 +252,19 @@ class _Parser:
         return self.peek() in ("\n", "", ";")
 
     def items(self, open_: str, close: str, item, key=None) -> list:
-        """Read `open_ item, ..., item close`, possibly empty.  With key,
-        each item is written `key: item` and read as a (key, item) pair."""
+        """Read `open_ item, ..., item close`, possibly empty.  With key, each
+        item is written `key: item` and read as the pair (key, item(key))."""
         self.expect(open_)
         out = []
-        if self.peek() != close:
+        if self.toks[self.pos] != close:
             while True:
                 if key is None:
                     out.append(item())
                 else:
                     k = key()
                     self.expect(":")
-                    out.append((k, item()))
-                if self.peek() != ",":
+                    out.append((k, item(k)))
+                if self.toks[self.pos] != ",":
                     break
                 self.pos += 1
         self.expect(close)
@@ -320,9 +315,9 @@ class _Parser:
         if t in FILTER_HEADS:
             return ("filter", self.parse_filter())
         if t in SET_HEADS:
-            return ("set", self.resolve(self.parse_raw_set(), None))
+            return ("set", self.literal(None))
         if t == "seq":
-            return ("seq", self.resolve(self.parse_raw_seq(), None))
+            return ("seq", self.sequence(None))
         if t in self.env:
             return self.env[self.take()]
         raise self.fail(f"unknown name {t!r}")
@@ -351,7 +346,7 @@ class _Parser:
         return Fraction(sign * num)
 
     def parse_raw_point(self) -> object:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.isdecimal():
             return self.parse_nat()
         if t == "(":
@@ -393,44 +388,116 @@ class _Parser:
 
     # -- sets and sequences
 
-    def parse_raw_set(self) -> RawLiteral | _ResolvedRaw:
-        at, t = self.pos, self.peek()
+    def domain_of(self, at: int, d: DomainExpr | None, tag: DomainExpr | None = None):
+        """The tag of the literal headed at token at, else d.  A tag after a body in
+        parentheses governs each part of it, so it is read ahead of the body."""
+        close = self.closers.get(at + 1)
+        if tag is None and close is not None and self.toks[close + 1] == "@":
+            here, self.pos = self.pos, close + 2
+            tag = self.parse_domain()
+            self.pos = here
+        if d is not None and tag not in (None, d):
+            raise self.fail("domain tag does not match this context", at)
+        return tag or d
+
+    def literal(self, d: DomainExpr | None) -> SetExpr:
+        """The set at the next token in normal form over d, else over its parts' or points'."""
+        at = self.pos
+        t = self.toks[at]
         if t in ("fin", "cofin"):
-            self.take()
-            points = self.items("{", "}", self.parse_raw_point)
-            return RawLiteral(t, tuple(points), None, self.parse_opt_tag(), at)
+            self.pos += 1
+            ns = self.naturals()
+            raw = self.items("{", "}", self.parse_raw_point) if ns is None else ns
+            d = self.domain_of(at, d, self.parse_opt_tag())
+            if ns is not None and (d is None or isinstance(d, Nat)):
+                return nat_leaf(ns, t == "cofin")
+            d, pts = self.points(raw, d, "points of one set", at)
+            return leaf_set(pts, t == "cofin", d)
         if t == "sections":
-            self.take()
+            d = self.domain_of(at, d)
+            if d is not None and not is_indexed(d):
+                raise self.fail("sections need an indexed domain", at)
+            self.pos += 1
             self.expect("(")
-            entries = self.table(self.parse_nat, self.parse_raw_set, "section", at)
+            entries = self.table(
+                self.parse_nat, lambda k: self.literal(d and component(d, k)), "section", at
+            )
             self.expect(",")
-            tail = self.parse_raw_set()
+            tail = self.literal(d and tail_component(d))
             self.expect(")")
-            tag = self.parse_opt_tag()
-            return RawLiteral("sections", tuple(entries), tail, tag, at)
+            self.parse_opt_tag()
+            if d is None:
+                d = self.made(at, sum_domain, {k: e.domain for k, e in entries}, tail.domain)
+            return self.made(at, section_family, dict(entries), tail, d)
         if _is_name(t) and t in self.env:
             kind, value = self.env[t]
             if kind != "set":
                 raise self.fail(f"{t!r} is bound to a {kind}, not a set")
             self.take()
-            # a resolved binding re-enters as an opaque leaf
-            return _ResolvedRaw(value, at)  # type: ignore[arg-type]
+            if d is not None and value.domain != d:  # type: ignore[attr-defined]
+                raise self.fail("bound set's domain does not match this context", at)
+            return value  # type: ignore[return-value]
         raise self.fail("expected a set")
 
-    def parse_raw_seq(self) -> RawLiteral:
+    def naturals(self) -> list[int] | None:
+        """The naturals of the `{n, ..., n}` list at the next token, or None, reading nothing."""
+        toks, i, ns = self.toks, self.pos, []
+        while toks[i] == ("," if ns else "{") and toks[i + 1].isdecimal():
+            ns.append(int(toks[i + 1]))
+            i += 2
+        end = i if ns else i + 1
+        if toks[self.pos] != "{" or toks[end] != "}":
+            return None
+        self.pos = end + 1
+        return ns
+
+    def points(self, raw: list, d: DomainExpr | None, what: str, at: int) -> tuple:
+        """d, or else the one domain the raw points' shapes name, and their points in it."""
+        pts = [self.resolve_point(p, d, at) for p in raw]
+        if d is None:
+            shapes = {_point_shape(p) for p in pts} or {NAT}
+            if len(shapes) != 1:
+                raise self.fail(f"{what} must share a shape", at)
+            d = shapes.pop()
+        return d, pts
+
+    def sequence(self, d: DomainExpr | None) -> SeqExpr:
+        """The sequence at the next token, read as literal reads a set; its tail tells its kind."""
         at = self.pos
         self.expect("seq")
-        self.expect("(")
-        entries = self.table(self.parse_raw_point, self.parse_seq_value, "sequence", at)
-        self.expect(",")
-        tail = self.parse_seq_value()
-        self.expect(")")
-        return RawLiteral("seq", tuple(entries), tail, self.parse_opt_tag(), at)
+        d = self.domain_of(at, d)
 
-    def parse_seq_value(self) -> RawLiteral | Fraction:
-        if self.peek() == "seq":
-            return self.parse_raw_seq()
-        return self.parse_rational()
+        def value(key: object) -> SeqExpr | Fraction:
+            if self.peek() != "seq":
+                return self.parse_rational()
+            typed = d is not None and isinstance(key, int) and is_indexed(d)
+            return self.sequence(component(d, key) if typed else None)  # type: ignore[arg-type]
+
+        self.expect("(")
+        entries = self.table(self.parse_raw_point, value, "sequence", at)
+        self.expect(",")
+        nested = self.peek() == "seq"
+        if nested and d is not None and not is_indexed(d):
+            raise self.fail("nested sequences need an indexed domain", at)
+        tail = self.sequence(d and tail_component(d)) if nested else self.parse_rational()
+        self.expect(")")
+        self.parse_opt_tag()
+        if not nested:
+            d, pts = self.points([p for p, _ in entries], d, "sequence points", at)
+            if not all(isinstance(v, Fraction) for _, v in entries):
+                raise self.fail("leaf sequences need rational values", at)
+            values = dict(zip(pts, (v for _, v in entries)))
+            return LeafSeq(exception_table(values, tail, key=point_key), tail, d)
+        for key, val in entries:
+            if d is not None and (not isinstance(key, int) or isinstance(val, Fraction)):
+                raise self.fail("nested sequence entries must be `nat: seq`", at)
+            if not isinstance(key, int):
+                raise self.fail("nested sequence keys must be naturals", at)
+            if isinstance(val, Fraction):
+                raise self.fail("nested sequence entries must be sequences", at)
+        if d is None:
+            d = self.made(at, sum_domain, {k: e.domain for k, e in entries}, tail.domain)
+        return seq_sections(dict(entries), tail, d)
 
     # -- families
 
@@ -443,7 +510,7 @@ class _Parser:
         entries = []
         # only repfamily may leave its table out
         if t != "repfamily" or self.peek() == "{":
-            entries = self.table(self.parse_nat, self.parse_filter, "filter", self.pos)
+            entries = self.table(self.parse_nat, lambda _: self.parse_filter(), "filter", self.pos)
             self.expect(",")
         tail = self.parse_filter()
         inner = self.build(at, filter_family, dict(entries), tail)
@@ -470,7 +537,7 @@ class _Parser:
         d = self.parse_domain()
         if t == "table":
             self.expect(",")
-            pairs = self.items("{", "}", self.parse_nat, self.parse_nat)
+            pairs = self.items("{", "}", lambda _: self.parse_nat(), self.parse_nat)
             self.expect(")")
             return self.build(at, TableBij, d, tuple(pairs))
         self.expect(")")
@@ -507,7 +574,7 @@ class _Parser:
             self.expect(")")
             return self.build(at, Frechet, d)
         if head == "principal":
-            core = self.resolve(self.parse_raw_set(), None)
+            core = self.literal(None)
             self.expect(")")
             return self.build(at, Principal, core)
         if head == "katetov":
@@ -526,14 +593,15 @@ class _Parser:
         self.expect(")")
         return self.build(at, SectionFilter, i, comp, d)
 
-    # -- raw resolution
+    # -- points
 
-    def resolve_point(self, raw: object, d: DomainExpr, at: int) -> Point:
-        if isinstance(d, Unit):
+    def resolve_point(self, raw: object, d: DomainExpr | None, at: int) -> Point:
+        """The point raw names in d, or where d is None in the domain its shape names."""
+        if isinstance(d, Unit) or d is None and raw == ():
             if raw == ():
                 return UNIT_PT
             raise self.fail("expected the unit point ()", at)
-        if isinstance(d, Nat):
+        if isinstance(d, Nat) or d is None and isinstance(raw, int):
             if isinstance(raw, int):
                 return NatPt(raw)
             raise self.fail("expected a bare natural", at)
@@ -544,88 +612,10 @@ class _Parser:
         if isinstance(raw, tuple) and len(raw) >= 2 and isinstance(raw[0], int):
             i = raw[0]
             rest = raw[1] if len(raw) == 2 else tuple(raw[1:])
+            if d is None:
+                return PairPt(i, self.resolve_point(rest, None, at))
             return make_point(d, i, self.resolve_point(rest, component(d, i), at))
         raise self.fail("point shape does not fit the domain", at)
-
-    def infer_domain(self, raw: RawLiteral | _ResolvedRaw) -> DomainExpr:
-        """The domain a literal names without context: its tag, else its shape."""
-        if isinstance(raw, _ResolvedRaw):
-            return raw.value.domain
-        if raw.tag is not None:
-            return raw.tag
-        is_seq = raw.head == "seq"
-        if _is_leaf(raw):
-            points = [p for p, _ in raw.entries] if is_seq else raw.entries
-            if not points:
-                return NAT
-            doms = {_infer_point_domain(p) for p in points}
-            if len(doms) != 1:
-                what = "sequence points" if is_seq else "points of one set"
-                raise self.fail(f"{what} must share a shape", raw.at)
-            return doms.pop()
-        tail_d = self.infer_domain(raw.tail)  # type: ignore[arg-type]
-        entry_ds = {}
-        for key, val in raw.entries:
-            if is_seq and not isinstance(key, int):
-                raise self.fail("nested sequence keys must be naturals", raw.at)
-            if is_seq and not isinstance(val, RawLiteral):
-                raise self.fail("nested sequence entries must be sequences", raw.at)
-            entry_ds[key] = self.infer_domain(val)
-        return sum_domain(entry_ds, tail_d)
-
-    def resolve(
-        self, raw: RawLiteral | _ResolvedRaw, domain: DomainExpr | None
-    ) -> SetExpr | SeqExpr:
-        """The set or sequence a literal names over domain (inferred if None)."""
-        if isinstance(raw, _ResolvedRaw):
-            if domain is not None and raw.value.domain != domain:
-                raise self.fail("bound set's domain does not match this context", raw.at)
-            return raw.value
-        d = domain if domain is not None else self.infer_domain(raw)
-        if raw.tag is not None and domain is not None and raw.tag != domain:
-            raise self.fail("domain tag does not match this context", raw.at)
-        is_seq = raw.head == "seq"
-        if _is_leaf(raw):
-            if not is_seq:
-                pts = [self.resolve_point(p, d, raw.at) for p in raw.entries]
-                make = fin_set if raw.head == "fin" else cofin_set
-                args = (pts, d)
-            else:
-                values = {}
-                for key, val in raw.entries:
-                    if isinstance(val, RawLiteral):
-                        raise self.fail("leaf sequences need rational values", raw.at)
-                    values[self.resolve_point(key, d, raw.at)] = val
-                make = seq_leaf
-                args = (values, raw.tail, d)
-        else:
-            if not is_indexed(d):
-                what = "nested sequences" if is_seq else "sections"
-                raise self.fail(f"{what} need an indexed domain", raw.at)
-            entries = {}
-            for key, val in raw.entries:
-                if is_seq and not (isinstance(key, int) and isinstance(val, RawLiteral)):
-                    raise self.fail("nested sequence entries must be `nat: seq`", raw.at)
-                entries[key] = self.resolve(val, component(d, key))
-            tail = self.resolve(raw.tail, tail_component(d))  # type: ignore[arg-type]
-            make = seq_sections if is_seq else section_family
-            args = (entries, tail, d)
-        try:
-            return make(*args)
-        except DomainError as e:
-            raise self.fail(str(e), raw.at) from e
-
-
-def _infer_point_domain(raw: object) -> DomainExpr:
-    if isinstance(raw, int):
-        return NAT
-    if raw == ():
-        return UNIT
-    return Prod(_infer_point_domain(raw[1] if len(raw) == 2 else raw[1:]))  # type: ignore[index]
-
-
-def _is_leaf(raw: RawLiteral) -> bool:
-    return raw.tail is None or isinstance(raw.tail, Fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +634,12 @@ def parse_filter(src: str) -> FilterExpr:
 
 def parse_set(src: str, domain: DomainExpr | None = None) -> SetExpr:
     p = _Parser(src)
-    return p.resolve(p.end(p.parse_raw_set()), domain)  # type: ignore[return-value]
+    return p.end(p.literal(domain))
 
 
 def parse_seq(src: str, domain: DomainExpr | None = None) -> SeqExpr:
     p = _Parser(src)
-    return p.resolve(p.end(p.parse_raw_seq()), domain)  # type: ignore[return-value]
+    return p.end(p.sequence(domain))
 
 
 def parse_domain(src: str) -> DomainExpr:
@@ -743,7 +733,7 @@ def _shape_domain(a: SetExpr | SeqExpr) -> DomainExpr | None:
 
 
 def _point_shape(p: Point) -> DomainExpr:
-    """The domain _infer_point_domain reads off point_to_source(p)."""
+    """The domain the parser reads off point_to_source(p), where no domain is given."""
     if isinstance(p, (PairPt, SumPt)):
         return Prod(_point_shape(p.rest))
     return UNIT if isinstance(p, UnitPt) else NAT

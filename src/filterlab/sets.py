@@ -23,6 +23,7 @@ from .domains import (
     ExceptionTable,
     FilterLabError,
     Hidden,
+    NAT,
     Nat,
     NatPt,
     Point,
@@ -141,6 +142,11 @@ def leaf_set(points: Iterable[Point], tail_holds: bool, domain: DomainExpr) -> S
     return cofin_set(points, domain) if tail_holds else fin_set(points, domain)
 
 
+def nat_leaf(ns: Iterable[int], tail_holds: bool) -> SetExpr:
+    """leaf_set over Nat of the naturals ns, given in any order and with repeats."""
+    return _marked((CofinSet if tail_holds else FinSet)(tuple(map(NatPt, sorted(set(ns)))), NAT))
+
+
 def section_family(
     exceptions: Mapping[int, SetExpr], tail: SetExpr, domain: DomainExpr
 ) -> SetExpr:
@@ -150,8 +156,8 @@ def section_family(
         raise NotNormalForm("exception keys must be naturals")
     # equal SetExprs share a domain, so pruning tail-equal sections is safe
     fam = SectionFamily(exception_table(exceptions, tail), tail, domain)
-    validate_set(fam, domain)
-    return fam
+    _check_parts(fam, domain)
+    return _marked(fam)
 
 
 def listed_components(domain: DomainExpr) -> list[tuple[int, DomainExpr]]:
@@ -232,18 +238,22 @@ def validate_set(a: SetExpr, domain: DomainExpr | None = None) -> None:
         for i, sec in a.exceptions:
             if sec == a.tail:
                 raise NotNormalForm(f"exception {i} duplicates the tail")
-        parts = [(sec, component(domain, i)) for i, sec in a.exceptions]
-        for sec, d in parts + [(a.tail, tail_component(domain))]:
-            # a marked part over the right domain needs no call
-            if not (isinstance(sec, SetExpr) and sec._valid and sec.domain == d):
-                validate_set(sec, d)
-        covered = dict(a.exceptions)
-        for i, e in listed_components(domain):
-            if i not in covered:
-                raise NotNormalForm(f"index {i} has component {e!r} but would fall to the tail")
+        _check_parts(a, domain)
     else:
         raise NotNormalForm(f"not a SetExpr: {a!r}")
     _marked(a)
+
+
+def _check_parts(a: SectionFamily, domain: DomainExpr) -> None:
+    """Check that a's sections are normal over their components and cover its listed ones."""
+    parts = [(sec, component(domain, i)) for i, sec in a.exceptions]
+    for sec, d in parts + [(a.tail, tail_component(domain))]:
+        # a marked part over the right domain needs no call
+        if not (isinstance(sec, SetExpr) and sec._valid and sec.domain == d):
+            validate_set(sec, d)
+    for i, e in listed_components(domain):
+        if i not in a.keys:
+            raise NotNormalForm(f"index {i} has component {e!r} but would fall to the tail")
 
 
 def _check_sorted(points: tuple[Point, ...], domain: DomainExpr) -> None:

@@ -1,4 +1,4 @@
-"""Operation-count gates for the kernel and game paths.
+"""Operation-count gates for the kernel, game and parsing paths.
 
 These count calls, never wall time, so they are deterministic.
 """
@@ -12,7 +12,7 @@ import filterlab.rank as rank
 import filterlab.sets as sets_module
 from filterlab.constructions import InterleavedPair, ZFamily, random_tower_member, selector_shadow
 from filterlab.domains import DSum, NAT, Prod, UNIT
-from filterlab.dsl import parse_filter
+from filterlab.dsl import parse_filter, parse_set, set_to_source
 from filterlab.filters import frechet, katetov, kernel_set, member, principal, product
 from filterlab.game import (
     CopyStrategyI,
@@ -134,6 +134,18 @@ def test_set_algebra_validates_each_new_family_once(monkeypatch):
         set_union(a, set_complement(b))
         set_intersect(a, b)
     assert len(checks) <= len(families)
+
+
+def test_typed_set_literals_are_read_without_checks(monkeypatch):
+    # 137 validate_set and 436 check_point calls when each literal was read
+    # into a raw tree, then resolved, sorted and validated again
+    d = Prod(Prod(NAT))
+    sources = [set_to_source(gen_random_setexpr(d, 8, s)) for s in range(40)]
+    checks = counting(monkeypatch, "validate_set", sets_module)
+    points = counting(monkeypatch, "check_point", sets_module)
+    for src in sources:
+        parse_set(src, d)
+    assert (len(checks), len(points)) == (0, 0)
 
 
 def test_kernel_recursion_is_no_deeper_than_the_expression():

@@ -33,7 +33,6 @@ from filterlab.dsl import (
     set_to_source,
 )
 from filterlab.filters import (
-    dom_of,
     frechet,
     gen_random_filter,
     katetov,
@@ -42,7 +41,15 @@ from filterlab.filters import (
     seq_leaf,
     seq_sections,
 )
-from filterlab.sets import cofin_set, fin_set, gen_random_setexpr, section_family
+from filterlab.sets import (
+    CofinSet,
+    FinSet,
+    SectionFamily,
+    cofin_set,
+    fin_set,
+    gen_random_setexpr,
+    validate_set,
+)
 
 DOMAINS = [NAT, Prod(NAT), Prod(Prod(UNIT)), DSum((Prod(UNIT),), NAT)]
 
@@ -72,6 +79,39 @@ def test_random_set_round_trips(d):
     for seed in range(30):
         a = gen_random_setexpr(d, 8, seed)
         assert parse_set(set_to_source(a), d) == a
+
+
+def _unmarked(a):
+    """a rebuilt from the node constructors, with no part marked valid."""
+    if isinstance(a, SectionFamily):
+        excs = tuple((i, _unmarked(sec)) for i, sec in a.exceptions)
+        return SectionFamily(excs, _unmarked(a.tail), a.domain)
+    return type(a)(a.listed, a.domain)
+
+
+HAND_WRITTEN_SETS = [
+    "fin{(0,1),(2,3),(0,1)}",
+    "cofin{2,1,2}",
+    "cofin{3,1}@prod(unit)",
+    "sections({0: fin{1,(2,())}}, fin{})@prod(prod(unit))",
+    "sections({4: fin{()}, 1: cofin{}}, cofin{2})",
+    "sections({0: fin{(1,2,3)}}, cofin{})@dsum([prod(prod(nat))],prod(nat))",
+    "a = cofin{}; sections({1: a, 0: a}, fin{})",
+    "sections({3: fin{1}, 0: fin{1}}, fin{1})",
+]
+
+
+@pytest.mark.parametrize("d", DOMAINS)
+def test_parsed_sets_are_valid_normal_forms(d):
+    # the reader marks what it builds without validating it
+    sources = [set_to_source(gen_random_setexpr(d, 8, seed)) for seed in range(30)]
+    parsed = [parse_set(src, d) for src in sources] + [parse_set(src) for src in sources]
+    parsed += [parse_program(src)[1] for src in HAND_WRITTEN_SETS]
+    for a in parsed:
+        raw = _unmarked(a)
+        assert isinstance(raw, (FinSet, CofinSet, SectionFamily)) and not raw._valid
+        validate_set(raw)
+        assert raw == a
 
 
 def test_set_parse_infers_domain_from_shape():
@@ -179,6 +219,8 @@ def _parse_as(entry, src):
         return parse_set(src, NAT)
     if entry == "prod-set":
         return parse_set(src, Prod(NAT))
+    if entry == "prod-prod-set":
+        return parse_set(src, Prod(Prod(NAT)))
     return parse_seq(src, NAT)
 
 
@@ -249,12 +291,55 @@ def _parse_as(entry, src):
         # a digit that int() cannot read is not part of a natural
         ("program", "fin{²}", ("unexpected character '²'", 1, 5)),
         ("program", "fin{1²}", ("unexpected character '²'", 1, 6)),
+        # a tag governs its whole literal, so it is checked before any part is read
+        (
+            "prod-set",
+            "sections({0: fin{(1,2)}}, fin{})@prod(prod(nat))",
+            ("domain tag does not match this context", 1, 1),
+        ),
+        (
+            "prod-prod-set",
+            "sections({0: fin{1}}, fin{})@prod(nat)",
+            ("domain tag does not match this context", 1, 1),
+        ),
+        ("nat-set", "fin{(1,2)}@prod(nat)", ("domain tag does not match this context", 1, 1)),
+        # a literal's parts are read as they come, so a fault in one is found
+        # before a later syntax error
+        ("prod-set", "sections({0: fin{()}}, fin{1,})", ("expected a bare natural", 1, 14)),
+        # a sum domain too wide to build is reported at the literal's head
+        (
+            "program",
+            "sections({70000: fin{()}}, fin{})",
+            ("sum component 70000 lies past index 65535", 1, 1),
+        ),
+        (
+            "program",
+            "seq({0: seq({}, 0), 70000: seq({(): 1}, 0)}, seq({}, 0))",
+            ("sum component 70000 lies past index 65535", 1, 1),
+        ),
+        # and so is a table that leaves a component of its dsum to the tail
+        (
+            "program",
+            "sections({}, fin{})@dsum([prod(nat)],nat)",
+            ("index 0 has component Prod(inner=Nat()) but would fall to the tail", 1, 1),
+        ),
     ],
 )
 def test_parse_errors_are_exact(entry, src, expected):
     with pytest.raises(ParseError) as ei:
         _parse_as(entry, src)
     assert (ei.value.message, ei.value.line, ei.value.col) == expected
+
+
+def test_a_tag_governs_its_literal_in_every_context():
+    src = "sections({0: fin{1,(2,())}}, fin{})@prod(prod(unit))"
+    kind, a = parse_program(src)
+    assert kind == "set" and a.domain == Prod(Prod(UNIT))
+    assert parse_program(f"principal({src})") == ("filter", principal(a))
+    # the tag is found ahead wherever the literal stands in the text
+    first = "principal(sections({}, cofin{}@prod(unit)))"
+    assert parse_program(f"meet({first}, principal({src}))")[1].right == principal(a)
+    assert parse_set(src) == parse_set(src, Prod(Prod(UNIT))) == a
 
 
 def test_names_keep_their_characters():

@@ -14,8 +14,6 @@ from filterlab.domains import (
     NatPt,
     Prod,
     UNIT,
-    UNIT_PT,
-    point_key,
 )
 from filterlab.filters import (
     DIVERGENT,
@@ -23,17 +21,10 @@ from filterlab.filters import (
     DiagUnknown,
     DiagYes,
     FilterError,
-    FilterFamily,
-    Frechet,
-    FubiniSum,
     IdentityBij,
-    Intersection,
     Limit,
     Principal,
-    Product,
-    Pushforward,
     RepeatedSectionwiseFamily,
-    SectionFilter,
     SectionwiseFamily,
     TableBij,
     dom_of,
@@ -72,8 +63,6 @@ from filterlab.sets import (
     gen_random_setexpr,
     is_empty_set,
     section_family,
-    set_complement,
-    set_intersect,
 )
 
 DOMAINS = [NAT, Prod(NAT), Prod(Prod(UNIT)), DSum((Prod(UNIT),), NAT)]

@@ -47,7 +47,7 @@ from filterlab.game import (
     validate_transcript,
     verify_universal_family,
 )
-from filterlab.filters import FilterFamily, filter_family, limit_of, SectionwiseFamily
+from filterlab.filters import filter_family, limit_of, SectionwiseFamily
 from filterlab.sets import (
     cofin_set,
     empty_set,

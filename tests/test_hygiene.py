@@ -3,9 +3,10 @@
 A module-level function, class or name bound by assignment, and a function
 defined in any class body, must be spelled somewhere besides its
 definition: in `src/`, `tests/`, `benchmarks/` or `README.md` (dunder names
-aside).  A module other than the package root must name every module-level
-import it makes.  No module imports `dataclasses`: node classes come from
-`domains.node`, and importing `dataclasses` costs every CLI run.
+aside).  A module other than the package root, and every test file, must
+name every module-level import it makes.  No module imports `dataclasses`:
+node classes come from `domains.node`, and importing `dataclasses` costs
+every CLI run.
 """
 
 import ast
@@ -18,6 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 # paths relative to the repo root, as the messages print them
 MODULES = sorted(p.relative_to(ROOT) for p in (ROOT / "src" / "filterlab").glob("*.py"))
+TESTS = sorted(p.relative_to(ROOT) for p in (ROOT / "tests").glob("*.py"))
 
 
 def _words() -> Counter:
@@ -105,3 +107,8 @@ def test_every_module_level_name_is_used():
 @pytest.mark.parametrize("check", [unused_imports, dataclass_imports])
 def test_imports_are_used_and_dataclasses_is_not(check):
     assert [line for p in MODULES for line in check(p)] == []
+
+
+def test_test_files_use_their_imports():
+    assert len(TESTS) > 1
+    assert [line for p in TESTS for line in unused_imports(p)] == []

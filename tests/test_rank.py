@@ -17,15 +17,13 @@ from filterlab.filters import (
     limit_of,
     meet,
     principal,
-    product,
 )
-from filterlab.ordinals import OMEGA, ord_of_int, ord_str
+from filterlab.ordinals import ord_of_int, ord_str
 from filterlab.rank import (
     CertificateError,
     CopyWitness,
     InconsistentBounds,
     QHWitness,
-    RankBounds,
     WitnessRejected,
     bounds_of,
     bounds_text,

@@ -10,13 +10,11 @@ from filterlab.domains import (
     PairPt,
     Prod,
     UNIT,
-    UNIT_PT,
     enum_point,
     point_key,
     points_within,
 )
 from filterlab.sets import (
-    CofinSet,
     FinSet,
     NotNormalForm,
     ProgrammaticSet,

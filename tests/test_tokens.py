@@ -107,6 +107,9 @@ def test_language_examples_tokenize_alike(src):
         "frechet\n\n$",
         "# $ in a comment\n€",
         "fin{1}\x0b",
+        "\x0bfrechet",
+        "meet(frechet,\x0cfrechet)",
+        "frechet # $, ~ and ` in a comment\n",
     ],
 )
 def test_hand_written_inputs_tokenize_alike(src):
