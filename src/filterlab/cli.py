@@ -16,19 +16,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 from typing import Iterable, Sequence
 
-from .constructions import (
-    InterleavedPair,
-    ZFamily,
-    collapse_limit,
-    collapse_pair,
-    preimage_grid,
-    rank_type_gap_example,
-    selector_grid,
-    selector_shadow,
-    z_family_grid,
-)
 from .domains import FilterLabError
 from .dsl import (
     ParseError,
@@ -39,23 +29,38 @@ from .dsl import (
     set_to_source,
 )
 from .filters import DIVERGENT, dom_of, flim, member
-from .game import (
-    STRATEGIES_I,
-    STRATEGIES_II,
-    make_player_i,
-    make_player_ii,
-    play,
-    transcript_lines,
-)
-from .ordinals import ord_str
-from .rank import (
-    CertificateError,
-    InconsistentBounds,
-    bounds_text,
-    certificate_text,
-    rank_bounds,
-    replay_certificate,
-)
+
+# the names cli uses from each command module, bound when a command first
+# needs them: `member` and `flim` never compile rank, game or constructions
+_LAZY = {
+    "constructions": (
+        "InterleavedPair", "ZFamily", "collapse_limit", "collapse_pair", "preimage_grid",
+        "rank_type_gap_example", "selector_grid", "selector_shadow", "z_family_grid",
+    ),
+    "game": ("make_player_i", "make_player_ii", "play", "transcript_lines"),
+    "ordinals": ("ord_str",),
+    "rank": (
+        "InconsistentBounds", "bounds_text", "certificate_text", "rank_bounds",
+        "replay_certificate",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _load(*modules: str) -> None:
+    """Bind the modules' names here, keeping any name already set on this module."""
+    for module in modules:
+        m = import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(m, name))
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_HOME[name])
+    return globals()[name]
+
 
 DEFAULT_TRUNC = 10_000
 
@@ -154,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("filter")
     p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--pI", choices=sorted(STRATEGIES_I), default="full")
-    p.add_argument("--pII", choices=sorted(STRATEGIES_II), default="fresh")
+    p.add_argument("--pI", default="full")
+    p.add_argument("--pII", default="fresh")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
@@ -186,6 +191,7 @@ def _cmd_member(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace, out: _Output) -> int:
+    _load("rank", "ordinals")
     f = parse_filter(args.filter)
     bounds, cert = rank_bounds(f)
     if replay_certificate(cert) != bounds:
@@ -207,6 +213,7 @@ def _cmd_flim(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_game(args: argparse.Namespace, out: _Output) -> int:
+    _load("game")
     if args.rounds < 1:
         raise FilterLabError("--rounds must be positive")
     f = parse_filter(args.filter)
@@ -220,6 +227,7 @@ def _cmd_game(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace, out: _Output) -> int:
+    _load("rank", "constructions")
     trunc = args.trunc
     if args.name == "collapse-pair":
         cp = collapse_pair(args.depth)
@@ -315,13 +323,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (InconsistentBounds, CertificateError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except FilterLabError as e:
         at = "" if e.line is None else f"line {e.line}, column {e.col}: "
         print(f"error: {at}{e}", file=sys.stderr)
-        return 2
+        return e.exit_code
     except Exception as e:
         # keep exit 1 meaning "negative verdict" whatever goes wrong
         detail = " ".join(str(e).split())

@@ -253,9 +253,9 @@ class InterleavedPair:
     surjectivity.  Sweeps enumerate ever-larger square grids of pairs, so
     every pair is served at infinitely many stages.
 
-    Memo tables hold one coordinate key per stage and side and grow on
-    demand; pi builds a Point only when asked.  An instance needs exclusive
-    access.
+    Memo tables hold one coordinate key per stage and side, and each side
+    grows on its own demand; pi builds a Point only when asked.  An instance
+    needs exclusive access.
     """
 
     def __init__(self, alpha: int) -> None:
@@ -271,10 +271,9 @@ class InterleavedPair:
         self._lines: tuple[list[int], list[int]] = ([], [])
         self._line_pos: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self._enum_pos = [0, 0]
-        # row-major cursor into the current sweep's grid; after t regular
-        # stages it must equal _round_pair(t)
-        self._sweep = 0
-        self._sweep_pair = (0, 0)
+        # each side's row-major cursor into its current sweep's grid, as
+        # (sweep, i, j); after t regular stages it must equal _round_pair(t)
+        self._sweep = [(0, 0, 0), (0, 0, 0)]
 
     def _next_line_key(self, side: int, i: int) -> tuple[int, ...]:
         j = self._line_pos[side].get(i, 0)
@@ -291,38 +290,36 @@ class InterleavedPair:
         self._enum_pos[side] = m + 1
         return key
 
-    def _advance(self) -> None:
-        g = len(self._points[0])
+    def _advance(self, side: int) -> None:
+        """Allocate the side's next stage; neither side reads the other's state."""
+        g = len(self._points[side])
         if g % 3 == 2:
-            keys = (self._next_enum_key(0), self._next_enum_key(1))
-            lines = tuple(map(self.zfamily.line_of_key, keys))
+            key = self._next_enum_key(side)
+            line = self.zfamily.line_of_key(key)
         else:
-            i, j = self._sweep_pair
-            if j + 1 <= self._sweep:
-                self._sweep_pair = (i, j + 1)
-            elif i + 1 <= self._sweep:
-                self._sweep_pair = (i + 1, 0)
-            else:
-                self._sweep += 1
-                self._sweep_pair = (0, 0)
-            keys = (self._next_line_key(0, i), self._next_line_key(1, j))
-            lines = (i, j)
-        for side, key in enumerate(keys):
-            self._points[side].append(key)
-            self._lines[side].append(lines[side])
-            self._inv[side][key] = g
+            r, i, j = self._sweep[side]
+            self._sweep[side] = (r, i, j + 1) if j < r else (r, i + 1, 0) if i < r else (r + 1, 0, 0)
+            line = (i, j)[side]
+            key = self._next_line_key(side, line)
+        self._points[side].append(key)
+        self._lines[side].append(line)
+        self._inv[side][key] = g
+
+    def _fill(self, side: int, n: int) -> None:
+        while len(self._points[side]) < n:
+            self._advance(side)
 
     def ensure(self, n: int) -> None:
-        """Allocate through stage n-1."""
-        while len(self._points[0]) < n:
-            self._advance()
+        """Allocate through stage n-1 on both sides."""
+        self._fill(0, n)
+        self._fill(1, n)
 
     def pi(self, side: int, n: int) -> Point:
         if side not in (0, 1):
             raise DomainError("side must be 0 or 1")
         if n < 0:
             raise DomainError("stage must be a natural")
-        self.ensure(n + 1)
+        self._fill(side, n + 1)
         return point_from_key(self.domain, self._points[side][n])
 
     def index_of(self, side: int, p: Point) -> int:
@@ -334,12 +331,12 @@ class InterleavedPair:
         check_point(p, self.domain)
         key = point_key(p)
         if key not in self._inv[side]:
-            self.ensure(3 * (index_of_tuple(key) + 2))
+            self._fill(side, 3 * (index_of_tuple(key) + 2))
         return self._inv[side][key]
 
     def stage_lines(self, side: int, trunc: int) -> list[int]:
         """The line through the point allocated at each stage below trunc."""
-        self.ensure(trunc)
+        self._fill(side, trunc)
         return self._lines[side][:trunc]
 
     def preimage_indices(self, side: int, i: int, trunc: int) -> list[int]:

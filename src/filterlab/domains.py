@@ -28,6 +28,7 @@ class FilterLabError(Exception):
 
     line: int | None = None
     col: int | None = None
+    exit_code = 2  # the CLI's exit status: bad input
 
 
 class DomainError(FilterLabError):

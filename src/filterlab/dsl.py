@@ -487,6 +487,8 @@ class _Parser:
             if not all(isinstance(v, Fraction) for _, v in entries):
                 raise self.fail("leaf sequences need rational values", at)
             values = dict(zip(pts, (v for _, v in entries)))
+            if len(values) < len(entries):  # two spellings of one point
+                raise self.fail("repeated key in a sequence table", at)
             return LeafSeq(exception_table(values, tail, key=point_key), tail, d)
         for key, val in entries:
             if d is not None and (not isinstance(key, int) or isinstance(val, Fraction)):

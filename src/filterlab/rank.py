@@ -51,10 +51,12 @@ from .sets import SetExpr, cofin_set, finite_points
 
 class InconsistentBounds(FilterLabError):
     """Two sound derivations produced an empty bounds interval."""
+    exit_code = 3  # an internal inconsistency, not bad input
 
 
 class CertificateError(FilterLabError):
     """A certificate failed to replay."""
+    exit_code = 3
 
 
 class WitnessRejected(FilterLabError):

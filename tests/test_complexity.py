@@ -210,6 +210,14 @@ def test_selector_shadow_reads_the_stage_lines(monkeypatch):
     assert len(contains) + len(index_of) <= trunc
 
 
+def test_selector_shadow_streams_only_side_one(monkeypatch):
+    # 21,476 line_key and line_of_key calls when every stage allocated both sides
+    keys = counting(monkeypatch, "line_key", ZFamily)
+    lines = counting(monkeypatch, "line_of_key", ZFamily)
+    selector_shadow(InterleavedPair(2), 10**4)
+    assert len(keys) + len(lines) <= 11_000
+
+
 def test_tower_membership_reads_only_the_tail(monkeypatch):
     # 2,475 member calls when every level assembled its whole verdict set
     f = katetov(8)

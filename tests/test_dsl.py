@@ -221,6 +221,8 @@ def _parse_as(entry, src):
         return parse_set(src, Prod(NAT))
     if entry == "prod-prod-set":
         return parse_set(src, Prod(Prod(NAT)))
+    if entry == "prod-prod-seq":
+        return parse_seq(src, Prod(Prod(NAT)))
     return parse_seq(src, NAT)
 
 
@@ -322,6 +324,18 @@ def _parse_as(entry, src):
             "program",
             "sections({}, fin{})@dsum([prod(nat)],nat)",
             ("index 0 has component Prod(inner=Nat()) but would fall to the tail", 1, 1),
+        ),
+        # two spellings of one point are one key
+        ("program", "seq({(1,(2,3)): 1, (1,2,3): 2}, 0)", ("repeated key in a sequence table", 1, 1)),
+        (
+            "prod-prod-seq",
+            "seq({(1,(2,3)): 1, (1,2,3): 2}, 0)",
+            ("repeated key in a sequence table", 1, 1),
+        ),
+        (
+            "program",
+            "seq({0: seq({(1,(2,3)): 1, (1,2,3): 2}, 0)}, seq({}, 0))",
+            ("repeated key in a sequence table", 1, 9),
         ),
     ],
 )

@@ -1,4 +1,4 @@
-"""The package root: its pinned public names and their defaulted parameters, lazy resolution and the README's Python code."""
+"""The package root and the CLI: pinned public names and defaulted parameters, lazy resolution, the modules each command loads, and the README's Python code."""
 
 import importlib
 import inspect
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import filterlab
+import filterlab.cli as cli
 
 SRC = str(Path(filterlab.__file__).resolve().parents[1])
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -133,8 +134,75 @@ def test_importing_dsl_loads_only_what_it_needs():
     assert fresh(f"import filterlab.dsl; {LOADED}") == f"{expected}\n"
 
 
-# Counts the exec calls that the import makes itself (the import system's
-# own module execs aside) and the node classes it defines.
+CORE = ["domains", "dsl", "filters", "sets"]
+
+
+def test_importing_the_cli_loads_only_what_member_and_flim_need():
+    expected = ["filterlab.cli", *(f"filterlab.{m}" for m in CORE)]
+    assert fresh(f"import filterlab.cli; {LOADED}") == f"{expected}\n"
+
+
+# Runs one command as `python -m filterlab.cli` does, then prints its exit
+# code and the modules it loaded.
+RUN_COMMAND = """
+import runpy, sys
+sys.argv = ["filterlab", *{argv!r}]
+try:
+    runpy.run_module("filterlab.cli", run_name="__main__")
+except SystemExit as e:
+    code = e.code
+print(code, sorted(m[len("filterlab."):] for m in sys.modules if m.startswith("filterlab.")))
+"""
+
+
+CONSTRUCT = ["constructions", "ordinals", "rank"]
+
+
+@pytest.mark.parametrize(
+    "argv, more",
+    [
+        (["member", "frechet", "cofin{1}"], []),
+        (["flim", "seq({}, 1)", "frechet"], []),
+        (["rank", "katetov(2)"], ["ordinals", "rank"]),
+        (["game", "frechet", "--rounds", "2"], ["game"]),
+        (["construct", "zfamily", "--depth", "2", "--trunc", "300"], CONSTRUCT),
+        (["construct", "collapse-limit"], CONSTRUCT),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_calls(argv, more):
+    last = fresh(RUN_COMMAND.format(argv=argv)).splitlines()[-1]
+    assert last == f"0 {sorted(CORE + more)}"
+
+
+def test_cli_names_resolve_to_their_defining_module_bindings():
+    for module, names in cli._LAZY.items():
+        home = importlib.import_module(f"filterlab.{module}")
+        for name in names:
+            assert getattr(cli, name) is getattr(home, name), name
+
+
+def test_a_name_patched_on_the_cli_is_the_one_its_command_calls(monkeypatch, capsys):
+    calls = []
+    real = cli.rank_bounds
+
+    def spy(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(cli, "rank_bounds", spy)
+    assert cli.main(["rank", "katetov(2)"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith("bounds: [2,2]\n")
+
+
+def test_an_unknown_cli_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
+# Counts the exec calls that the imports make themselves (the import system's
+# own module execs aside) and the node classes they define; the CLI loads its
+# command modules on demand, so they are imported after it.
 COUNT_CODE_GENERATION = """
 import builtins, sys
 calls = 0
@@ -144,7 +212,7 @@ def counting_exec(*args, **kwargs):
     calls += not sys._getframe(1).f_code.co_filename.startswith("<frozen importlib")
     return real_exec(*args, **kwargs)
 builtins.exec = counting_exec
-import filterlab.cli
+import filterlab.cli, filterlab.rank, filterlab.game, filterlab.constructions
 nodes = {
     c for name, m in list(sys.modules.items()) if name.startswith("filterlab.")
     for c in vars(m).values() if isinstance(c, type) and "__node_fields__" in vars(c)
