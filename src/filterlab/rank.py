@@ -13,7 +13,7 @@ import re
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .domains import DomainExpr, FilterLabError, NAT, NatPt, fresh_index, node
+from .domains import DomainExpr, FilterLabError, Hidden, NAT, NatPt, fresh_index, node
 from .filters import (
     BijectionSpec,
     FilterExpr,
@@ -71,6 +71,7 @@ class WitnessRejected(FilterLabError):
 class RankBounds:
     lo: Ordinal
     hi: Ordinal | None  # None: no upper bound derived
+    _source: str | None = Hidden(None)  # the printed text, kept by bounds_text
 
     def __post_init__(self) -> None:
         if self.hi is not None and self.hi < self.lo:
@@ -93,8 +94,10 @@ def bounds_of(lo: int | Ordinal, hi: int | Ordinal | None) -> RankBounds:
 
 
 def bounds_text(b: RankBounds) -> str:
-    hi = "*" if b.hi is None else ord_str(b.hi)
-    return f"[{ord_str(b.lo)},{hi}]"
+    if b._source is None:
+        hi = "*" if b.hi is None else ord_str(b.hi)
+        object.__setattr__(b, "_source", f"[{ord_str(b.lo)},{hi}]")
+    return b._source
 
 
 # certificate text repeats a few (immutable) bounds on nearly every line
@@ -108,6 +111,8 @@ def parse_bounds(text: str) -> RankBounds:
         hi = None if m.group(2) == "*" else parse_ordinal(m.group(2))
     except OrdinalError as e:
         raise CertificateError(f"malformed bounds {text!r}: {e}") from None
+    if hi is not None and hi < lo:
+        raise CertificateError(f"malformed bounds {text!r}: empty interval")
     return RankBounds(lo, hi)
 
 
@@ -121,8 +126,11 @@ def min_hi(a: RankBounds, b: RankBounds) -> Ordinal | None:
 
 
 def intersect_bounds(a: RankBounds, b: RankBounds, where: str = "") -> RankBounds:
-    lo = max(a.lo, b.lo)
-    hi = min_hi(a, b)
+    """The bounds both a and b give: the one of them within the other, if any."""
+    lo, hi = max(a.lo, b.lo), min_hi(a, b)
+    for c in (a, b):
+        if c.lo == lo and c.hi == hi:
+            return c
     if hi is not None and hi < lo:
         ctx = f" at {where}" if where else ""
         raise InconsistentBounds(
@@ -196,6 +204,7 @@ CITES = {
     "the target contains an isomorphic copy, so its rank is at least the "
     "source's rank",
 }
+_CITE_TOKEN = {rule: f'cite="{claim}"' for rule, claim in CITES.items()}  # as RULE lines print it
 
 # each rule's links to its node's children: the roles of the children it
 # reads, in input order, and its parameters that restate those inputs, as
@@ -223,31 +232,33 @@ _LINKS = {
 }
 
 
+def _need(name: str, inputs: Sequence[RankBounds], k: int) -> RankBounds:
+    if len(inputs) <= k:
+        raise CertificateError(f"{name}: missing input {k}")
+    return inputs[k]
+
+
+def _need_hi(name: str, inputs: Sequence[RankBounds], k: int) -> Ordinal:
+    if (hi := _need(name, inputs, k).hi) is None:
+        raise CertificateError(f"{name}: unbounded input where a bound is needed")
+    return hi
+
+
+def _param(name: str, params: Mapping[str, str], key: str, nat: bool = False) -> str:
+    value = params.get(key)
+    if value is None or nat and not (value.isascii() and value.isdigit()):
+        raise CertificateError(f"{name}: missing or malformed parameter {key}={value!r}")
+    return value
+
+
 def eval_rule(
     name: str, params: Mapping[str, str], inputs: Sequence[RankBounds]
 ) -> RankBounds:
     """Recompute a rule application's output from its inputs and parameters."""
-
-    def need(k: int) -> RankBounds:
-        if len(inputs) <= k:
-            raise CertificateError(f"{name}: missing input {k}")
-        return inputs[k]
-
-    def need_hi(b: RankBounds) -> Ordinal:
-        if b.hi is None:
-            raise CertificateError(f"{name}: unbounded input where a bound is needed")
-        return b.hi
-
-    def param(key: str, nat: bool = False) -> str:
-        value = params.get(key)
-        if value is None or nat and not (value.isascii() and value.isdigit()):
-            raise CertificateError(f"{name}: missing or malformed parameter {key}={value!r}")
-        return value
-
     if name == "R0":
         return TOP if params.get("free") == "yes" else RankBounds(ZERO, ZERO)
     if name == "RKat":
-        d = ord_of_int(int(param("depth", nat=True)))
+        d = ord_of_int(int(_param(name, params, "depth", nat=True)))
         return RankBounds(d, d)
     if name == "RMono":
         his = [b.hi for b in inputs if b.hi is not None]
@@ -255,30 +266,29 @@ def eval_rule(
             raise CertificateError("RMono: no bounded input")
         return RankBounds(ZERO, min(his))
     if name == "RFubLo":
-        return RankBounds(ord_add(need(0).lo, need(1).lo), None)
+        return RankBounds(ord_add(_need(name, inputs, 0).lo, _need(name, inputs, 1).lo), None)
     if name in ("RFubHi", "RLimHi"):
-        return RankBounds(
-            ZERO, ord_add(ord_add(need_hi(need(0)), ONE), need_hi(need(1)))
-        )
+        xi, alpha = _need_hi(name, inputs, 0), _need_hi(name, inputs, 1)
+        return RankBounds(ZERO, ord_add(ord_succ(xi), alpha))
     if name in ("RFubFr", "RLimHi1"):
-        return RankBounds(ZERO, ord_succ(need_hi(need(0))))
+        return RankBounds(ZERO, ord_succ(_need_hi(name, inputs, 0)))
     if name == "RFubExact":
-        a = need(0).exact
+        a = _need(name, inputs, 0).exact
         if a is None:
             raise CertificateError("RFubExact: summand bounds not exact")
         return RankBounds(ord_succ(a), ord_succ(a))
     if name == "RLimLo":
-        if need(0).lo < ONE:
+        if _need(name, inputs, 0).lo < ONE:
             raise CertificateError("RLimLo: family members not all free")
         return RankBounds(ONE, None)
     if name in ("RLimConst", "RSection", "RIso"):
-        return need(0)
+        return _need(name, inputs, 0)
     if name == "RCert":
-        return parse_bounds(param("bounds"))
+        return parse_bounds(_param(name, params, "bounds"))
     if name == "RQH":
-        return RankBounds(ZERO, need_hi(need(0)))
+        return RankBounds(ZERO, _need_hi(name, inputs, 0))
     if name == "RCopy":
-        return RankBounds(need(0).lo, None)
+        return RankBounds(_need(name, inputs, 0).lo, None)
     raise CertificateError(f"unknown rule {name!r}")
 
 
@@ -311,6 +321,11 @@ class CertifiedFilter:
     bounds: RankBounds
     provenance: str
     decide: Callable[[object], bool | None]
+
+    def __post_init__(self) -> None:  # its certificate node's label holds both on one line
+        for text in (self.name, self.provenance):
+            if "".join(text.splitlines()) != text:
+                raise FilterLabError(f"certified filter text {text!r} breaks a line")
 
 
 RankSubject = Union[FilterExpr, CertifiedFilter]
@@ -562,7 +577,7 @@ def _render(node: CertNode, depth: int, lines: list[str]) -> None:
     for a in node.applied:
         parts = [f"{pad}  RULE {a.rule}"]
         parts += [f"{k}={v}" for k, v in a.params]
-        parts.append(f'cite="{CITES[a.rule]}"')
+        parts.append(_CITE_TOKEN[a.rule])
         parts += [f"in={bounds_text(b)}" for b in a.inputs]
         parts.append(f"out={bounds_text(a.output)}")
         lines.append(" ".join(parts))
@@ -578,10 +593,13 @@ def certificate_from_text(text: str) -> RankCertificate:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     pos = 0
 
-    def parse_node(depth: int) -> CertNode:
+    def node_at(depth: int) -> re.Match | None:
+        m = _NODE_RE.match(lines[pos]) if pos < len(lines) else None
+        return m if m and len(m.group(1)) == 2 * depth else None
+
+    def parse_node(depth: int, m: re.Match | None) -> CertNode:
         nonlocal pos
-        m = _NODE_RE.match(lines[pos])
-        if not m or len(m.group(1)) != 2 * depth:
+        if not m:
             raise CertificateError(f"expected NODE at line {pos + 1}")
         label, final = m.group(2), parse_bounds(m.group(3))
         pos += 1
@@ -593,30 +611,26 @@ def certificate_from_text(text: str) -> RankCertificate:
             apps.append(_parse_rule(r.group(2), r.group(3)))
             pos += 1
         kids: list[CertNode] = []
-        while pos < len(lines):
-            n = _NODE_RE.match(lines[pos])
-            if not n or len(n.group(1)) != 2 * (depth + 1):
-                break
-            kids.append(parse_node(depth + 1))
+        while n := node_at(depth + 1):
+            kids.append(parse_node(depth + 1, n))
         return CertNode(label, tuple(apps), final, tuple(kids))
 
-    root = parse_node(0)
+    root = parse_node(0, node_at(0))
     if pos != len(lines):
         raise CertificateError(f"trailing certificate content at line {pos + 1}")
     return RankCertificate(root)
 
 
 def _parse_rule(name: str, rest: str) -> RuleApp:
-    cite = ""
-    cm = re.search(r'cite="([^"]*)"', rest)
-    if cm:
-        cite = cm.group(1)
-        rest = rest[: cm.start()] + rest[cm.end():]
+    # the first cite=" and the next quote, wherever they stand
+    head, _, after = rest.partition('cite="')
+    cite, closed, tail = after.partition('"')
+    rest, cite = (head + tail, cite) if closed else (rest, "")
     params: list[tuple[str, str]] = []
     inputs: list[RankBounds] = []
     output: RankBounds | None = None
     # replay would read a repeated key's last copy, where the text shows its first
-    seen = {"cite"} if cm else set()
+    seen = {"cite"} if closed else set()
     for tok in rest.split():
         key, _, val = tok.partition("=")
         if not _:

@@ -1,4 +1,4 @@
-"""Operation-count gates for the kernel, game and parsing paths.
+"""Operation-count gates for the kernel, game, parsing and certificate paths.
 
 These count calls, never wall time, so they are deterministic.
 """
@@ -8,6 +8,7 @@ import math
 import filterlab.dsl as dsl
 import filterlab.filters as filters
 import filterlab.game as game
+import filterlab.ordinals as ordinals
 import filterlab.rank as rank
 import filterlab.sets as sets_module
 from filterlab.constructions import InterleavedPair, ZFamily, random_tower_member, selector_shadow
@@ -92,6 +93,30 @@ def test_kernel_set_after_rank_bounds_reads_the_kept_kernels(monkeypatch):
     rank_bounds(f)
     filters.kernel_set(f)
     assert len(computed) <= 2 * 128 - 1
+
+
+def test_certificate_round_trip_builds_and_prints_each_bound_once(monkeypatch):
+    # 3,692 ord_str calls and 1,659 RankBounds when every bound was rebuilt
+    # by each intersection and reprinted by each line that shows it
+    f = meet_chain(128)
+    rank.parse_bounds.cache_clear()
+    printed = counting(monkeypatch, "ord_str", ordinals)
+    monkeypatch.setattr(rank, "ord_str", ordinals.ord_str)
+    built = []
+    init = rank.RankBounds.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(rank.RankBounds, "__init__", counted_init)
+    bounds, cert = rank_bounds(f)
+    text = rank.certificate_text(cert)
+    parsed = rank.certificate_from_text(text)
+    assert rank.replay_certificate(parsed) == bounds
+    assert rank.certificate_text(parsed) == text
+    assert len(printed) <= 770
+    assert len(built) <= 767
 
 
 def test_limit_kernel_intersections_are_polynomial(monkeypatch):
