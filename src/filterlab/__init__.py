@@ -130,19 +130,14 @@ _EXPORTS = {
         "RandomFiniteII",
         "SepIn",
         "SepOut",
-        "SepUnknown",
         "Transcript",
-        "UniversalFamily",
         "UniversalII",
-        "column_segments_family",
         "copy_column_bound",
         "play",
         "replay_transcript",
         "separator_verdict",
-        "singleton_family",
         "transcript_lines",
         "validate_transcript",
-        "verify_universal_family",
     ),
     "constructions": (
         "BlockInterleaveBij",

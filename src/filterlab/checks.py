@@ -87,7 +87,6 @@ from .game import (
     play,
     replay_transcript,
     separator_verdict,
-    singleton_family,
     union_size,
     validate_transcript,
 )
@@ -454,30 +453,36 @@ def check_games(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
 # separator verdicts: members in, dual members out, nothing unknown
 
 
-def check_separator(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
-    d = Prod(NAT)
-    inner = filter_family({}, frechet(NAT))
-    lim = limit_of(frechet(NAT), SectionwiseFamily(inner, d))
-    u = singleton_family(NAT)
-    rng = Random(seed * 97 + 5)
-    # per verdict: what, where, membership test, tail kind, point bound, count bound
-    sides = {
-        SepIn: ("member", "inside", member, cofin_set, 9, 4),
-        SepOut: ("dual member", "outside", dual_member, fin_set, 30, 5),
+# per verdict: what, where, membership test, tail kind, point bound, count bound
+_SEPARATOR_SIDES = {
+    SepIn: ("member", "inside", member, cofin_set, 9, 4),
+    SepOut: ("dual member", "outside", dual_member, fin_set, 30, 5),
+}
+
+
+def _separator_set(rng: Random, want: type):
+    """A random set over Prod(NAT) of the side check_separator judges want."""
+    *_, tail, top, count = _SEPARATOR_SIDES[want]
+    sections = {
+        j: gen_random_setexpr(NAT, 8, rng.randrange(1 << 30))
+        for j in sorted(rng.sample(range(8), rng.randrange(3)))
     }
+    pts = [NatPt(rng.randrange(top)) for _ in range(rng.randrange(count))]
+    return section_family(sections, tail(pts, NAT), Prod(NAT))
+
+
+def check_separator(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
+    inner = filter_family({}, frechet(NAT))
+    lim = limit_of(frechet(NAT), SectionwiseFamily(inner, Prod(NAT)))
+    rng = Random(seed * 97 + 5)
     verdicts: list = []
 
     def judged(want: type, i: int) -> str:
-        what, _, holds, tail, top, count = sides[want]
-        sections = {
-            j: gen_random_setexpr(NAT, 8, rng.randrange(1 << 30))
-            for j in sorted(rng.sample(range(8), rng.randrange(3)))
-        }
-        pts = [NatPt(rng.randrange(top)) for _ in range(rng.randrange(count))]
-        s = section_family(sections, tail(pts, NAT), d)
+        what, _, holds, *_ = _SEPARATOR_SIDES[want]
+        s = _separator_set(rng, want)
         if not holds(lim, s):
             return f"{what} generator produced a non-{what.replace(' ', '-')} at {i}"
-        v = separator_verdict(lim, u, inner, s)
+        v = separator_verdict(inner, s)
         verdicts.append(v)
         return "" if isinstance(v, want) else f"{what} {i} judged {type(v).__name__}"
 
@@ -486,7 +491,7 @@ def check_separator(trunc: int = 10_000, seed: int = 0) -> list[CheckResult]:
             f"{SEPARATOR_SETS} {what}s all judged {where}",
             (judged(want, i) for i in range(SEPARATOR_SETS)),
         )
-        for want, (what, where, *_) in sides.items()
+        for want, (what, where, *_) in _SEPARATOR_SIDES.items()
     ]
     unknowns = sum(not isinstance(v, (SepIn, SepOut)) for v in verdicts)
     out.append(_res("no unknown verdicts", unknowns == 0, f"{unknowns} unknown"))

@@ -15,7 +15,7 @@ built on the one before.
 from __future__ import annotations
 
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .domains import (
     DomainError,
@@ -46,7 +46,6 @@ from .sets import (
     FinSet,
     SetExpr,
     empty_set,
-    exception_keys,
     first_point,
     full_set,
     is_empty_set,
@@ -66,11 +65,7 @@ class IllegalMove(FilterLabError):
 
 
 class NoUniversalWitness(FilterLabError):
-    """No generated set fit inside the opponent's move within the bound."""
-
-
-class BadSample(FilterLabError):
-    """A verification sample was not a member of the filter."""
+    """No point of the opponent's move has an enumeration index within the bound."""
 
 
 class SearchExhausted(FilterLabError):
@@ -196,53 +191,6 @@ def tail_columns(domain: DomainExpr, n: int) -> SetExpr:
 
 
 # ---------------------------------------------------------------------------
-# universal families
-
-
-@node
-class UniversalFamily:
-    """Indexed families Z_n = {Z_n^k : k} of finite nonempty point sets."""
-
-    name: str
-    domain: DomainExpr
-    generator: Callable[[int, int], tuple[Point, ...]]
-    stability_bound: Callable[[SetExpr, int], int] | None = None
-    n_independent: bool = False
-    # the least k with Z_n^k inside m for every n, or None, where a formula
-    # gives it without scanning k
-    _least: Callable[[SetExpr], int | None] | None = None
-
-
-def singleton_family(domain: DomainExpr) -> UniversalFamily:
-    """Z_n^k = {k-th point}; universal for the cofinite filter."""
-    stability = least = None
-    if is_linear_domain(domain):
-        stability = lambda m, n: set_span(m)
-        # here the enumeration is the canonical order: the first member fits first
-        least = lambda m: None if (p := first_point(m)) is None else point_index(domain, p)
-    return UniversalFamily(
-        "singletons",
-        domain,
-        lambda n, k: (enum_point(domain, k),),
-        stability_bound=stability,
-        n_independent=True,
-        _least=least,
-    )
-
-
-def column_segments_family(domain: DomainExpr) -> UniversalFamily:
-    """Z_n^k = {k} x [0, n] over a product domain."""
-
-    def gen(n: int, k: int) -> tuple[Point, ...]:
-        comp = component(domain, k)
-        return tuple(make_point(domain, k, enum_point(comp, j)) for j in range(n + 1))
-
-    return UniversalFamily(
-        "column-segments", domain, gen, stability_bound=lambda m, n: set_span(m)
-    )
-
-
-# ---------------------------------------------------------------------------
 # player II strategies
 
 
@@ -253,18 +201,32 @@ class UniversalII:
     bound = 10**4
 
     def start(self, f: FilterExpr, seed: int) -> Callable[[GameState, SetExpr], tuple[Point, ...]]:
-        fam, bound = singleton_family(dom_of(f)), self.bound
+        domain, bound = dom_of(f), self.bound
+        linear = is_linear_domain(domain)
 
         def move(state: GameState, c: SetExpr) -> tuple[Point, ...]:
             n = state.round_number
-            k = _least_fit(fam, c, n, bound)
+            k = _least_index(domain, c, bound, linear)
             if k is None:
                 raise NoUniversalWitness(
                     f"no generated set fit inside the round-{n} move within k <= {bound}"
                 )
-            return fam.generator(n, k)
+            return (enum_point(domain, k),)
 
         return move
+
+
+def _least_index(domain: DomainExpr, c: SetExpr, bound: int, linear: bool) -> int | None:
+    """The least enumeration index k <= bound whose point lies in c, or None.
+
+    On a linear domain the enumeration is the canonical order, so the first
+    point of c has the least index; elsewhere the indices are scanned.
+    """
+    if linear:
+        p = first_point(c)
+        k = None if p is None else point_index(domain, p)
+        return k if k is not None and k <= bound else None
+    return next((k for k in range(bound + 1) if set_member(enum_point(domain, k), c)), None)
 
 
 class FreshElementII:
@@ -466,87 +428,11 @@ def copy_column_bound(t: Transcript) -> tuple[bool, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# universality and diagonalization verification
-
-
-@node
-class SampleUniversality:
-    index: int
-    witnesses: tuple[tuple[int, int | None], ...]  # (n, least fitting k or None)
-    diag: tuple[int, int] | None  # (n, exact threshold m)
-
-
-@node
-class UniversalityReport:
-    entries: tuple[SampleUniversality, ...]
-    passed: bool
-
-
-def verify_universal_family(
-    u: UniversalFamily, f: FilterExpr, samples: Sequence[SetExpr]
-) -> UniversalityReport:
-    """For each sample member m: the least k <= 10**4 with Z_n^k inside m for
-    each n < 3, and a diagonal threshold at some n < 8."""
-    entries = []
-    passed = True
-    for idx, m in enumerate(samples):
-        if not member(f, m):
-            raise BadSample(f"sample {idx} is not a member of the filter")
-        wits = [(n, _least_fit(u, m, n, 10**4)) for n in range(3)]
-        passed = passed and all(least is not None for _, least in wits)
-        diag = _diag_threshold(u, m, 8)
-        if diag is None:
-            passed = False
-        entries.append(SampleUniversality(idx, tuple(wits), diag))
-    return UniversalityReport(tuple(entries), passed)
-
-
-def _least_fit(u: UniversalFamily, m: SetExpr, n: int, bound: int) -> int | None:
-    """The least k <= bound with Z_n^k inside m, or None."""
-    if u._least is not None and m.domain == u.domain:
-        k = u._least(m)
-        return k if k is not None and k <= bound else None
-    fits = (k for k in range(bound + 1) if all(set_member(p, m) for p in u.generator(n, k)))
-    return next(fits, None)
-
-
-def _diag_threshold(u: UniversalFamily, m: SetExpr, n_bound: int) -> tuple[int, int] | None:
-    """An (n, threshold) with Z_n^k meeting m for every k past the threshold.
-
-    Exact: the generator declares an index past which the meeting verdict is
-    k-uniform on eventually uniform sets.
-    """
-    if u.stability_bound is None:
-        return None
-    return _stable_threshold(
-        range(n_bound),
-        lambda n: max(u.stability_bound(m, n), 0),
-        lambda n, k: any(set_member(p, m) for p in u.generator(n, k)),
-    )
-
-
-def _stable_threshold(
-    ns: Iterable[int], k0_of: Callable[[int], int], holds: Callable[[int, int], bool]
-) -> tuple[int, int] | None:
-    """The first n whose verdict holds at its stable index k0, with its threshold.
-
-    Past k0 the verdict no longer depends on k, so the threshold is one past
-    the last k below k0 where it fails.
-    """
-    for n in ns:
-        k0 = k0_of(n)
-        if holds(n, k0):
-            return n, 1 + max((k for k in range(k0) if not holds(n, k)), default=-1)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # separator verdicts
 
 
 @node
 class SepIn:
-    n: int
     threshold: int
 
 
@@ -555,41 +441,19 @@ class SepOut:
     pass
 
 
-@node
-class SepUnknown:
-    bound: int
+def separator_verdict(sep: FilterFamily, a: SetExpr) -> SepIn | SepOut:
+    """Place a in or out of the separator set: the sets whose section k is in
+    S_k, sep's k-th filter, for every k past some threshold.
 
-
-SepVerdict = SepIn | SepOut | SepUnknown
-
-
-def separator_verdict(
-    lim: FilterExpr, u: UniversalFamily, sep: FilterFamily, a: SetExpr
-) -> SepVerdict:
-    """Place a in or out of the union-of-intersections separator set.
-
-    The set is: some n and m such that for every k past m, some index i in
-    Z_n^k has a in S_i, sep's i-th filter (for a sectionwise limit, its own
-    family).  With an n-independent generator and eventually uniform
-    separators the for-all-k tail stabilizes, making the verdict exact in
-    both directions.  Otherwise it searches n < 8.
+    Past k0, one past every index a or sep lists, neither the section nor
+    the filter depends on k, so the verdict at k0 is the tail's and the
+    threshold is one past the last k below k0 where it fails.
     """
 
-    def holds(i: int) -> bool:
-        return member(sep.at(i), section(a, i))
+    def holds(k: int) -> bool:
+        return member(sep.at(k), section(a, k))
 
-    def clause(n: int, k: int) -> bool:
-        return any(holds(point_key(p)[0]) for p in u.generator(n, k))
-
-    if u.stability_bound is None:
-        return SepUnknown(0)
-    hit = _stable_threshold(
-        [0] if u.n_independent else range(8),
-        lambda n: max(u.stability_bound(a, n), fresh_index(sep.keys, exception_keys(a)), 0),
-        clause,
-    )
-    if hit is not None:
-        return SepIn(*hit)
-    if u.n_independent:
+    k0 = max(set_span(a), fresh_index(sep.keys))
+    if not holds(k0):
         return SepOut()
-    return SepUnknown(8)
+    return SepIn(1 + max((k for k in range(k0) if not holds(k)), default=-1))

@@ -597,10 +597,15 @@ def certificate_from_text(text: str) -> RankCertificate:
         m = _NODE_RE.match(lines[pos]) if pos < len(lines) else None
         return m if m and len(m.group(1)) == 2 * depth else None
 
+    def line_no() -> int:
+        # lines[pos]'s line in text, blank lines counted; 1 for text without one
+        nonblank = [i for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        return nonblank[pos] if pos < len(nonblank) else 1
+
     def parse_node(depth: int, m: re.Match | None) -> CertNode:
         nonlocal pos
         if not m:
-            raise CertificateError(f"expected NODE at line {pos + 1}")
+            raise CertificateError(f"expected NODE at line {line_no()}")
         label, final = m.group(2), parse_bounds(m.group(3))
         pos += 1
         apps: list[RuleApp] = []
@@ -617,7 +622,7 @@ def certificate_from_text(text: str) -> RankCertificate:
 
     root = parse_node(0, node_at(0))
     if pos != len(lines):
-        raise CertificateError(f"trailing certificate content at line {pos + 1}")
+        raise CertificateError(f"trailing certificate content at line {line_no()}")
     return RankCertificate(root)
 
 

@@ -24,7 +24,6 @@ from filterlab.domains import DSum, NAT, NatPt, Prod, UNIT, point_key
 from filterlab.dsl import filter_to_source
 from filterlab.filters import (
     DiagYes,
-    SectionwiseFamily,
     dom_of,
     filter_family,
     frechet,
@@ -49,7 +48,6 @@ from filterlab.game import (
     play,
     replay_transcript,
     separator_verdict,
-    singleton_family,
     validate_transcript,
 )
 from filterlab.ordinals import (
@@ -210,8 +208,6 @@ def test_criterion_07_game_suite():
 def test_criterion_08_separator_verdicts():
     d = Prod(NAT)
     inner = filter_family({}, frechet(NAT))
-    lim = limit_of(frechet(NAT), SectionwiseFamily(inner, d))
-    u = singleton_family(NAT)
     rng = Random(41)
 
     def random_sections(count):
@@ -229,7 +225,7 @@ def test_criterion_08_separator_verdicts():
             cofin_set([NatPt(rng.randrange(6))], NAT),
             d,
         )
-        v = separator_verdict(lim, u, inner, m)
+        v = separator_verdict(inner, m)
         ins += isinstance(v, SepIn)
         unknowns += not isinstance(v, (SepIn, SepOut))
     for _ in range(100):
@@ -238,7 +234,7 @@ def test_criterion_08_separator_verdicts():
             fin_set([NatPt(rng.randrange(6))], NAT),
             d,
         )
-        v = separator_verdict(lim, u, inner, a)
+        v = separator_verdict(inner, a)
         outs += isinstance(v, SepOut)
         unknowns += not isinstance(v, (SepIn, SepOut))
     ok = ins == 100 and outs == 100 and unknowns == 0

@@ -152,6 +152,15 @@ def test_empty_certificate_text_is_a_certificate_error():
         certificate_from_text(" \n")
 
 
+def test_errors_name_the_line_of_the_text_blank_lines_counted():
+    rcert = f'NODE "x" final=[1,1]\n  RULE RCert bounds=[1,1] cite="{CITES["RCert"]}" out=[1,1]\n'
+    assert replay_certificate(certificate_from_text(rcert)) == bounds_of(1, 1)
+    with pytest.raises(CertificateError, match=r"trailing certificate content at line 5$"):
+        certificate_from_text(rcert + "\n\ngarbage")
+    with pytest.raises(CertificateError, match=r"expected NODE at line 3$"):
+        certificate_from_text("\n\ngarbage")
+
+
 def certified(name: str = "G", provenance: str = "given") -> CertifiedFilter:
     return CertifiedFilter(name, NAT, bounds_of(1, 1), provenance, lambda a: None)
 

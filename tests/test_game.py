@@ -1,6 +1,7 @@
 """The covering game: strategies, legality, transcripts, verification."""
 
 import re
+from random import Random
 
 import pytest
 
@@ -16,8 +17,9 @@ from filterlab.domains import (
     point_key,
     points_within,
 )
+from filterlab.checks import SEPARATOR_SETS, _separator_set
 from filterlab.dsl import parse_filter
-from filterlab.filters import dom_of, frechet, katetov, principal, product
+from filterlab.filters import dom_of, filter_family, frechet, katetov, member, principal, product
 from filterlab.game import (
     CopyStrategyI,
     ExcludeUnionI,
@@ -30,29 +32,24 @@ from filterlab.game import (
     STRATEGIES_II,
     SepIn,
     SepOut,
-    SepUnknown,
     Transcript,
-    UniversalFamily,
     UniversalII,
-    column_segments_family,
     copy_column_bound,
     make_player_i,
     make_player_ii,
     play,
     replay_transcript,
     separator_verdict,
-    singleton_family,
     tail_columns,
     transcript_lines,
     validate_transcript,
-    verify_universal_family,
 )
-from filterlab.filters import filter_family, limit_of, SectionwiseFamily
 from filterlab.sets import (
     cofin_set,
     empty_set,
     fin_set,
     full_set,
+    section,
     section_family,
     set_member,
 )
@@ -306,36 +303,7 @@ def test_copy_column_bound_flags_overfull_columns():
 
 
 # ---------------------------------------------------------------------------
-# universal families
-
-
-def test_singleton_family_is_universal_for_frechet():
-    u = singleton_family(NAT)
-    rep = verify_universal_family(u, frechet(NAT), [cofin_set([NatPt(0)], NAT)])
-    assert rep.passed
-
-
-def test_corrupted_family_fails_on_late_member():
-    # every generated set lives inside {0..9}, so the member excluding that
-    # block never contains one
-    u = UniversalFamily(
-        "all generated sets inside {0..9}",
-        NAT,
-        lambda n, k: (NatPt((n + k) % 10),),
-    )
-    member_set = cofin_set([NatPt(i) for i in range(10)], NAT)
-    rep = verify_universal_family(u, frechet(NAT), [member_set])
-    assert not rep.passed
-
-
-def test_column_segments_family_on_tower_members():
-    f = katetov(2)
-    d = dom_of(f)
-    u = column_segments_family(d)
-    inner = full_set(Prod(UNIT))
-    m = section_family({}, inner, d)  # uniform tail member: every section full
-    rep = verify_universal_family(u, f, [m])
-    assert rep.passed
+# the universal player
 
 
 def test_universal_ii_raises_without_witness(monkeypatch):
@@ -352,38 +320,35 @@ def test_universal_ii_raises_without_witness(monkeypatch):
 
 def test_separator_full_set_is_in():
     inner = filter_family({}, frechet(NAT))
-    d = Prod(NAT)
-    u = singleton_family(NAT)
-    lim = limit_of(frechet(NAT), SectionwiseFamily(inner, d))
-    assert isinstance(separator_verdict(lim, u, inner, full_set(d)), SepIn)
+    assert separator_verdict(inner, full_set(Prod(NAT))) == SepIn(0)
 
 
 def test_separator_splits_members_from_duals():
     inner = filter_family({}, frechet(NAT))
     d = Prod(NAT)
-    u = singleton_family(NAT)
-    lim = limit_of(frechet(NAT), SectionwiseFamily(inner, d))
     member_set = section_family({1: empty_set(NAT)}, cofin_set([NatPt(0)], NAT), d)
     dual_set = section_family({}, fin_set([NatPt(0)], NAT), d)
-    assert isinstance(separator_verdict(lim, u, inner, member_set), SepIn)
-    assert isinstance(separator_verdict(lim, u, inner, dual_set), SepOut)
+    assert separator_verdict(inner, member_set) == SepIn(2)
+    assert separator_verdict(inner, dual_set) == SepOut()
 
 
-def _cofinite_sections_limit():
+# every set check_separator draws lists sections below 8 only, so a scan to 64
+# runs well past its last exception
+SCAN = 64
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_separator_threshold_is_where_the_scanned_tail_starts(seed):
     inner = filter_family({}, frechet(NAT))
-    return limit_of(frechet(NAT), SectionwiseFamily(inner, Prod(NAT))), inner
-
-
-def test_separator_without_a_stability_bound_is_unknown():
-    lim, sep = _cofinite_sections_limit()
-    u = UniversalFamily("singletons, no bound", NAT, lambda n, k: (NatPt(k),))
-    assert separator_verdict(lim, u, sep, full_set(Prod(NAT))) == SepUnknown(bound=0)
-
-
-def test_separator_on_column_segments_is_unknown_past_the_bound():
-    lim, sep = _cofinite_sections_limit()
-    u = column_segments_family(Prod(NAT))
-    assert separator_verdict(lim, u, sep, empty_set(Prod(NAT))) == SepUnknown(bound=8)
+    rng = Random(seed * 97 + 5)  # check_separator's draws at this seed, in its order
+    for want in (SepIn, SepOut):
+        for _ in range(SEPARATOR_SETS):
+            s = _separator_set(rng, want)
+            fits = [member(inner.at(k), section(s, k)) for k in range(SCAN)]
+            start = next((m for m in range(SCAN) if all(fits[m:])), None)
+            expected = SepOut() if start is None else SepIn(start)
+            assert isinstance(expected, want), s
+            assert separator_verdict(inner, s) == expected, s
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,11 @@ PUBLIC = [
     "OrdinalError", "PairPt", "ParseError", "PreconditionFailure", "Principal", "Prod",
     "Product", "ProgrammaticSet", "PullbackSet", "Pushforward", "QHWitness",
     "RandomFiniteII", "RankBounds", "RankCertificate", "RepeatedSectionwiseFamily",
-    "SectionFamily", "SectionFilter", "SectionwiseFamily", "SepIn", "SepOut", "SepUnknown",
+    "SectionFamily", "SectionFilter", "SectionwiseFamily", "SepIn", "SepOut",
     "SumPt", "TableBij", "Transcript", "UNIT", "UNIT_PT", "Unit", "UnitPt",
-    "UniversalFamily", "UniversalII", "UnsupportedPreimage", "ZERO", "ZFamily", "bounds_of",
+    "UniversalII", "UnsupportedPreimage", "ZERO", "ZFamily", "bounds_of",
     "bounds_text", "certificate_from_text", "certificate_text", "cofin_set",
-    "collapse_limit", "collapse_pair", "column_segments_family", "copy_column_bound",
+    "collapse_limit", "collapse_pair", "copy_column_bound",
     "ct_bound", "dom_of", "dual_member", "empty_set", "enum_point", "filter_family",
     "filter_to_source", "fin_set", "flim", "frechet", "fubini_as_limit", "fubini_sum",
     "full_set", "is_diagonalizable", "is_free", "katetov", "kernel_set", "limit_of", "meet",
@@ -45,8 +45,8 @@ PUBLIC = [
     "replay_certificate", "replay_transcript", "run_suite", "section_family",
     "section_filter", "selector_shadow", "separator_verdict",
     "seq_leaf", "seq_sections", "set_complement", "set_intersect", "set_member",
-    "set_to_source", "set_union", "singleton_family", "suite_names", "transcript_lines",
-    "two_valued_limit", "validate_transcript", "verify_universal_family", "z_cover_witness",
+    "set_to_source", "set_union", "suite_names", "transcript_lines",
+    "two_valued_limit", "validate_transcript", "z_cover_witness",
 ]
 
 
@@ -54,8 +54,7 @@ PUBLIC = [
 # each is a setting some caller may change, so a new one shows up here
 DEFAULTED = [
     "CheckResult.detail", "Frechet.domain", "ProgrammaticSet.frechet_class",
-    "ProgrammaticSet.label", "UniversalFamily._least", "UniversalFamily.n_independent",
-    "UniversalFamily.stability_bound", "collapse_limit.base", "collapse_limit.h",
+    "ProgrammaticSet.label", "collapse_limit.base", "collapse_limit.h",
     "frechet.domain", "omega_pow.c", "parse_seq.domain", "parse_set.domain",
     "rank_bounds.witnesses", "run_suite.seed", "run_suite.trunc", "selector_shadow.i_max",
     "selector_shadow.j_max", "two_valued_limit.bounds",
@@ -76,7 +75,7 @@ LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith('filte
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 142
+    assert len(PUBLIC) == 137
     assert sorted(filterlab.__all__) == PUBLIC
 
 
@@ -89,7 +88,7 @@ def test_defaulted_parameters_are_pinned():
         for p in inspect.signature(value).parameters.values():
             if p.default is not p.empty:
                 found.append(f"{name}.{p.name}")
-    assert len(DEFAULTED) == 19
+    assert len(DEFAULTED) == 16
     assert sorted(found) == DEFAULTED
 
 
@@ -223,7 +222,7 @@ print(calls, len(nodes), "dataclasses" in sys.modules, "inspect" in sys.modules)
 
 def test_importing_the_cli_compiles_one_block_per_node_class_and_no_dataclasses():
     calls, nodes, dataclasses, inspect = fresh(COUNT_CODE_GENERATION).split()
-    assert int(nodes) >= 60
+    assert int(nodes) >= 56
     assert int(calls) <= int(nodes)
     assert (dataclasses, inspect) == ("False", "False")
 

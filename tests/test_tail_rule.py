@@ -1,8 +1,8 @@
 """The walking decisions agree with the set-building definitions they replace.
 
 Membership over a cofinite base reads only the tail, subset_check walks both
-normal forms, first_point bisects a cofinite leaf for its first gap, and the
-singleton family's least fit is read off the least member, and the fresh
+normal forms, first_point bisects a cofinite leaf for its first gap, the
+universal player's least index is read off the least member, and the fresh
 player resumes past the indices it has claimed.  The reference definitions
 below build the verdict sets, complements and intersections, or scan from
 zero, as the library once did.
@@ -24,6 +24,7 @@ from filterlab.domains import (
     component,
     enum_point,
     is_indexed,
+    is_linear_domain,
     point_key,
     tail_component,
 )
@@ -48,7 +49,7 @@ from filterlab.filters import (
     product,
     sum_parts,
 )
-from filterlab.game import FreshElementII, FullSetI, GameState, _least_fit, play, singleton_family
+from filterlab.game import FreshElementII, FullSetI, GameState, _least_index, play
 from filterlab.sets import (
     FinSet,
     SectionFamily,
@@ -132,8 +133,8 @@ def ref_fresh(domain, state, c, bound):
     return None
 
 
-def ref_least_fit(u, m, n, bound):
-    fits = (k for k in range(bound + 1) if all(set_member(p, m) for p in u.generator(n, k)))
+def ref_least_fit(domain, m, bound):
+    fits = (k for k in range(bound + 1) if set_member(enum_point(domain, k), m))
     return next(fits, None)
 
 
@@ -237,18 +238,16 @@ def test_member_agrees_on_limits_and_sums_over_each_base(d):
 
 
 # ---------------------------------------------------------------------------
-# the singleton family's least fit
+# the universal player's least index on a linear domain
 
 
 @pytest.mark.parametrize("d", [NAT, Prod(UNIT)], ids=repr)
 @pytest.mark.parametrize("bound", [0, 5, 10**4])
 def test_least_fit_shortcut_agrees_with_the_scan(d, bound):
-    u = singleton_family(d)
-    assert u._least is not None
+    assert is_linear_domain(d)
     for seed in range(200):
         m = gen_random_setexpr(d, 8, seed)
-        for n in (0, 2):
-            assert _least_fit(u, m, n, bound) == ref_least_fit(u, m, n, bound), (m, n)
+        assert _least_index(d, m, bound, True) == ref_least_fit(d, m, bound), m
 
 
 # ---------------------------------------------------------------------------
