@@ -694,7 +694,9 @@ def set_to_source(a: SetExpr | SeqExpr) -> str:
         return kept
     if isinstance(a, (FinSet, CofinSet)):
         head = "cofin" if a.tail_holds else "fin"
-        body = head + "{" + ",".join(point_to_source(p) for p in a.listed) + "}"
+        nat = a._valid and isinstance(a.domain, Nat)  # a marked Nat leaf lists NatPts
+        listed = [str(p.n) for p in a.listed] if nat else map(point_to_source, a.listed)
+        body = head + "{" + ",".join(listed) + "}"
     elif isinstance(a, LeafSeq):
         body = f"seq({_table(a.entries, point_to_source)},{a.tail})"
     elif isinstance(a, (SectionFamily, SectionSeq)):

@@ -12,7 +12,7 @@ boolean operations and keeps every query in this module exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import and_, attrgetter, or_
+from operator import and_, attrgetter, itemgetter, or_
 from random import Random
 from typing import Callable, Iterable, Mapping
 
@@ -83,6 +83,12 @@ class CofinSet(SetExpr):
     listed = property(attrgetter("excluded"))
 
 
+# the first point of a table that no reader has asked for yet
+_UNREAD = object()
+_index_of = itemgetter(0)
+_n_of = attrgetter("n")
+
+
 @node
 class SectionFamily(SetExpr, ExceptionTable):
     """Sectionwise set over an indexed domain.
@@ -97,6 +103,8 @@ class SectionFamily(SetExpr, ExceptionTable):
     # the printed source of a marked table, kept by dsl.set_to_source; like
     # _valid, never part of eq, hash or repr
     _source: str | None = Hidden(None)
+    # the least member or None, kept by first_point and derived by with_sections
+    _first: Point | None = Hidden(_UNREAD)
 
 
 @node
@@ -282,6 +290,9 @@ def exception_keys(a: SetExpr) -> tuple[int, ...]:
 def set_member(p: Point, a: SetExpr) -> bool:
     if isinstance(a, (FinSet, CofinSet)):
         pts = a.listed  # sorted, distinct keys
+        if isinstance(p, NatPt) and a._valid and isinstance(a.domain, Nat):  # NatPts by n
+            i = bisect_left(pts, p.n, key=_n_of)
+            return (i < len(pts) and pts[i].n == p.n) != a.tail_holds
         k = point_key(p)
         i = bisect_left(pts, k, key=point_key)
         return (i < len(pts) and point_key(pts[i]) == k) != a.tail_holds
@@ -376,9 +387,11 @@ def _without(a: SetExpr, pts: list[Point]) -> SetExpr:
 def with_sections(a: SetExpr, sections: Mapping[int, SetExpr]) -> SetExpr:
     """a with some sections replaced, checking only the new sections.
 
-    A new section equal to the tail is dropped from the exception table;
-    every other section of a is reused as it is, without comparing it to the
-    tail again (a validated table holds no section equal to its tail).
+    Each new section is spliced in by bisection and tuple slices, so no
+    Python code runs per untouched entry; one equal to the tail is dropped.
+    If a's first point has been read, the result's is derived from it: kept
+    if it lies before the least replaced index, else found by resuming the
+    walk there, which costs O(1) for a copy move.
     """
     validate_set(a)
     if not isinstance(a, SectionFamily):
@@ -387,9 +400,22 @@ def with_sections(a: SetExpr, sections: Mapping[int, SetExpr]) -> SetExpr:
         if i < 0:
             raise NotNormalForm("exception keys must be naturals")
         validate_set(sec, component(a.domain, i))
-    table = dict(a.exceptions) | dict(sections)
-    excs = tuple((i, table[i]) for i in sorted(table) if i not in sections or table[i] != a.tail)
-    return _marked(SectionFamily(excs, a.tail, a.domain))
+    excs = a.exceptions
+    for i in sorted(sections):
+        sec = sections[i]
+        pos = bisect_left(excs, i, key=_index_of)
+        replaced = pos < len(excs) and excs[pos][0] == i
+        excs = excs[:pos] + (() if sec == a.tail else ((i, sec),)) + excs[pos + replaced :]
+    b = _marked(SectionFamily(excs, a.tail, a.domain))
+    first = a._first
+    if first is not _UNREAD and sections:
+        # every index below the least replaced one keeps its section, and
+        # below the old first point's index every section is empty
+        least = min(sections)
+        if first is None or first.i >= least:
+            first = _first_from(b, least)
+        object.__setattr__(b, "_first", first)
+    return b
 
 
 def finite_points(a: SetExpr) -> tuple[Point, ...] | None:
@@ -433,9 +459,10 @@ def is_empty_set(a: SetExpr) -> bool:
 def first_point(a: SetExpr) -> Point | None:
     """Least member in canonical order, or None for the empty set.
 
-    A sectionwise set is read in one pass over its exception table: the
-    exceptions in index order, with the tail tried once, at the first index
-    no exception lists.
+    A sectionwise set keeps its first point once read, and with_sections
+    derives it for the table it builds, so a move rebuilt every round pays
+    O(1) a round for it.  The walk reads the exceptions in index order, with
+    the tail tried once, at the first index no exception lists.
     """
     if isinstance(a, FinSet):
         return a.elements[0] if a.elements else None
@@ -445,17 +472,25 @@ def first_point(a: SetExpr) -> Point | None:
         ex = a.excluded
         return NatPt(bisect_left(range(len(ex)), True, key=lambda i: ex[i].n > i))
     if isinstance(a, SectionFamily):
-        tail = first_point(a.tail)
-        gap = 0  # the least index past the exceptions read so far
-        for i, sec in a.exceptions:
-            if gap < i and tail is not None:
-                break
-            p = first_point(sec)
-            if p is not None:
-                return make_point(a.domain, i, p)
-            gap = i + 1
-        return None if tail is None else make_point(a.domain, gap, tail)
+        if a._first is _UNREAD:
+            object.__setattr__(a, "_first", _first_from(a, 0))
+        return a._first
     raise DomainError(f"not a SetExpr: {a!r}")
+
+
+def _first_from(a: SectionFamily, gap: int) -> Point | None:
+    """Least member of a at index gap or beyond, in one pass from gap on."""
+    tail = first_point(a.tail)
+    excs = a.exceptions
+    for pos in range(bisect_left(excs, gap, key=_index_of), len(excs)):
+        i, sec = excs[pos]
+        if gap < i and tail is not None:
+            break
+        p = first_point(sec)
+        if p is not None:
+            return make_point(a.domain, i, p)
+        gap = i + 1
+    return None if tail is None else make_point(a.domain, gap, tail)
 
 
 def subset_check(a: SetExpr, b: SetExpr) -> bool:

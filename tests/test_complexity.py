@@ -4,6 +4,7 @@ These count calls, never wall time, so they are deterministic.
 """
 
 import math
+import sys
 
 import filterlab.dsl as dsl
 import filterlab.filters as filters
@@ -374,3 +375,46 @@ def test_random_answers_find_the_move_first_point_once(monkeypatch):
     t = play(katetov(2), CopyStrategyI(), RandomFiniteII(), 40, seed=0)
     moves = {id(r.c) for r in t.rounds}
     assert sum(1 for a in calls if id(a) in moves) <= len(t.rounds)
+
+
+def test_copy_game_first_points_are_linear_in_rounds(monkeypatch):
+    # 41,208 first_point calls when every copy move walked its empty columns
+    rounds = 200
+    calls = []
+    for mod in (sets_module, game):
+        inner = mod.first_point
+
+        def wrapper(a, inner=inner):
+            calls.append(a)
+            return inner(a)
+
+        monkeypatch.setattr(mod, "first_point", wrapper)
+    play(katetov(2), CopyStrategyI(), RandomFiniteII(), rounds, seed=0)
+    assert len(calls) <= 8 * rounds
+
+
+def test_with_sections_runs_no_python_per_untouched_entry(monkeypatch):
+    # up to 410 Python frames in one call, 12 plus one per kept entry, when
+    # the table was rebuilt by a generator
+    frames: list[int] = []
+    inner = sets_module.with_sections
+
+    def with_sections(a, sections):
+        count = [0]
+
+        def profile(frame, event, arg):
+            count[0] += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return inner(a, sections)
+        finally:
+            sys.setprofile(previous)
+            frames.append(count[0])
+
+    monkeypatch.setattr(sets_module, "with_sections", with_sections)
+    monkeypatch.setattr(game, "with_sections", with_sections)
+    rounds = 400
+    play(katetov(2), CopyStrategyI(), RandomFiniteII(), rounds, seed=0)
+    assert len(frames) == rounds - 1 and max(frames) <= 24

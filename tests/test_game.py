@@ -220,6 +220,16 @@ def test_validate_transcript_reports_unsorted_claims():
     assert validate_transcript(bad) == ["round 0: claimed points not sorted and distinct"]
 
 
+def test_validate_transcript_reports_a_repeated_claim():
+    # sorted but not distinct: one point claimed twice in one round
+    t = play(frechet(NAT), FullSetI(), FreshElementII(), 1, seed=0)
+    from filterlab.game import Round
+
+    claims = (NatPt(1), NatPt(1))
+    bad = Transcript(t.filt, (Round(full_set(NAT), claims),), t.seed, t.player_i, t.player_ii)
+    assert validate_transcript(bad) == ["round 0: claimed points not sorted and distinct"]
+
+
 # ---------------------------------------------------------------------------
 # transcript export format
 
@@ -330,6 +340,14 @@ def test_separator_splits_members_from_duals():
     dual_set = section_family({}, fin_set([NatPt(0)], NAT), d)
     assert separator_verdict(inner, member_set) == SepIn(2)
     assert separator_verdict(inner, dual_set) == SepOut()
+
+
+def test_separator_threshold_reads_the_family_exceptions():
+    # a lists no section, so only sep's exception at 5 moves the threshold:
+    # section 5 of a misses 0, which principal(fin{0}) requires
+    sep = filter_family({5: principal(fin_set([NatPt(0)], NAT))}, frechet(NAT))
+    a = section_family({}, cofin_set([NatPt(0)], NAT), Prod(NAT))
+    assert separator_verdict(sep, a) == SepIn(6)
 
 
 # every set check_separator draws lists sections below 8 only, so a scan to 64

@@ -5,9 +5,10 @@ exclude-union player keeps its last move and removes only the newest
 round's claims (set_without).  The copy player keeps its columns and
 empties only the newest one (with_sections).  Every incremental move here
 is compared with the from-scratch definition along whole games.
-first_point is compared with the index-by-index walk it replaced, and the
-random player's draws with the draw loop that built a set of the excluded
-points, both copied below.
+first_point is compared with the index-by-index walk it replaced, also
+where with_sections derived it from the table it spliced, and the random
+player's draws with the draw loop that built a set of the excluded points,
+both copied below.
 """
 
 from random import Random
@@ -50,6 +51,7 @@ from filterlab.sets import (
     NotNormalForm,
     SectionFamily,
     cofin_set,
+    empty_set,
     fin_set,
     first_point,
     full_set,
@@ -230,6 +232,54 @@ def test_first_point_agrees_with_the_index_walk_on_tail_columns(d):
         a = tail_columns(d, n)
         for b in (a, set_complement(a)):
             assert first_point(b) == old_first_point(b), (d, n)
+
+
+def new_section(a, d, i, rng):
+    """A section for index i of a: random, empty, full or a's own tail."""
+    comp = component(d, i)
+    kind = rng.choice(["random", "random", "empty", "full", "tail"])
+    if kind == "tail" and comp == a.tail.domain:
+        return a.tail
+    if kind == "empty":
+        return empty_set(comp)
+    if kind == "full":
+        return full_set(comp)
+    return gen_random_setexpr(comp, 8, rng.randrange(10**6))
+
+
+def chain(d, seed, read):
+    """A seeded chain of with_sections and set_without steps from a random
+    set or a tail-columns set over d; read asks for the first point of
+    every set as it is built, so each step derives its first point from the
+    last one's.  Returns every set of the chain."""
+    rng = Random(seed)
+    if seed % 2:
+        a = gen_random_setexpr(d, 8, seed)
+    else:
+        a = tail_columns(d, rng.randrange(1 if isinstance(d, DSum) else 0, 12))
+    out = [a]
+    for _ in range(12):
+        if read:
+            first_point(a)
+        if rng.random() < 0.5:
+            keys = rng.sample(range(12), 1 + rng.randrange(3))
+            a = with_sections(a, {i: new_section(a, d, i, rng) for i in keys})
+        else:
+            a = set_without(a, random_points(d, rng))
+        out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("d", [Prod(NAT), Prod(Prod(UNIT)), DSum((Prod(UNIT),), NAT)], ids=repr)
+def test_derived_first_points_agree_with_the_index_walk_along_chains(d):
+    for seed in range(150):
+        read, unread = chain(d, seed, True), chain(d, seed, False)
+        assert read == unread
+        # the unread chain's sets find their first points only now, last first
+        for b in reversed(unread):
+            assert first_point(b) == old_first_point(b), (seed, b)
+        for b in read:
+            assert first_point(b) == old_first_point(b), (seed, b)
 
 
 # ---------------------------------------------------------------------------

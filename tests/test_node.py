@@ -161,12 +161,19 @@ def test_hidden_fields_keep_their_defaults_and_stay_out_of_init_eq_hash_and_repr
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
             with pytest.raises(TypeError):
                 type(x)(*(getattr(x, f) for f in shown(x)), **{k: default})
-    assert names == {"_dom", "_kernel", "_valid", "_source"}
+    assert names == {"_dom", "_kernel", "_valid", "_source", "_first"}
 
 
 def test_field_order_follows_the_bases_then_the_class():
     assert list(Principal.__node_fields__) == ["_dom", "_kernel", "core"]
-    assert list(SectionFamily.__node_fields__) == ["_valid", "exceptions", "tail", "domain", "_source"]
+    assert list(SectionFamily.__node_fields__) == [
+        "_valid",
+        "exceptions",
+        "tail",
+        "domain",
+        "_source",
+        "_first",
+    ]
     assert list(FinSet.__node_fields__) == ["_valid", "elements", "domain"]
     assert Frechet() == Frechet(NAT)
 
