@@ -165,11 +165,6 @@ _EXPORTS = {
         "parse_seq",
         "set_to_source",
     ),
-    "checks": (
-        "CheckResult",
-        "run_suite",
-        "suite_names",
-    ),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

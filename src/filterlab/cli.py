@@ -6,9 +6,9 @@ switches stdout to ``key=value`` lines behind a ``format=1`` header so
 scripts need not scrape prose.
 
 Exit codes: 0 success (for ``member``, a positive verdict), 1 negative
-verdict or failed checks, 2 bad usage or unparsable input, 3 an internal
-inconsistency surfaced by the rank engine or any other unexpected failure,
-such as an input nested too deeply to evaluate.
+verdict, 2 bad usage or unparsable input, 3 an internal inconsistency
+surfaced by the rank engine or any other unexpected failure, such as an
+input nested too deeply to evaluate.
 """
 
 from __future__ import annotations
@@ -170,11 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--depth", type=int, default=1, help="tower depth for the collapse and line families"
     )
-
-    p = sub.add_parser("check", parents=[shared], help="run a named verification suite")
-    p.add_argument("suite", nargs="?", help="suite name, or 'all'; see --list")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--list", action="store_true", help="list suites and exit")
     return parser
 
 
@@ -273,39 +268,12 @@ def _cmd_construct(args: argparse.Namespace, out: _Output) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace, out: _Output) -> int:
-    # only this command needs the self-check suites, so only it compiles them
-    from .checks import run_suite, suite_names
-    if args.list:
-        for name in suite_names():
-            out.put("suite", name)
-        return 0
-    if args.suite is None:
-        raise FilterLabError("check needs a suite name or --list")
-    names = suite_names() if args.suite == "all" else [args.suite]
-    passed = total = 0
-    for name in names:
-        for r in run_suite(name, trunc=args.trunc, seed=args.seed):
-            word = "PASS" if r.ok else "FAIL"
-            tail = f" ({r.detail})" if r.detail else ""
-            out.put(f"result.{total}", word.lower(), f"{word} {name}: {r.name}{tail}")
-            out.kv(f"check.{total}", f"{name}: {r.name}")
-            if r.detail:
-                out.kv(f"detail.{total}", r.detail)
-            passed += r.ok
-            total += 1
-    out.put("passed", passed, f"passed {passed}/{total}")
-    out.kv("total", total)
-    return 0 if passed == total else 1
-
-
 _COMMANDS = {
     "member": _cmd_member,
     "rank": _cmd_rank,
     "flim": _cmd_flim,
     "game": _cmd_game,
     "construct": _cmd_construct,
-    "check": _cmd_check,
 }
 
 

@@ -120,11 +120,6 @@ def _claim(union: dict[tuple[int, ...], Point], pts: Iterable[Point]) -> list[tu
     return new
 
 
-def union_size(t: Transcript) -> int:
-    """Number of distinct points claimed over the whole transcript."""
-    return len(_claim({}, (p for r in t.rounds for p in r.f)))
-
-
 # ---------------------------------------------------------------------------
 # player I strategies
 

@@ -49,6 +49,21 @@ def test_a_bad_rule_parameter_is_a_certificate_error(rule, params):
         eval_rule(rule, params, ())
 
 
+@pytest.mark.parametrize(
+    "rule, inputs, message",
+    [
+        # a limit is free only when its family members are
+        ("RLimLo", [bounds_of(0, 1)], "family members not all free"),
+        # an exact sum needs exact summands, not an interval
+        ("RFubExact", [bounds_of(1, 2), bounds_of(1, 1)], "summand bounds not exact"),
+    ],
+    ids=["RLimLo", "RFubExact"],
+)
+def test_a_rule_whose_inputs_break_its_hypothesis_is_a_certificate_error(rule, inputs, message):
+    with pytest.raises(CertificateError, match=f"^{rule}: {message}$"):
+        eval_rule(rule, {"J": "full"}, inputs)
+
+
 @pytest.mark.parametrize("params", ["depth=x", "depth=٣", ""])
 def test_replaying_a_certificate_with_a_bad_depth_is_a_certificate_error(params):
     cert = certificate_from_text(KAT.format(out="3,3", params=params))

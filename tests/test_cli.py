@@ -162,28 +162,6 @@ def test_construct_trunc_flag_position_is_flexible(capsys):
 
 
 # ---------------------------------------------------------------------------
-# check
-
-
-def test_check_ordinals_suite(capsys):
-    code, out, _ = run(capsys, "check", "ordinals")
-    assert code == 0
-    assert "PASS" in out
-    assert "passed" in out.splitlines()[-1]
-
-
-def test_check_unknown_suite(capsys):
-    code, _, err = run(capsys, "check", "nosuch")
-    assert code == 2
-
-
-def test_check_list(capsys):
-    code, out, _ = run(capsys, "check", "--list")
-    assert code == 0
-    assert "ordinals" in out
-
-
-# ---------------------------------------------------------------------------
 # errors
 
 

@@ -29,6 +29,7 @@ from filterlab.domains import (
     cantor_unpair,
     enum_point,
     point_key,
+    points_within,
 )
 from filterlab.filters import (
     DiagYes,
@@ -58,27 +59,27 @@ from filterlab.sets import (
 def test_zfamily_lines_are_disjoint_and_infinite(gamma):
     zf = ZFamily(gamma)
     seen = set()
-    for i in range(5):
-        for j in range(40):
+    for i in range(6):
+        for j in range(50):
             p = zf.line_point(i, j)
             k = point_key(p)
-            assert k not in seen
+            assert k not in seen, f"depth {gamma}: line {i} repeats or meets an earlier line at {j}"
             seen.add(k)
             assert zf.line_contains(i, p)
             assert zf.line_index_of(p) == i
 
 
-@pytest.mark.parametrize("gamma", [1, 2])
+@pytest.mark.parametrize("gamma", [1, 2, 3])
 def test_zfamily_lines_partition_the_domain(gamma):
     zf = ZFamily(gamma)
-    for n in range(300):
-        p = enum_point(zf.domain, n)
+    pts = [enum_point(zf.domain, n) for n in range(300)] + points_within(zf.domain, 8)
+    for p in pts:
         i = zf.line_index_of(p)
         assert zf.line_contains(i, p)
         # no other nearby line grabs it
-        for other in range(5):
+        for other in range(max(5, i + 3)):
             if other != i:
-                assert not zf.line_contains(other, p)
+                assert not zf.line_contains(other, p), f"depth {gamma}: {p} on lines {i}, {other}"
 
 
 def test_zfamily_rejects_depth_zero():
@@ -86,19 +87,27 @@ def test_zfamily_rejects_depth_zero():
         ZFamily(0)
 
 
+# how many random tower members a cover-witness seed draws
+ZFAMILY_SAMPLES = 100
+
+
 @pytest.mark.parametrize("gamma", [1, 2, 3])
 def test_cover_witness_on_random_members(gamma):
     zf = ZFamily(gamma)
-    for seed in range(25):
-        m = random_tower_member(gamma, seed)
-        assert member(katetov(gamma), m)
-        w = z_cover_witness(zf, m)
-        assert w is not None
-        missing = {point_key(p) for p in w.missing}
-        # exactness: line points lie in m exactly off the missing list
-        for j in range(50):
-            p = zf.line_point(w.index, j)
-            assert set_member(p, m) == (point_key(p) not in missing)
+    for seed in (0, 1):
+        for s in range(ZFAMILY_SAMPLES):
+            name = f"seed {seed}: depth {gamma}: random member {s}"
+            m = random_tower_member(gamma, seed * 1009 + s)
+            assert member(katetov(gamma), m), f"{name} is not a tower member"
+            w = z_cover_witness(zf, m)
+            assert w is not None, f"{name} got no witness"
+            missing = {point_key(p) for p in w.missing}
+            # exactness: line points lie in m exactly off the missing list
+            for j in range(60):
+                p = zf.line_point(w.index, j)
+                assert set_member(p, m) == (point_key(p) not in missing), (
+                    f"{name}: witness misses the line trace"
+                )
 
 
 def test_cover_witness_absent_for_thin_sets():
@@ -119,10 +128,10 @@ def test_z_family_grid_renders():
 
 def test_pair_is_bijective_prefix():
     pair = InterleavedPair(1)
-    pair.ensure(500)
+    pair.ensure(10_000)
     for side in (0, 1):
-        keys = {point_key(pair.pi(side, n)) for n in range(500)}
-        assert len(keys) == 500
+        keys = {point_key(pair.pi(side, n)) for n in range(10_000)}
+        assert len(keys) == 10_000, f"side {side} relabelling is not injective on 10000 stages"
     # index_of inverts pi
     for n in range(100):
         assert pair.index_of(0, pair.pi(0, n)) == n
@@ -130,12 +139,12 @@ def test_pair_is_bijective_prefix():
 
 
 def test_pair_surjectivity_budget():
-    # the m-th point in enumeration order appears by stage 3(m+2)
+    # the m-th point in enumeration order appears before stage 3(m+2)
     pair = InterleavedPair(1)
-    for m in range(200):
+    for m in range(500):
         p = enum_point(pair.domain, m)
-        assert pair.index_of(0, p) <= 3 * (m + 2)
-        assert pair.index_of(1, p) <= 3 * (m + 2)
+        for side in (0, 1):
+            assert pair.index_of(side, p) < 3 * (m + 2), f"side {side}: enum point {m} comes late"
 
 
 def test_sweep_cursor_matches_round_pair():

@@ -17,6 +17,7 @@ from filterlab.domains import (
     UNIT,
     UNIT_PT,
     component,
+    enum_point,
     is_indexed,
     points_within,
     tail_component,
@@ -54,6 +55,13 @@ from filterlab.sets import (
 DOMAINS = [NAT, Prod(NAT), Prod(Prod(UNIT)), DSum((Prod(UNIT),), NAT)]
 
 
+def seeded_draws(d, count: int, stride: int) -> list[int]:
+    """The generator seeds that land on d when, at seed 0 and at seed 1, draw
+    i < count takes generator seed stride * seed + i over DOMAINS[i % 4]."""
+    k = DOMAINS.index(d)
+    return [stride * seed + i for seed in (0, 1) for i in range(k, count, len(DOMAINS))]
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
@@ -69,16 +77,19 @@ def test_curated_filter_round_trips():
 
 @pytest.mark.parametrize("d", DOMAINS)
 def test_random_filter_round_trips(d):
-    for seed in range(30):
+    for seed in [*range(30), *seeded_draws(d, 120, 131)]:
         f = gen_random_filter(d, 2, seed)
-        assert parse_filter(filter_to_source(f)) == f
+        src = filter_to_source(f)
+        assert parse_filter(src) == f, f"filter at generator seed {seed}: {src}"
 
 
 @pytest.mark.parametrize("d", DOMAINS)
 def test_random_set_round_trips(d):
-    for seed in range(30):
+    for seed in [*range(30), *seeded_draws(d, 60, 733)]:
         a = gen_random_setexpr(d, 8, seed)
-        assert parse_set(set_to_source(a), d) == a
+        src = set_to_source(a)
+        assert parse_set(src, d) == a, f"set at generator seed {seed}: {src}"
+        assert parse_set(src) == a, f"set at generator seed {seed}, read without context: {src}"
 
 
 def _unmarked(a):
@@ -124,11 +135,29 @@ def test_domain_round_trip():
         assert parse_domain(domain_to_source(d)) == d
 
 
-def test_seq_round_trip():
-    from fractions import Fraction
+def _random_seq(d, rng: Random):
+    """A random sequence over NAT, or over Prod(NAT) by sections."""
 
+    def leaf(dom):
+        pts = [enum_point(dom, rng.randrange(12)) for _ in range(rng.randrange(4))]
+        entries = {p: Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for p in pts}
+        return seq_leaf(entries, Fraction(rng.randrange(-3, 4)), dom)
+
+    if isinstance(d, Prod):
+        excs = {i: leaf(d.inner) for i in sorted(rng.sample(range(5), rng.randrange(3)))}
+        return seq_sections(excs, leaf(d.inner), d)
+    return leaf(d)
+
+
+def test_seq_round_trip():
     s = seq_leaf({NatPt(0): Fraction(1, 2)}, 0, NAT)
     assert parse_seq(set_to_source(s), NAT) == s
+    for seed in (0, 1):
+        rng = Random(seed * 977 + 1)
+        for i in range(20):
+            s = _random_seq([NAT, Prod(NAT)][i % 2], rng)
+            src = set_to_source(s)
+            assert parse_seq(src) == s, f"seed {seed}: sequence {i}: {src}"
 
 
 def test_leaf_seq_over_a_sum_is_tagged():
@@ -215,6 +244,8 @@ def _parse_as(entry, src):
         return parse_program(src)
     if entry == "filter":
         return parse_filter(src)
+    if entry == "set":
+        return parse_set(src)
     if entry == "nat-set":
         return parse_set(src, NAT)
     if entry == "prod-set":
@@ -336,6 +367,17 @@ def _parse_as(entry, src):
             "program",
             "seq({0: seq({(1,(2,3)): 1, (1,2,3): 2}, 0)}, seq({}, 0))",
             ("repeated key in a sequence table", 1, 9),
+        ),
+        # the set and filter readers report what the program reader does
+        ("set", "fin{1,2,}", ("expected a point", 1, 9)),
+        ("set", "cofin{", ("expected a point", 1, 7)),
+        ("set", "sections({0: fin{1}}, )", ("expected a set", 1, 23)),
+        ("filter", "nosuch", ("unknown filter head 'nosuch'", 1, 1)),
+        ("filter", "meet(frechet)", ("expected ',', got ')'", 1, 13)),
+        (
+            "filter",
+            "fubini(frechet, family({0: frechet, 0: frechet}, frechet))",
+            ("repeated key in a filter table", 1, 24),
         ),
     ],
 )

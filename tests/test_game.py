@@ -17,9 +17,19 @@ from filterlab.domains import (
     point_key,
     points_within,
 )
-from filterlab.checks import SEPARATOR_SETS, _separator_set
 from filterlab.dsl import parse_filter
-from filterlab.filters import dom_of, filter_family, frechet, katetov, member, principal, product
+from filterlab.filters import (
+    SectionwiseFamily,
+    dom_of,
+    dual_member,
+    filter_family,
+    frechet,
+    katetov,
+    limit_of,
+    member,
+    principal,
+    product,
+)
 from filterlab.game import (
     CopyStrategyI,
     ExcludeUnionI,
@@ -49,6 +59,7 @@ from filterlab.sets import (
     empty_set,
     fin_set,
     full_set,
+    gen_random_setexpr,
     section,
     section_family,
     set_member,
@@ -56,6 +67,7 @@ from filterlab.sets import (
 
 
 def union_size(t: Transcript) -> int:
+    """The number of distinct points claimed over the whole transcript."""
     return len({point_key(p) for r in t.rounds for p in r.f})
 
 
@@ -64,10 +76,14 @@ def union_size(t: Transcript) -> int:
 
 
 def test_fresh_element_round_count_equals_union():
-    t = play(frechet(NAT), FullSetI(), FreshElementII(), 10, seed=0)
-    assert len(t.rounds) == 10
-    assert union_size(t) == 10
-    assert validate_transcript(t) == []
+    for seed in (0, 1):
+        t = play(frechet(NAT), FullSetI(), FreshElementII(), 10, seed=seed)
+        assert len(t.rounds) == 10
+        assert union_size(t) == 10, (
+            f"seed {seed}: 10 rounds against the full-set player, fresh player II: "
+            f"union has 10 points (|U|={union_size(t)})"
+        )
+        assert validate_transcript(t) == []
 
 
 def test_exclude_union_forces_fresh_points():
@@ -78,8 +94,12 @@ def test_exclude_union_forces_fresh_points():
 
 def test_universal_self_play_on_tower_grows_linearly():
     f = katetov(1)
-    t = play(f, ExcludeUnionI(), UniversalII(), 30, seed=3)
-    assert union_size(t) == 30
+    for seed in (0, 1, 3):
+        t = play(f, ExcludeUnionI(), UniversalII(), 30, seed=seed)
+        assert union_size(t) == 30, (
+            f"seed {seed}: 30 rounds on the depth-1 tower: union grows one point per round "
+            f"(|U|={union_size(t)})"
+        )
 
 
 def test_play_needs_a_round():
@@ -88,9 +108,20 @@ def test_play_needs_a_round():
 
 
 def test_replay_reproduces_transcripts():
-    for seed in range(20):
-        t = play(frechet(NAT), FullSetI(), RandomFiniteII(), 8, seed=seed)
-        assert replay_transcript(t) == t
+    pairs = [
+        (FullSetI(), RandomFiniteII()),
+        (ExcludeUnionI(), RandomFiniteII()),
+        (FullSetI(), FreshElementII()),
+        (ExcludeUnionI(), UniversalII()),
+    ]
+    for seed in (0, 1):
+        for k in range(20):
+            s_i, s_ii = pairs[k % len(pairs)]
+            t = play(frechet(NAT), s_i, s_ii, 8, seed=seed * 31 + k)
+            assert replay_transcript(t) == t, (
+                f"seed {seed}: 20 seeded strategy pairs replay identically "
+                f"(pair {k} drifted on replay)"
+            )
 
 
 PAIR_FILTERS = {
@@ -350,23 +381,52 @@ def test_separator_threshold_reads_the_family_exceptions():
     assert separator_verdict(sep, a) == SepIn(6)
 
 
-# every set check_separator draws lists sections below 8 only, so a scan to 64
-# runs well past its last exception
+# how many sets of each side a separator seed draws
+SEPARATOR_SETS = 100
+# per verdict: what the sets are, the limit's test that they pass, and their
+# tail kind, point bound and count bound
+SEPARATOR_SIDES = {
+    SepIn: ("member", member, cofin_set, 9, 4),
+    SepOut: ("dual member", dual_member, fin_set, 30, 5),
+}
+
+
+def _separator_set(rng: Random, want: type):
+    """A random set over Prod(NAT) on the side of the separator judged want."""
+    *_, tail, top, count = SEPARATOR_SIDES[want]
+    sections = {
+        j: gen_random_setexpr(NAT, 8, rng.randrange(1 << 30))
+        for j in sorted(rng.sample(range(8), rng.randrange(3)))
+    }
+    pts = [NatPt(rng.randrange(top)) for _ in range(rng.randrange(count))]
+    return section_family(sections, tail(pts, NAT), Prod(NAT))
+
+
+# every set _separator_set draws lists sections below 8 only, so a scan to
+# 64 runs well past its last exception
 SCAN = 64
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_separator_threshold_is_where_the_scanned_tail_starts(seed):
     inner = filter_family({}, frechet(NAT))
-    rng = Random(seed * 97 + 5)  # check_separator's draws at this seed, in its order
-    for want in (SepIn, SepOut):
-        for _ in range(SEPARATOR_SETS):
+    lim = limit_of(frechet(NAT), SectionwiseFamily(inner, Prod(NAT)))
+    rng = Random(seed * 97 + 5)
+    for want, (what, holds, *_) in SEPARATOR_SIDES.items():
+        for i in range(SEPARATOR_SETS):
             s = _separator_set(rng, want)
+            assert holds(lim, s), (
+                f"seed {seed}: {what} generator produced a non-{what.replace(' ', '-')} at {i}"
+            )
             fits = [member(inner.at(k), section(s, k)) for k in range(SCAN)]
             start = next((m for m in range(SCAN) if all(fits[m:])), None)
             expected = SepOut() if start is None else SepIn(start)
             assert isinstance(expected, want), s
-            assert separator_verdict(inner, s) == expected, s
+            v = separator_verdict(inner, s)
+            assert isinstance(v, want), (
+                f"seed {seed}: {what} {i} judged {type(v).__name__}, not {want.__name__}"
+            )
+            assert v == expected, s
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ import filterlab.cli as cli
 SRC = str(Path(filterlab.__file__).resolve().parents[1])
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-MODULES = ("checks", "constructions", "domains", "dsl", "filters", "game", "ordinals", "rank", "sets")
+MODULES = ("constructions", "domains", "dsl", "filters", "game", "ordinals", "rank", "sets")
 
 # sorted(filterlab.__all__) as it stood when every name was imported eagerly
 PUBLIC = [
-    "BlockInterleaveBij", "CertificateError", "CertifiedFilter",
-    "CheckResult", "CofinSet", "CollapseLimit", "CollapsePair", "CopyStrategyI",
+    "BlockInterleaveBij", "CertificateError", "CertifiedFilter", "CofinSet",
+    "CollapseLimit", "CollapsePair", "CopyStrategyI",
     "CopyWitness", "DIVERGENT", "DSum", "DiagNo", "DiagUnknown", "DiagYes", "DomainError",
     "EnumerationUnsupported", "ExcludeUnionI", "FilterError", "FilterFamily",
     "FilterLabError", "FinSet", "Frechet", "FreshElementII", "FubiniSum", "FullSetI",
@@ -42,10 +42,10 @@ PUBLIC = [
     "parse_bounds", "parse_filter", "parse_ordinal", "parse_program", "parse_seq",
     "parse_set", "play", "point_index", "point_key", "principal", "product", "pushforward",
     "random_tower_member", "rank_bounds", "rank_type_gap_example",
-    "replay_certificate", "replay_transcript", "run_suite", "section_family",
+    "replay_certificate", "replay_transcript", "section_family",
     "section_filter", "selector_shadow", "separator_verdict",
     "seq_leaf", "seq_sections", "set_complement", "set_intersect", "set_member",
-    "set_to_source", "set_union", "suite_names", "transcript_lines",
+    "set_to_source", "set_union", "transcript_lines",
     "two_valued_limit", "validate_transcript", "z_cover_witness",
 ]
 
@@ -53,10 +53,10 @@ PUBLIC = [
 # every parameter with a default on a public callable, as "name.parameter":
 # each is a setting some caller may change, so a new one shows up here
 DEFAULTED = [
-    "CheckResult.detail", "Frechet.domain", "ProgrammaticSet.frechet_class",
+    "Frechet.domain", "ProgrammaticSet.frechet_class",
     "ProgrammaticSet.label", "collapse_limit.base", "collapse_limit.h",
     "frechet.domain", "omega_pow.c", "parse_seq.domain", "parse_set.domain",
-    "rank_bounds.witnesses", "run_suite.seed", "run_suite.trunc", "selector_shadow.i_max",
+    "rank_bounds.witnesses", "selector_shadow.i_max",
     "selector_shadow.j_max", "two_valued_limit.bounds",
 ]
 
@@ -75,7 +75,7 @@ LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith('filte
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 137
+    assert len(PUBLIC) == 134
     assert sorted(filterlab.__all__) == PUBLIC
 
 
@@ -88,7 +88,7 @@ def test_defaulted_parameters_are_pinned():
         for p in inspect.signature(value).parameters.values():
             if p.default is not p.empty:
                 found.append(f"{name}.{p.name}")
-    assert len(DEFAULTED) == 16
+    assert len(DEFAULTED) == 13
     assert sorted(found) == DEFAULTED
 
 
