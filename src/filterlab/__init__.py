@@ -37,7 +37,6 @@ _EXPORTS = {
     "sets": (
         "CofinSet",
         "FinSet",
-        "ProgrammaticSet",
         "NotNormalForm",
         "SectionFamily",
         "cofin_set",
@@ -144,16 +143,12 @@ _EXPORTS = {
         "CollapseLimit",
         "CollapsePair",
         "InterleavedPair",
-        "PreconditionFailure",
-        "PullbackSet",
         "ZFamily",
         "collapse_limit",
         "collapse_pair",
-        "member_extended",
         "random_tower_member",
         "rank_type_gap_example",
         "selector_shadow",
-        "two_valued_limit",
         "z_cover_witness",
     ),
     "dsl": (

@@ -240,8 +240,7 @@ def _cmd_construct(args: argparse.Namespace, out: _Output) -> int:
         out.put("provenance", cl.limit.provenance, f"  {cl.limit.provenance}")
         base = filter_to_source(cl.base)
         out.put("base", base, f"base: {base}")
-        label = getattr(cl.h, "label", "") or "splitting set"
-        out.put("split", label, f"split along: {label} (undecided by the base, both ways)")
+        out.put("split", cl.split, f"split along: {cl.split} (undecided by the base, both ways)")
         for g in (cl.parts.g0, cl.parts.g1):
             bounds = bounds_text(g.bounds)
             out.put(f"bounds.{g.name}", bounds, f"{g.name} bounds {bounds}")

@@ -13,13 +13,11 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from random import Random
-from typing import Callable
 
 from .domains import (
     DSum,
     DomainError,
     DomainExpr,
-    FilterLabError,
     NAT,
     NatPt,
     Point,
@@ -37,11 +35,8 @@ from .domains import (
 )
 from .dsl import point_to_source
 from .filters import (
-    FilterError,
     FilterExpr,
-    Frechet,
     IntoSectionMap,
-    Principal,
     Pushforward,
     RepeatedSectionwiseFamily,
     UnsupportedPreimage,
@@ -52,10 +47,8 @@ from .filters import (
     is_diagonalizable,
     katetov,
     limit_of,
-    member,
     principal,
 )
-from .ordinals import ONE, ZERO
 from .rank import (
     CertifiedFilter,
     QHWitness,
@@ -64,34 +57,19 @@ from .rank import (
     bounds_of,
     ct_bound,
     CtBound,
-    min_hi,
     rank_bounds,
 )
 from .sets import (
-    ProgrammaticSet,
     SectionFamily,
     SetExpr,
-    CofinSet,
-    FinSet,
     cofin_set,
     cofinite_excluded,
     empty_set,
     fin_set,
-    finite_points,
     full_set,
     section,
     section_family,
-    set_complement,
 )
-
-
-class PreconditionFailure(FilterLabError):
-    """A construction precondition failed; carries the offending verdict."""
-
-    def __init__(self, condition: str, verdict: bool) -> None:
-        super().__init__(f"{condition} (membership verdict: {verdict})")
-        self.condition = condition
-        self.verdict = verdict
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +220,11 @@ def _round_pair(t: int) -> tuple[int, int]:
     return offset // (r + 1), offset % (r + 1)
 
 
+def _check_side(side: int) -> None:
+    if side not in (0, 1):
+        raise DomainError("side must be 0 or 1")
+
+
 class InterleavedPair:
     """Two streaming bijections from the naturals onto a tower domain.
 
@@ -315,8 +298,7 @@ class InterleavedPair:
         self._fill(1, n)
 
     def pi(self, side: int, n: int) -> Point:
-        if side not in (0, 1):
-            raise DomainError("side must be 0 or 1")
+        _check_side(side)
         if n < 0:
             raise DomainError("stage must be a natural")
         self._fill(side, n + 1)
@@ -328,6 +310,7 @@ class InterleavedPair:
         Completion stages allocate the least unused point every third stage,
         so the point with enumeration index m appears by stage 3(m+2).
         """
+        _check_side(side)
         check_point(p, self.domain)
         key = point_key(p)
         if key not in self._inv[side]:
@@ -336,6 +319,7 @@ class InterleavedPair:
 
     def stage_lines(self, side: int, trunc: int) -> list[int]:
         """The line through the point allocated at each stage below trunc."""
+        _check_side(side)
         self._fill(side, trunc)
         return self._lines[side][:trunc]
 
@@ -379,6 +363,9 @@ class BlockInterleaveBij:
     pair: InterleavedPair
     side: int
 
+    def __post_init__(self) -> None:
+        _check_side(self.side)
+
     def source_domain(self) -> DomainExpr:
         return self.pair.domain
 
@@ -409,19 +396,6 @@ class BlockInterleaveBij:
 
 
 @node
-class PullbackSet:
-    """{n : pi_side(n) in inner} for a symbolic inner set.
-
-    This is the registered sublanguage on which the collapse oracles answer
-    exactly: pushing the set forward along the matching side recovers inner
-    itself, so membership reduces to a tower membership query.
-    """
-
-    side: int
-    inner: SetExpr
-
-
-@node
 class CollapsePair:
     alpha: int
     pair: InterleavedPair
@@ -430,20 +404,6 @@ class CollapsePair:
     meet: CertifiedFilter
     push0: FilterExpr
     push1: FilterExpr
-
-
-def _meet_oracle(g0: CertifiedFilter, g1: CertifiedFilter) -> Callable[[object], bool | None]:
-    """Three-valued AND of two certified oracles: the meet of two filters."""
-
-    def decide(a: object) -> bool | None:
-        u, v = g0.decide(a), g1.decide(a)
-        if u is False or v is False:
-            return False
-        if u is True and v is True:
-            return True
-        return None
-
-    return decide
 
 
 def collapse_pair(alpha: int) -> CollapsePair:
@@ -462,32 +422,17 @@ def collapse_pair(alpha: int) -> CollapsePair:
     b0, _ = rank_bounds(push0)
     b1, _ = rank_bounds(push1)
 
-    def oracle(side: int) -> Callable[[object], bool | None]:
-        def decide(a: object) -> bool | None:
-            if isinstance(a, PullbackSet):
-                if a.side == side:
-                    return member(tower, a.inner)
-                return None
-            if isinstance(a, (FinSet, CofinSet)):
-                return a.tail_holds
-            return None
-
-        return decide
-
     copy_note = (
         f"bijective relabelling of the depth-{alpha} tower; "
         "bounds from the rank engine on the pushforward expression"
     )
-    g0 = CertifiedFilter("G0", NAT, b0, copy_note, oracle(0))
-    g1 = CertifiedFilter("G1", NAT, b1, copy_note, oracle(1))
-
+    g0 = CertifiedFilter("G0", b0, copy_note)
+    g1 = CertifiedFilter("G1", b1, copy_note)
     meet = CertifiedFilter(
         "G0&G1",
-        NAT,
         bounds_of(1, 1),
         "meet of the interleaved pair: free because both sides are free, and "
         "the finite-selector argument caps its rank at one",
-        _meet_oracle(g0, g1),
     )
     return CollapsePair(alpha, pair, g0, g1, meet, push0, push1)
 
@@ -540,105 +485,31 @@ def selector_shadow(
 
 
 # ---------------------------------------------------------------------------
-# programmatic membership and the two-valued limit
-
-
-def member_extended(f: FilterExpr, a: SetExpr | ProgrammaticSet) -> bool:
-    """Membership extended to programmatic sets where an exact rule exists."""
-    if isinstance(a, SetExpr):
-        return member(f, a)
-    if not isinstance(a, ProgrammaticSet):
-        raise FilterError(f"not a set: {a!r}")
-    if isinstance(f, Principal):
-        pts = finite_points(f.core)
-        if pts is None:
-            raise FilterError(
-                "programmatic membership under a principal filter needs a finite core"
-            )
-        return all(a.predicate(p) for p in pts)
-    if isinstance(f, Frechet):
-        if a.frechet_class == "cofinite":
-            return True
-        if a.frechet_class in ("finite", "neither"):
-            return False
-        raise FilterError("programmatic set carries no registered classification")
-    raise FilterError(
-        f"no exact programmatic membership rule for {type(f).__name__}"
-    )
-
-
-def programmatic_complement(a: ProgrammaticSet) -> ProgrammaticSet:
-    flip = {"finite": "cofinite", "cofinite": "finite", "neither": "neither"}
-    cls = flip.get(a.frechet_class) if a.frechet_class else None
-    label = f"complement of {a.label}" if a.label else ""
-    return ProgrammaticSet(
-        lambda p: not a.predicate(p), a.truncation_bound, a.domain, cls, label
-    )
-
-
-def even_splitter() -> ProgrammaticSet:
-    return ProgrammaticSet(
-        lambda p: point_key(p)[0] % 2 == 0, 10_000, NAT, "neither", "evens"
-    )
-
-
-def two_valued_limit(
-    base: FilterExpr,
-    h: SetExpr | ProgrammaticSet,
-    g0: CertifiedFilter,
-    g1: CertifiedFilter,
-    bounds: RankBounds | None = None,
-) -> CertifiedFilter:
-    """The limit of the family that plays g0 on h and g1 off h.
-
-    Requires that base decides neither h nor its complement; then the
-    verdict set of any candidate is one of the four block patterns and the
-    limit coincides with the meet of g0 and g1.
-    """
-    if g0.domain != g1.domain:
-        raise FilterError("both limit values must live on the same domain")
-    if member_extended(base, h):
-        raise PreconditionFailure(
-            "the splitting set belongs to the base filter", True
-        )
-    hc = set_complement(h) if isinstance(h, SetExpr) else programmatic_complement(h)
-    if member_extended(base, hc):
-        raise PreconditionFailure(
-            "the complement of the splitting set belongs to the base filter", True
-        )
-
-    if bounds is None:
-        both_free = ONE <= min(g0.bounds.lo, g1.bounds.lo)
-        bounds = RankBounds(ONE if both_free else ZERO, min_hi(g0.bounds, g1.bounds))
-    return CertifiedFilter(
-        f"limit({g0.name},{g1.name})",
-        g0.domain,
-        bounds,
-        "two-valued limit: equals the meet of its two values because the "
-        "base filter decides neither block",
-        _meet_oracle(g0, g1),
-    )
+# the two-valued limit
 
 
 @node
 class CollapseLimit:
+    """The limit along base of the family that plays G0 on the splitting set
+    and G1 off it.  base decides neither block, so the limit is the meet of
+    the pair and shares its certified bounds."""
+
     limit: CertifiedFilter
     parts: CollapsePair
     base: FilterExpr
-    h: SetExpr | ProgrammaticSet
+    split: str  # the splitting set, by name
 
 
-def collapse_limit(
-    alpha: int,
-    base: FilterExpr | None = None,
-    h: SetExpr | ProgrammaticSet | None = None,
-) -> CollapseLimit:
+def collapse_limit(alpha: int) -> CollapseLimit:
     """The two-valued limit over a collapse pair, certified at [1,1]."""
     cp = collapse_pair(alpha)
-    base = frechet(NAT) if base is None else base
-    h = even_splitter() if h is None else h
-    lim = two_valued_limit(base, h, cp.g0, cp.g1, bounds=cp.meet.bounds)
-    return CollapseLimit(lim, cp, base, h)
+    lim = CertifiedFilter(
+        "limit(G0,G1)",
+        cp.meet.bounds,
+        "two-valued limit: equals the meet of its two values because the "
+        "base filter decides neither block",
+    )
+    return CollapseLimit(lim, cp, frechet(NAT), "evens")
 
 
 # ---------------------------------------------------------------------------

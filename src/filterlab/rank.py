@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
-from .domains import DomainExpr, FilterLabError, Hidden, NAT, NatPt, fresh_index, node
+from .domains import FilterLabError, Hidden, NAT, NatPt, fresh_index, node
 from .filters import (
     BijectionSpec,
     FilterExpr,
@@ -305,22 +305,17 @@ def _shared(finals: Sequence[RankBounds]) -> RankBounds:
 
 
 # ---------------------------------------------------------------------------
-# certified oracle filters
+# certified filters
 
 
 @node
 class CertifiedFilter:
-    """A black-box membership oracle with externally certified rank bounds.
-
-    decide returns True/False on its registered set sublanguage and None
-    outside it.
-    """
+    """A filter known only by its name, its certified rank bounds and where
+    they come from; the engine takes the bounds as given."""
 
     name: str
-    domain: DomainExpr
     bounds: RankBounds
     provenance: str
-    decide: Callable[[object], bool | None]
 
     def __post_init__(self) -> None:  # its certificate node's label holds both on one line
         for text in (self.name, self.provenance):
@@ -329,17 +324,6 @@ class CertifiedFilter:
 
 
 RankSubject = Union[FilterExpr, CertifiedFilter]
-
-
-def holds_in(f: RankSubject, a: SetExpr) -> bool | None:
-    """Membership for either an expression or a certified oracle."""
-    if isinstance(f, CertifiedFilter):
-        return f.decide(a)
-    return member(f, a)
-
-
-def _domain(f: RankSubject) -> DomainExpr:
-    return f.domain if isinstance(f, CertifiedFilter) else dom_of(f)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +504,7 @@ def _derive_table(
     return depth, level
 
 
-def _attach_witness(node: CertNode, f: RankSubject, w: RankWitness) -> CertNode:
+def _attach_witness(node: CertNode, f: FilterExpr, w: RankWitness) -> CertNode:
     src_node = _derive(w.source, "witness source")[0]
     _check_witness(w, f)
     rule, via = ("RCopy", w.sigma) if isinstance(w, CopyWitness) else ("RQH", w.pi)
@@ -528,7 +512,7 @@ def _attach_witness(node: CertNode, f: RankSubject, w: RankWitness) -> CertNode:
     return _finalize(node.label, [*node.applied, app], [*node.children, src_node])
 
 
-def _check_witness(w: RankWitness, target: RankSubject) -> None:
+def _check_witness(w: RankWitness, target: FilterExpr) -> None:
     """Every sample in the first filter must map into the second.
 
     A copy witness maps source members into the target by the bijection; a
@@ -542,21 +526,19 @@ def _check_witness(w: RankWitness, target: RankSubject) -> None:
     else:
         via, first, move, second = w.pi, target, w.pi.preimage_set, w.source
         kind, escaped = "", "preimage of a target member escaped the source"
-    if (via.source_domain(), via.target_domain()) != (_domain(w.source), _domain(target)):
+    if (via.source_domain(), via.target_domain()) != (dom_of(w.source), dom_of(target)):
         raise WitnessRejected(f"{kind}witness maps between the wrong domains")
     used = 0
     for a in w.samples:
         try:
-            v = holds_in(first, a)
-            if v:
-                v = holds_in(second, move(a))
-                if v is False:
-                    raise WitnessRejected(escaped)
+            if not member(first, a):
+                continue
+            held = member(second, move(a))
         except UnsupportedPreimage:
-            v = None
-        if v is None:
-            raise WitnessRejected(f"{kind}witness sample outside the decidable language")
-        used += v
+            raise WitnessRejected(f"{kind}witness sample outside the decidable language") from None
+        if not held:
+            raise WitnessRejected(escaped)
+        used += 1
     if used == 0:
         raise WitnessRejected(f"{kind}witness verified against no valid sample")
 

@@ -39,7 +39,6 @@ from .domains import (
     make_point,
     node,
     point_key,
-    points_within,
     split_point,
     tail_component,
 )
@@ -105,22 +104,6 @@ class SectionFamily(SetExpr, ExceptionTable):
     _source: str | None = Hidden(None)
     # the least member or None, kept by first_point and derived by with_sections
     _first: Point | None = Hidden(_UNREAD)
-
-
-@node
-class ProgrammaticSet:
-    """Escape hatch for sets with no eventually-uniform normal form.
-
-    Queries against it are honest only up to truncation_bound; callers that
-    know an exact finite/cofinite/neither classification over Nat may
-    register it in frechet_class.
-    """
-
-    predicate: Callable[[Point], bool]
-    truncation_bound: int
-    domain: DomainExpr
-    frechet_class: str | None = None  # "finite" | "cofinite" | "neither"
-    label: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -507,23 +490,6 @@ def subset_check(a: SetExpr, b: SetExpr) -> bool:
     if a.tail_holds:
         return b.tail_holds and kb <= ka
     return ka.isdisjoint(kb) if b.tail_holds else ka <= kb
-
-
-def truncate(a: SetExpr | ProgrammaticSet, bound: int) -> list[Point]:
-    """Members of a with all coordinates < bound, canonically ordered."""
-    if isinstance(a, ProgrammaticSet):
-        return [p for p in points_within(a.domain, bound) if a.predicate(p)]
-    if isinstance(a, FinSet):
-        return [p for p in a.elements if all(c < bound for c in point_key(p))]
-    if isinstance(a, CofinSet):
-        cut = {point_key(q)[0] for q in a.excluded}
-        return [NatPt(n) for n in range(bound) if n not in cut]
-    if isinstance(a, SectionFamily):
-        out = []
-        for i in range(bound):
-            out += [make_point(a.domain, i, q) for q in truncate(section(a, i), bound)]
-        return out
-    raise DomainError(f"not a SetExpr: {a!r}")
 
 
 def set_span(a: SetExpr) -> int:

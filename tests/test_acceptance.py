@@ -11,23 +11,17 @@ verdict summaries.
 import time
 from random import Random
 
-import pytest
 from naive import naive_member
 from test_dsl import DOMAINS
 from test_game import union_size
 
 from filterlab.constructions import (
     InterleavedPair,
-    PreconditionFailure,
-    PullbackSet,
     collapse_limit,
-    member_extended,
-    programmatic_complement,
     rank_type_gap_example,
     selector_shadow,
-    two_valued_limit,
 )
-from filterlab.domains import DSum, NAT, NatPt, Prod, UNIT, point_key
+from filterlab.domains import DSum, NAT, NatPt, Prod, UNIT
 from filterlab.dsl import filter_to_source, set_to_source
 from filterlab.filters import (
     DiagYes,
@@ -73,7 +67,7 @@ from filterlab.ordinals import (
     ord_str,
 )
 from filterlab.rank import (
-    CertifiedFilter,
+    CITES,
     bounds_of,
     bounds_text,
     certificate_from_text,
@@ -82,7 +76,6 @@ from filterlab.rank import (
     replay_certificate,
 )
 from filterlab.sets import (
-    ProgrammaticSet,
     cofin_set,
     empty_set,
     fin_set,
@@ -416,64 +409,23 @@ def test_criterion_10_collapse_limit():
         "each relabelled tower certified at [1,1] "
         f"({bounds_text(parts.g0.bounds)} and {bounds_text(parts.g1.bounds)})"
     )
-
-    # each side decides the pullbacks of its own tower; the meet stays
-    # conservative where only one side has an exact rule
-    tdom = dom_of(katetov(1))
-    inside = PullbackSet(0, section_family({0: empty_set(UNIT)}, full_set(UNIT), tdom))
-    outside = PullbackSet(1, section_family({}, empty_set(UNIT), tdom))
-    one_sided = PullbackSet(0, full_set(tdom))
-    probes = [
-        (cl.limit, cofin_set([NatPt(3)], NAT), True),
-        (cl.limit, fin_set([NatPt(k) for k in range(40)], NAT), False),
-        (cl.limit, inside, None),
-        (cl.limit, outside, False),
-        (cl.limit, one_sided, None),
-        (parts.g0, inside, True),
-        (parts.g1, outside, False),
-        (parts.g0, one_sided, True),
-    ]
-    for k, (g, a, want) in enumerate(probes):
-        assert g.decide(a) is want, (
-            f"limit decides cofinite, finite, and pullback probes correctly (probe {k})"
-        )
-
-    # the limit equals the meet of the two sides on all four verdict patterns
-    mk = lambda v: CertifiedFilter("mock", NAT, bounds_of(1, 1), "mock", lambda a: v)
-    for v0, v1, want in [
-        (True, True, True),
-        (True, False, False),
-        (False, True, False),
-        (False, False, False),
-        (True, None, None),
-    ]:
-        lim = two_valued_limit(frechet(NAT), cl.h, mk(v0), mk(v1))
-        assert lim.decide(cofin_set([], NAT)) is want, (
-            "two-valued limit agrees with the meet on all four verdict pairs "
-            f"(plus one undecided pair): {v0}, {v1}"
-        )
-
-    tail3 = ProgrammaticSet(lambda p: point_key(p)[0] >= 3, 10_000, NAT, "cofinite", "tail from 3")
-    for decided in ({"base": principal(fin_set([NatPt(0), NatPt(2)], NAT))}, {"h": tail3}):
-        with pytest.raises(PreconditionFailure) as err:
-            collapse_limit(1, **decided)
-        assert err.value.verdict is True, (
-            f"decided splitting sets are rejected before any limit is built "
-            f"({', '.join(decided)}: {err.value})"
-        )
-
-    evens = cl.h
-    assert not member_extended(cl.base, evens), (
-        "default splitting set is undecided by the cofinite base (the evens fall inside)"
+    assert cl.limit.bounds == parts.meet.bounds, (
+        f"the limit carries the meet's bounds ({bounds_text(parts.meet.bounds)})"
     )
-    assert not member_extended(cl.base, programmatic_complement(evens)), (
-        "default splitting set is undecided by the cofinite base (the odds fall inside)"
+    assert (cl.base, cl.split) == (frechet(NAT), "evens"), (
+        f"the limit runs along the cofinite filter, split along the evens ({cl.split})"
     )
+    bounds, cert = rank_bounds(cl.limit)
+    text = certificate_text(cert)
+    assert text == (
+        f'NODE "certified {cl.limit.name} ({cl.limit.provenance})" final=[1,1]\n'
+        f'  RULE RCert bounds=[1,1] cite="{CITES["RCert"]}" out=[1,1]\n'
+    ) and _replayed(cert) == bounds, f"the limit's certificate is one RCert leaf that replays ({text!r})"
     _report(
         10,
         True,
-        "preconditions reject deciding bases (2/2), bounds certified [1,1], "
-        "meet identity holds on all four mock verdict patterns",
+        "limit and both relabelled towers certified [1,1], the limit's bounds are the "
+        "meet's, and its certificate replays",
     )
 
 

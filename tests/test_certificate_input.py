@@ -10,7 +10,7 @@ and provenance, which its node label holds, break no line.
 import pytest
 
 from filterlab.constructions import collapse_limit, collapse_pair
-from filterlab.domains import NAT, FilterLabError
+from filterlab.domains import FilterLabError
 from filterlab.dsl import parse_filter
 from filterlab.ordinals import OrdinalError, parse_ordinal
 from filterlab.rank import (
@@ -177,7 +177,7 @@ def test_errors_name_the_line_of_the_text_blank_lines_counted():
 
 
 def certified(name: str = "G", provenance: str = "given") -> CertifiedFilter:
-    return CertifiedFilter(name, NAT, bounds_of(1, 1), provenance, lambda a: None)
+    return CertifiedFilter(name, bounds_of(1, 1), provenance)
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])

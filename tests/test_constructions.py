@@ -1,4 +1,4 @@
-"""Interleavings, collapse pairs, two-valued limits, and the type-gap example."""
+"""Line families, interleavings, selector shadows and collapse pairs."""
 
 import pytest
 
@@ -6,23 +6,15 @@ from filterlab.constructions import (
     BlockInterleaveBij,
     SelectorShadow,
     InterleavedPair,
-    PreconditionFailure,
-    PullbackSet,
     ZFamily,
     _round_pair,
-    collapse_limit,
     collapse_pair,
-    member_extended,
-    even_splitter,
     random_tower_member,
-    rank_type_gap_example,
     selector_shadow,
-    two_valued_limit,
     z_cover_witness,
     z_family_grid,
 )
 from filterlab.domains import (
-    DSum,
     DomainError,
     NAT,
     NatPt,
@@ -31,24 +23,9 @@ from filterlab.domains import (
     point_key,
     points_within,
 )
-from filterlab.filters import (
-    DiagYes,
-    dom_of,
-    frechet,
-    katetov,
-    member,
-    principal,
-)
-from filterlab.rank import CertifiedFilter, bounds_of, replay_certificate
-from filterlab.sets import (
-    ProgrammaticSet,
-    cofin_set,
-    empty_set,
-    fin_set,
-    full_set,
-    section_family,
-    set_member,
-)
+from filterlab.filters import katetov, member
+from filterlab.rank import bounds_of
+from filterlab.sets import fin_set, set_member
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +165,21 @@ def test_block_interleave_bijection():
     assert b0.target_domain() == NAT
 
 
+@pytest.mark.parametrize("side", [-1, 2])
+def test_every_side_reader_refuses_a_bad_side(side):
+    pair = InterleavedPair(1)
+    p = pair.pi(0, 0)
+    for read in (
+        lambda: pair.pi(side, 0),
+        lambda: pair.index_of(side, p),
+        lambda: pair.stage_lines(side, 5),
+        lambda: pair.preimage_indices(side, 0, 5),
+        lambda: BlockInterleaveBij(pair, side),
+    ):
+        with pytest.raises(DomainError, match="^side must be 0 or 1$"):
+            read()
+
+
 # ---------------------------------------------------------------------------
 # selector shadows
 
@@ -210,76 +202,6 @@ def test_collapse_pair_certifies_rank_one():
     assert cp.g0.bounds == bounds_of(1, 1)
     assert cp.g1.bounds == bounds_of(1, 1)
     assert cp.meet.bounds == bounds_of(1, 1)
-
-
-def test_collapse_pair_oracles_decide_pullbacks():
-    cp = collapse_pair(1)
-    assert cp.g0.decide(cofin_set([NatPt(3)], NAT)) is True
-    assert cp.g0.decide(fin_set([NatPt(k) for k in range(5)], NAT)) is False
-    inside = PullbackSet(0, cofin_set([], dom_of(katetov(1))))
-    assert cp.g0.decide(inside) is True
-    assert cp.g1.decide(inside) is None  # wrong side: no exact rule
-
-
-def test_collapse_limit_certified_and_decides():
-    cl = collapse_limit(1)
-    lim = cl.limit
-    assert lim.bounds == bounds_of(1, 1)
-    assert lim.decide(cofin_set([NatPt(3)], NAT)) is True
-    assert lim.decide(fin_set([NatPt(k) for k in range(40)], NAT)) is False
-
-
-def test_collapse_limit_rejects_deciding_bases():
-    # a base that decides the splitting set is refused
-    with pytest.raises(PreconditionFailure):
-        collapse_limit(1, base=principal(fin_set([NatPt(0), NatPt(2)], NAT)))
-    cofinite_h = ProgrammaticSet(
-        lambda p: point_key(p)[0] > 5, 10_000, NAT, "cofinite", "tail"
-    )
-    with pytest.raises(PreconditionFailure):
-        collapse_limit(1, h=cofinite_h)
-
-
-def test_two_valued_limit_mock_verdict_table():
-    dom = NAT
-    mk = lambda v0, v1: (
-        CertifiedFilter("m0", dom, bounds_of(1, 1), "mock", lambda a: v0),
-        CertifiedFilter("m1", dom, bounds_of(1, 1), "mock", lambda a: v1),
-    )
-    probe = cofin_set([], NAT)
-    for v0, v1, want in [
-        (True, True, True),
-        (True, False, False),
-        (False, True, False),
-        (False, False, False),
-        (True, None, None),
-    ]:
-        g0, g1 = mk(v0, v1)
-        lim = two_valued_limit(frechet(NAT), even_splitter(), g0, g1)
-        assert lim.decide(probe) is want
-
-
-def test_member_extended_programmatic_rules():
-    evens = even_splitter()
-    assert member_extended(frechet(NAT), evens) is False  # complement infinite
-    assert member_extended(principal(fin_set([NatPt(0)], NAT)), evens) is True
-    assert member_extended(principal(fin_set([NatPt(1)], NAT)), evens) is False
-
-
-# ---------------------------------------------------------------------------
-# the type-gap bundle
-
-
-def test_type_gap_bundle_values():
-    b = rank_type_gap_example()
-    assert b.bounds == bounds_of(1, 1)
-    assert replay_certificate(b.certificate) == b.bounds
-    assert b.ct.level is not None and b.ct.level <= 2
-    assert isinstance(b.diag, DiagYes)
-    d = DSum((), NAT)
-    assert b.diag.witness == section_family({0: full_set(NAT)}, empty_set(NAT), d)
-    # the witness is almost inside every member: it is one full column
-    assert member(b.filt, section_family({0: full_set(NAT)}, cofin_set([], NAT), d))
 
 
 # ---------------------------------------------------------------------------

@@ -86,12 +86,6 @@ def test_fresh_element_round_count_equals_union():
         assert validate_transcript(t) == []
 
 
-def test_exclude_union_forces_fresh_points():
-    t = play(frechet(NAT), ExcludeUnionI(), UniversalII(), 10, seed=0)
-    assert union_size(t) == 10
-    assert validate_transcript(t) == []
-
-
 def test_universal_self_play_on_tower_grows_linearly():
     f = katetov(1)
     for seed in (0, 1, 3):

@@ -17,7 +17,6 @@ from filterlab.domains import (
 from filterlab.sets import (
     FinSet,
     NotNormalForm,
-    ProgrammaticSet,
     SectionFamily,
     cofin_set,
     cofinite_excluded,
@@ -37,7 +36,6 @@ from filterlab.sets import (
     set_span,
     set_union,
     subset_check,
-    truncate,
     validate_set,
 )
 
@@ -196,24 +194,6 @@ def test_first_point_is_least_in_enumeration():
                 break
             if all(c < 50 for c in point_key(q)):
                 assert not set_member(q, a) or point_key(q)[0] > point_key(p)[0]
-
-
-@pytest.mark.parametrize("d", DOMAINS)
-def test_truncate_matches_grid_filter(d):
-    for a in random_sets(d, 20, 303):
-        got = {point_key(p) for p in truncate(a, 7)}
-        want = {
-            point_key(p)
-            for p in points_within(d, 7)
-            if set_member(p, a)
-        }
-        assert got == want
-
-
-def test_truncate_programmatic_set():
-    evens = ProgrammaticSet(lambda p: point_key(p)[0] % 2 == 0, 100, NAT)
-    pts = truncate(evens, 10)
-    assert [point_key(p)[0] for p in pts] == [0, 2, 4, 6, 8]
 
 
 @pytest.mark.parametrize("d", DOMAINS)

@@ -27,8 +27,8 @@ PUBLIC = [
     "FilterLabError", "FinSet", "Frechet", "FreshElementII", "FubiniSum", "FullSetI",
     "IdentityBij", "IllegalMove", "InconsistentBounds", "InterleavedPair", "Intersection",
     "Limit", "NAT", "Nat", "NatPt", "NotNormalForm", "OMEGA", "ONE", "Ordinal",
-    "OrdinalError", "PairPt", "ParseError", "PreconditionFailure", "Principal", "Prod",
-    "Product", "ProgrammaticSet", "PullbackSet", "Pushforward", "QHWitness",
+    "OrdinalError", "PairPt", "ParseError", "Principal", "Prod",
+    "Product", "Pushforward", "QHWitness",
     "RandomFiniteII", "RankBounds", "RankCertificate", "RepeatedSectionwiseFamily",
     "SectionFamily", "SectionFilter", "SectionwiseFamily", "SepIn", "SepOut",
     "SumPt", "TableBij", "Transcript", "UNIT", "UNIT_PT", "Unit", "UnitPt",
@@ -38,7 +38,7 @@ PUBLIC = [
     "ct_bound", "dom_of", "dual_member", "empty_set", "enum_point", "filter_family",
     "filter_to_source", "fin_set", "flim", "frechet", "fubini_as_limit", "fubini_sum",
     "full_set", "is_diagonalizable", "is_free", "katetov", "kernel_set", "limit_of", "meet",
-    "member", "member_extended", "omega_pow", "ord_add", "ord_cmp", "ord_of_int", "ord_str",
+    "member", "omega_pow", "ord_add", "ord_cmp", "ord_of_int", "ord_str",
     "parse_bounds", "parse_filter", "parse_ordinal", "parse_program", "parse_seq",
     "parse_set", "play", "point_index", "point_key", "principal", "product", "pushforward",
     "random_tower_member", "rank_bounds", "rank_type_gap_example",
@@ -46,18 +46,16 @@ PUBLIC = [
     "section_filter", "selector_shadow", "separator_verdict",
     "seq_leaf", "seq_sections", "set_complement", "set_intersect", "set_member",
     "set_to_source", "set_union", "transcript_lines",
-    "two_valued_limit", "validate_transcript", "z_cover_witness",
+    "validate_transcript", "z_cover_witness",
 ]
 
 
 # every parameter with a default on a public callable, as "name.parameter":
 # each is a setting some caller may change, so a new one shows up here
 DEFAULTED = [
-    "Frechet.domain", "ProgrammaticSet.frechet_class",
-    "ProgrammaticSet.label", "collapse_limit.base", "collapse_limit.h",
-    "frechet.domain", "omega_pow.c", "parse_seq.domain", "parse_set.domain",
-    "rank_bounds.witnesses", "selector_shadow.i_max",
-    "selector_shadow.j_max", "two_valued_limit.bounds",
+    "Frechet.domain", "frechet.domain", "omega_pow.c", "parse_seq.domain",
+    "parse_set.domain", "rank_bounds.witnesses", "selector_shadow.i_max",
+    "selector_shadow.j_max",
 ]
 
 
@@ -75,7 +73,7 @@ LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith('filte
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 134
+    assert len(PUBLIC) == 129
     assert sorted(filterlab.__all__) == PUBLIC
 
 
@@ -88,7 +86,7 @@ def test_defaulted_parameters_are_pinned():
         for p in inspect.signature(value).parameters.values():
             if p.default is not p.empty:
                 found.append(f"{name}.{p.name}")
-    assert len(DEFAULTED) == 13
+    assert len(DEFAULTED) == 8
     assert sorted(found) == DEFAULTED
 
 
@@ -222,7 +220,7 @@ print(calls, len(nodes), "dataclasses" in sys.modules, "inspect" in sys.modules)
 
 def test_importing_the_cli_compiles_one_block_per_node_class_and_no_dataclasses():
     calls, nodes, dataclasses, inspect = fresh(COUNT_CODE_GENERATION).split()
-    assert int(nodes) >= 56
+    assert int(nodes) >= 54
     assert int(calls) <= int(nodes)
     assert (dataclasses, inspect) == ("False", "False")
 

@@ -12,6 +12,7 @@ from filterlab.constructions import BlockInterleaveBij, collapse_pair
 from filterlab.domains import DSum, NAT, NatPt, Prod, UNIT, point_key, tail_component
 from filterlab.dsl import filter_to_source, parse_filter
 from filterlab.filters import (
+    FilterError,
     FilterFamily,
     IdentityBij,
     Intersection,
@@ -38,7 +39,6 @@ from filterlab.filters import (
     sum_parts,
 )
 from filterlab.rank import (
-    CertifiedFilter,
     CopyWitness,
     QHWitness,
     WitnessRejected,
@@ -133,23 +133,20 @@ def test_fubini_table_parses_to_its_normal_form():
 # one witness check, three rejections
 
 
-def _oracle(domain, verdict):
-    return CertifiedFilter("oracle", domain, bounds_of(0, None), "test", lambda a: verdict)
-
-
 _SUM_DOM = DSum((), NAT)
 _SUM_SAMPLE = section_family({0: cofin_set([NatPt(5)], NAT)}, cofin_set((), NAT), _SUM_DOM)
 _FINITE_SECTION = section_family({0: fin_set([NatPt(1)], NAT)}, cofin_set((), NAT), _SUM_DOM)
+# the sets with all but finitely many columns cofinite; both samples above
+# are members
+_COLUMNS = fubini_sum(frechet(NAT), {}, frechet(NAT))
 
 
-def _copy(target_verdict, sample):
-    w = CopyWitness(frechet(), IdentityBij(NAT), (sample,))
-    return _oracle(NAT, target_verdict), w
+def _copy(target, sample):
+    return target, CopyWitness(frechet(NAT), IdentityBij(NAT), (sample,))
 
 
-def _qh(target_verdict, sample=_SUM_SAMPLE):
-    w = QHWitness(frechet(), IntoSectionMap(_SUM_DOM, 0), (sample,))
-    return _oracle(_SUM_DOM, target_verdict), w
+def _qh(target, source=frechet(NAT), sample=_SUM_SAMPLE):
+    return target, QHWitness(source, IntoSectionMap(_SUM_DOM, 0), (sample,))
 
 
 # a streaming interleaving has no closed form for set images or preimages,
@@ -170,12 +167,31 @@ def _interleaved_qh():
 
 
 @pytest.mark.parametrize("case, message", [
-    (lambda: _copy(None, full_set(NAT)), "copy witness sample outside the decidable language"),
-    (lambda: _copy(False, full_set(NAT)), "copy witness image escaped the target filter"),
-    (lambda: _copy(True, fin_set([NatPt(0)], NAT)), "copy witness verified against no valid sample"),
-    (lambda: _qh(None), "witness sample outside the decidable language"),
-    (lambda: _qh(True, _FINITE_SECTION), "preimage of a target member escaped the source"),
-    (lambda: _qh(False), "witness verified against no valid sample"),
+    # membership in a relabelling along a streaming interleaving is undecided
+    (
+        lambda: _copy(collapse_pair(1).push0, full_set(NAT)),
+        "copy witness sample outside the decidable language",
+    ),
+    (
+        lambda: _copy(principal(fin_set([NatPt(0)], NAT)), cofin_set([NatPt(0)], NAT)),
+        "copy witness image escaped the target filter",
+    ),
+    (
+        lambda: _copy(frechet(NAT), fin_set([NatPt(0)], NAT)),
+        "copy witness verified against no valid sample",
+    ),
+    (
+        lambda: _qh(_COLUMNS, collapse_pair(1).push0),
+        "witness sample outside the decidable language",
+    ),
+    (
+        lambda: _qh(_COLUMNS, sample=_FINITE_SECTION),
+        "preimage of a target member escaped the source",
+    ),
+    (
+        lambda: _qh(_COLUMNS, sample=empty_set(_SUM_DOM)),
+        "witness verified against no valid sample",
+    ),
     pytest.param(
         _interleaved_copy, "copy witness sample outside the decidable language",
         id="copy-through-a-streaming-interleaving",
@@ -213,11 +229,23 @@ def test_witness_rejections(case, message):
 
 
 def test_copy_witness_skips_samples_outside_the_source():
-    target, w = _copy(True, fin_set([NatPt(0)], NAT))
-    w = CopyWitness(w.source, w.sigma, (fin_set([NatPt(0)], NAT), full_set(NAT)))
+    # the engine bounds this meet by [0,1]; the copy of the cofinite filter
+    # lifts it to [1,1] on its one sample inside the source
+    target = Intersection(frechet(NAT), frechet(NAT))
+    assert rank_bounds(target)[0] == bounds_of(0, 1)
+    w = CopyWitness(frechet(NAT), IdentityBij(NAT), (fin_set([NatPt(0)], NAT), full_set(NAT)))
     b, cert = rank_bounds(target, witnesses=(w,))
-    assert b == bounds_of(1, None)
-    assert cert.root.applied[-1].rule == "RCopy"
+    assert b == bounds_of(1, 1)
+    last = cert.root.applied[-1]
+    assert (last.rule, last.output) == ("RCopy", bounds_of(1, None))
+
+
+def test_a_witness_needs_a_filter_expression_target():
+    # a certified filter has no members to check samples against
+    target = collapse_pair(1).meet
+    w = CopyWitness(frechet(NAT), IdentityBij(NAT), (full_set(NAT),))
+    with pytest.raises(FilterError, match="^not a FilterExpr: "):
+        rank_bounds(target, witnesses=(w,))
 
 
 # ---------------------------------------------------------------------------
