@@ -323,9 +323,6 @@ class InterleavedPair:
         self._fill(side, trunc)
         return self._lines[side][:trunc]
 
-    def preimage_indices(self, side: int, i: int, trunc: int) -> list[int]:
-        return [n for n, k in enumerate(self.stage_lines(side, trunc)) if k == i]
-
     def joint_count_table(self, trunc: int, lines: int) -> dict[tuple[int, int], int]:
         """(i, j) -> naturals below trunc on line i at side 0 and j at side 1, for i, j < lines."""
         counts: dict[tuple[int, int], int] = {}
@@ -578,12 +575,17 @@ def z_family_grid(zf: ZFamily, lines: int, per_line: int) -> list[str]:
 
 
 def preimage_grid(pair: InterleavedPair, side: int, lines: int, trunc: int) -> list[str]:
-    """One line per index: the first 12 naturals below trunc in its preimage."""
-    rows = []
-    for i in range(lines):
-        ns = pair.preimage_indices(side, i, trunc)[:12]
-        rows.append(f"Z{i}: {' '.join(str(n) for n in ns)}")
-    return rows
+    """One line per index: the first 12 naturals below trunc in its preimage,
+    allocating the side's stages only until every row has its 12."""
+    _check_side(side)
+    rows: list[list[int]] = [[] for _ in range(lines)]
+    n = 0
+    while n < trunc and min(map(len, rows), default=12) < 12:
+        pair._fill(side, n + 1)
+        if (i := pair._lines[side][n]) < lines and len(rows[i]) < 12:
+            rows[i].append(n)
+        n += 1
+    return [f"Z{i}: {' '.join(map(str, ns))}" for i, ns in enumerate(rows)]
 
 
 def selector_grid(shadow: SelectorShadow) -> list[str]:

@@ -10,8 +10,9 @@ the base filter.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from random import Random
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .domains import (
     DSum,
@@ -56,10 +57,10 @@ from .sets import (
     is_empty_set,
     leaf_set,
     listed_components,
+    nat_leaf,
     section,
     section_family,
     set_complement,
-    set_intersect,
     set_member,
     set_union,
     set_without,
@@ -437,15 +438,12 @@ def katetov(n: int) -> FilterExpr:
 # membership
 
 
-def _verdict_set(keys: Iterable[int], verdict, tail_verdict: bool) -> SetExpr:
-    return leaf_set([NatPt(i) for i in keys if verdict(i) != tail_verdict], tail_verdict, NAT)
-
-
 def _section_verdicts(family: FilterFamily, a: SetExpr) -> SetExpr:
     """Index set {i : the i-th section of a is in F_i} as a normal form."""
     keys = sorted(set(family.keys) | set(exception_keys(a)))
     tail_verdict = member(family.tail, a.tail)
-    return _verdict_set(keys, lambda i: member(family.at(i), section(a, i)), tail_verdict)
+    off = [i for i in keys if member(family.at(i), section(a, i)) != tail_verdict]
+    return nat_leaf(off, tail_verdict)
 
 
 def member(f: FilterExpr, a: SetExpr) -> bool:
@@ -490,8 +488,8 @@ def _member(f: FilterExpr, a: SetExpr) -> bool:
 def _member_limit(f: Limit, a: SetExpr) -> bool:
     fam = f.family
     tail_verdict = member(fam.tail, a)
-    idx = _verdict_set(fam.keys, lambda i: member(fam.at(i), a), tail_verdict)
-    return _member(f.base, idx)
+    off = [i for i in fam.keys if member(fam.at(i), a) != tail_verdict]
+    return _member(f.base, nat_leaf(off, tail_verdict))
 
 
 def dual_member(f: FilterExpr, a: SetExpr) -> bool:
@@ -565,42 +563,42 @@ def _sectionwise_kernel(
 
 
 def _limit_kernel(f: Limit) -> SetExpr:
-    """Kernel of a limit of a plain family, by partition refinement.
+    """Kernel of a limit of a plain family, in one walk over its members' kernels.
 
-    A point p is in the kernel iff the base rejects {i : p not in ker F_i},
-    which depends only on which member kernels hold p.  Refinement (Paige &
-    Tarjan, "Three partition refinement algorithms", SIAM J. Comput. 1987)
-    splits the target set by each exception's kernel and then by the tail's
-    kernel, keeping only non-empty parts; each region left is one pattern
-    that some point realises, and the base judges it once.  The points that
-    no kernel lists, in sections that no kernel keys, share one pattern, so
-    every other region meets the kernels' exception data (keys and listed
-    points), and the number of regions is bounded by the size of that data
-    instead of by 2^(k+1).
+    p is in the kernel iff the base rejects {i : p not in ker F_i}, so only p's
+    pattern matters: which member kernels hold p.  Like the n-ary apply of
+    ordered decision diagrams (Bryant, IEEE Trans. Computers 1986), the walk
+    reads the kernels side by side, key by key then the tail, and point by
+    point then the tail; the base judges each pattern some point realises once.
     """
     fam = f.family
     keys = fam.keys
-    kernels = [kernel_set(fam.at(i)) for i in keys]
-    kernels.append(kernel_set(fam.tail))
-    target = dom_of(fam.tail)
-    # (region, for each kernel so far whether it contains the region)
-    regions: list[tuple[SetExpr, tuple[bool, ...]]] = [(full_set(target), ())]
-    for ker in kernels:
-        outside = set_complement(ker)
-        split = []
-        for region, held in regions:
-            for side, bit in ((ker, True), (outside, False)):
-                part = set_intersect(region, side)
-                if not is_empty_set(part):
-                    split.append((part, held + (bit,)))
-        regions = split
-    out = empty_set(target)
-    for region, held in regions:
-        # the base judges {i : the region lies outside F_i's kernel}
-        inside = dict(zip(keys, held))
-        if not member(f.base, _verdict_set(keys, lambda i: not inside[i], not held[-1])):
-            out = set_union(out, region)
-    return out
+    kernels = [kernel_set(fam.at(i)) for i in keys] + [kernel_set(fam.tail)]
+
+    @cache
+    def in_kernel(held: tuple[bool, ...]) -> bool:
+        # {i : p is outside F_i's kernel} holds the tail's verdict off the keys where held differs
+        off = [i for i, h in zip(keys, held) if h != held[-1]]
+        return not member(f.base, nat_leaf(off, not held[-1]))
+
+    def walk(kers: list[SetExpr]) -> SetExpr:
+        domain = kers[0].domain
+        if isinstance(kers[0], SectionFamily):
+            ids = {i for ker in kers for i in ker.keys}
+            excs = {i: walk([ker.at(i) for ker in kers]) for i in ids}
+            return section_family(excs, walk([ker.tail for ker in kers]), domain)
+        # a point's pattern is the kernels' tail bits, flipped where a kernel lists it
+        tails = [ker.tail_holds for ker in kers]
+        patterns: dict[Point, list[bool]] = {}
+        for j, ker in enumerate(kers):
+            for p in ker.listed:
+                patterns.setdefault(p, tails.copy())[j] = not tails[j]
+        # over Unit a listed point is the only one, so no point realises the tail
+        tail = False if patterns and isinstance(domain, Unit) else in_kernel(tuple(tails))
+        kept = [p for p, held in patterns.items() if in_kernel(tuple(held)) != tail]
+        return leaf_set(kept, tail, domain)
+
+    return walk(kernels)
 
 
 def is_free(f: FilterExpr) -> bool:

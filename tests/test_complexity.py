@@ -6,13 +6,21 @@ These count calls, never wall time, so they are deterministic.
 import math
 import sys
 
+import pytest
+
 import filterlab.dsl as dsl
 import filterlab.filters as filters
 import filterlab.game as game
 import filterlab.ordinals as ordinals
 import filterlab.rank as rank
 import filterlab.sets as sets_module
-from filterlab.constructions import InterleavedPair, ZFamily, random_tower_member, selector_shadow
+from filterlab.constructions import (
+    InterleavedPair,
+    ZFamily,
+    preimage_grid,
+    random_tower_member,
+    selector_shadow,
+)
 from filterlab.domains import DSum, NAT, Prod, UNIT
 from filterlab.dsl import parse_filter, parse_set, set_to_source
 from filterlab.filters import frechet, katetov, kernel_set, member, principal, product
@@ -36,6 +44,7 @@ from filterlab.sets import (
     set_intersect,
     set_union,
 )
+from test_limit_kernel import CHAIN_BASES, chain
 
 
 def meet_chain(length: int):
@@ -45,11 +54,6 @@ def meet_chain(length: int):
     for p in reversed(parts[:-1]):
         src = f"meet({p}, {src})"
     return parse_filter(src)
-
-
-def cofinite_chain(k: int):
-    excs = ", ".join(f"{i}: principal(cofin{{{i}}})" for i in range(k))
-    return parse_filter(f"limit(frechet, family({{{excs}}}, frechet))")
 
 
 def counting(monkeypatch, name: str, module=filters) -> list:
@@ -120,12 +124,32 @@ def test_certificate_round_trip_builds_and_prints_each_bound_once(monkeypatch):
     assert len(built) <= 767
 
 
-def test_limit_kernel_intersections_are_polynomial(monkeypatch):
-    k = 64
-    f = cofinite_chain(k)
-    calls = counting(monkeypatch, "set_intersect")
+@pytest.mark.parametrize("k", [16, 64])
+@pytest.mark.parametrize("base", CHAIN_BASES)
+def test_limit_kernel_judges_each_pattern_once(monkeypatch, base, k):
+    # the walk over the member kernels meets k + 1 patterns on the chain and
+    # builds one verdict leaf for each, plus the kernel's own leaf; partition
+    # refinement made up to 2(k + 1)(k + 2) set_intersect calls instead
+    f = chain(base, k)
+    judged = counting(monkeypatch, "member")
+    verdicts = counting(monkeypatch, "nat_leaf")
+    leaves = counting(monkeypatch, "leaf_set")
+    algebra = counting(monkeypatch, "_binop", sets_module)
     kernel_set(f)
-    assert len(calls) <= 2 * (k + 1) * (k + 2)
+    assert len(judged) <= k + 1 and all(g is f.base for g in judged)
+    assert len(verdicts) + len(leaves) <= k + 2
+    assert algebra == []
+
+
+def test_limit_kernel_judges_a_shared_pattern_once(monkeypatch):
+    # the 32 points of the shared core all carry one pattern, and the points
+    # off it another
+    core = ", ".join(map(str, range(32)))
+    excs = ", ".join(f"{i}: principal(fin{{{core}}})" for i in range(8))
+    f = parse_filter(f"limit(frechet, family({{{excs}}}, frechet))")
+    judged = counting(monkeypatch, "member")
+    kernel_set(f)
+    assert len(judged) == 2
 
 
 def test_tower_membership_builds_no_unused_sum_domains(monkeypatch):
@@ -223,6 +247,24 @@ def test_copy_column_bound_keys_each_claim_at_most_four_times(monkeypatch):
     calls = counting_point_key(monkeypatch)
     copy_column_bound(t)
     assert len(calls) <= 4 * claims(t)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_preimage_grid_allocates_only_the_stages_it_shows(monkeypatch, depth):
+    # the 12 shown preimages of lines 0-3 lie below stage 110 at these
+    # depths; filling each side up to trunc allocated 10,000 stages a side
+    advanced = []
+    advance = InterleavedPair._advance
+
+    def counted(self, side):
+        advanced.append(side)
+        advance(self, side)
+
+    monkeypatch.setattr(InterleavedPair, "_advance", counted)
+    pair = InterleavedPair(depth)
+    for side in (0, 1):
+        assert len(preimage_grid(pair, side, 4, 10_000)) == 4
+    assert max(advanced.count(0), advanced.count(1)) <= 110
 
 
 def test_selector_shadow_reads_the_stage_lines(monkeypatch):

@@ -9,6 +9,7 @@ from filterlab.constructions import (
     ZFamily,
     _round_pair,
     collapse_pair,
+    preimage_grid,
     random_tower_member,
     selector_shadow,
     z_cover_witness,
@@ -173,7 +174,7 @@ def test_every_side_reader_refuses_a_bad_side(side):
         lambda: pair.pi(side, 0),
         lambda: pair.index_of(side, p),
         lambda: pair.stage_lines(side, 5),
-        lambda: pair.preimage_indices(side, 0, 5),
+        lambda: preimage_grid(pair, side, 4, 5),
         lambda: BlockInterleaveBij(pair, side),
     ):
         with pytest.raises(DomainError, match="^side must be 0 or 1$"):
@@ -273,11 +274,14 @@ def test_stage_lines_agree_with_per_line_scans(depth, trunc):
     pair = InterleavedPair(depth)
     shadow = selector_shadow(pair, trunc)
     table = pair.joint_count_table(trunc, 10)
-    preimages = {(s, i): pair.preimage_indices(s, i, trunc) for s in (0, 1) for i in range(6)}
+    grids = {s: preimage_grid(pair, s, 6, trunc) for s in (0, 1)}
 
     assert shadow == scan_selector_shadow(pair, trunc)
     assert table == scan_joint_count_table(pair, trunc, 10)
-    assert preimages == {(s, i): scan_preimage_indices(pair, s, i, trunc) for s, i in preimages}
+    assert grids == {
+        s: [f"Z{i}: {' '.join(map(str, scan_preimage_indices(pair, s, i, trunc)[:12]))}" for i in range(6)]
+        for s in grids
+    }
     assert all(
         pair.zfamily.line_contains(i, p) == scan_line_contains(pair.zfamily, i, p)
         for n in range(0, trunc, 37)

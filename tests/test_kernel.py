@@ -9,9 +9,19 @@ import pytest
 
 from naive import grid, naive_member, span_filter
 
+from filterlab.constructions import collapse_pair
 from filterlab.domains import NAT, DSum, Prod, point_from_key
 from filterlab.dsl import parse_filter
-from filterlab.filters import dom_of, gen_random_filter, is_free, kernel_set
+from filterlab.filters import (
+    UnsupportedPreimage,
+    dom_of,
+    filter_family,
+    frechet,
+    gen_random_filter,
+    is_free,
+    kernel_set,
+    limit_of,
+)
 from filterlab.ordinals import ZERO
 from filterlab.rank import rank_bounds
 from filterlab.sets import cofin_set, finite_points, set_member
@@ -74,3 +84,14 @@ def test_sectionwise_limit_keeps_base_kernel_past_family_keys():
     assert not is_free(f)
     bounds, _ = rank_bounds(f)
     assert bounds.exact == ZERO
+
+
+@pytest.mark.parametrize("where", ["exception", "tail"])
+def test_a_member_kernel_that_raises_makes_the_limit_kernel_raise(where):
+    # a relabelling by a streaming interleaving has no closed-form kernel
+    push = collapse_pair(1).push0
+    members = {0: frechet(), 2: push} if where == "exception" else {0: frechet()}
+    f = limit_of(frechet(), filter_family(members, push if where == "tail" else frechet()))
+    for _ in range(2):  # the error is kept on the node and raised again
+        with pytest.raises(UnsupportedPreimage, match="streaming interleaving"):
+            kernel_set(f)

@@ -1,8 +1,12 @@
-"""The limit kernel by partition refinement against the full enumeration.
+"""The limit kernel, from one walk over the member kernels, against the full enumeration.
 
-The oracle below enumerates all 2^(k+1) patterns of membership in the k
-exception kernels and the tail kernel, as the library once did; it is kept
-here only as a reference.
+The library reads each point's pattern (which of the k exception kernels and
+the tail kernel hold it) off the kernels side by side and asks the base once
+per pattern.  The oracle below shares none of that: it enumerates all 2^(k+1)
+patterns, builds each one's region with set algebra and keeps the non-empty
+regions the base rejects, as the library once did.  It is kept here only as a
+reference.  The test names keep the word "refined" from the partition
+refinement that came between the two.
 """
 
 import pytest

@@ -231,18 +231,32 @@ def test_ct_bound_of_type_gap_filter_is_two():
 
 
 # the sharp limit rule reads its hypothesis off the base's certificate: the
-# relabelled cofinite filter is certified [1,1], the meet [0,0]
+# relabelled cofinite filter is certified [1,1], the meet with a principal
+# filter [0,0], and the cofinite filter met with itself [0,1], whose upper
+# bound of one does not make it a base of rank one
 @pytest.mark.parametrize(
-    "base, sharp",
-    [("push(table(nat, {0: 1, 1: 0}), frechet)", True), ("meet(principal(cofin{0}), frechet)", False)],
+    "base, hi, sharp_hi, bounds",
+    [
+        pytest.param(
+            "push(table(nat, {0: 1, 1: 0}), frechet)", "[0,4]", "[0,3]", (1, 3),
+            id="push(table(nat, {0: 1, 1: 0}), frechet)-True",
+        ),
+        pytest.param(
+            "meet(principal(cofin{0}), frechet)", "[0,3]", None, (1, 3),
+            id="meet(principal(cofin{0}), frechet)-False",
+        ),
+        pytest.param(
+            "meet(frechet, frechet)", "[0,4]", None, (1, 4), id="meet(frechet, frechet)-False"
+        ),
+    ],
 )
-def test_the_sharp_limit_rule_needs_a_base_certified_at_rank_one(base, sharp):
+def test_the_sharp_limit_rule_needs_a_base_certified_at_rank_one(base, hi, sharp_hi, bounds):
     family = "family({0: principal(cofin{}@prod(prod(unit)))}, katetov(2))"
     b, cert = rank_bounds(parse_filter(f"limit({base}, {family})"))
     outs = {a.rule: bounds_text(a.output) for a in cert.root.applied}
-    assert outs["RLimHi"] == ("[0,4]" if sharp else "[0,3]")
-    assert outs.get("RLimHi1") == ("[0,3]" if sharp else None)
-    assert b == bounds_of(1, 3)
+    assert outs["RLimHi"] == hi
+    assert outs.get("RLimHi1") == sharp_hi
+    assert b == bounds_of(*bounds)
     assert replay_certificate(certificate_from_text(certificate_text(cert))) == b
 
 
